@@ -23,6 +23,7 @@ from .catalog import (
 )
 from .errors import (
     CompletenessError,
+    ConsistencyError,
     LayoutError,
     NotPSDError,
     RangeError,

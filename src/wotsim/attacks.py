@@ -17,30 +17,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CompletenessError, RangeError
+from .errors import CompletenessError, ConsistencyError, RangeError
 from .protocol import (
     INPUT_NAMES,
     FinalStates,
     ProtocolSpec,
     ReducedFamily,
-    all_final_states,
-    reduce_alice,
-    run_purified,
-    validate_completeness,
+    _Analysis,
+    _analyze,
 )
 from .qcore import (
     TOL_SPECTRAL,
     CMat,
+    RegisterLayout,
     StateVector,
-    embed_operator,
+    apply_to_tensor,
     fidelity,
     helstrom,
     trace_norm,
     uhlmann_unitary,
 )
-
-PLUS_PROJ = np.full((2, 2), 0.5, dtype=complex)
-
 
 @dataclass(frozen=True)
 class CheatReport:
@@ -82,14 +78,22 @@ def f_quantity(rf: ReducedFamily) -> float:
     return sum(fidelity(r, s) for r, s in _pairs(rf))
 
 
+def _alice_bound_of(delta: float) -> float:
+    return 0.5 + delta / 8.0
+
+
+def _bob_bound_of(f: float) -> float:
+    return 0.5 + f / 16.0
+
+
 def alice_bound(rf: ReducedFamily) -> float:
     """Alice's guaranteed cheating probability, 1/2 + delta/8."""
-    return 0.5 + sum(trace_norm(r.mat - s.mat) for r, s in _pairs(rf)) / 16.0
+    return _alice_bound_of(delta_quantity(rf))
 
 
 def bob_bound(rf: ReducedFamily) -> float:
     """Bob's guaranteed cheating probability, 1/2 + f/16."""
-    return 0.5 + f_quantity(rf) / 16.0
+    return _bob_bound_of(f_quantity(rf))
 
 
 def alice_helstrom_attack(rf: ReducedFamily) -> float:
@@ -103,41 +107,34 @@ def alice_helstrom_attack(rf: ReducedFamily) -> float:
     return float(np.mean(successes))
 
 
-def _strip_inputs(sv: StateVector, x0: int, x1: int) -> StateVector:
-    """Drop the input registers from an honest final state.
-
-    Honest runs keep the input registers in their initial basis states, so
-    the full state factorizes and slicing at (x0, x1) is exact.
-    """
-    lay = sv.layout
-    tensor = sv.amps.reshape(lay.dims)
-    names = list(lay.names)
-    for name, value in (("X0", x0), ("X1", x1)):
-        axis = names.index(name)
-        tensor = np.take(tensor, value, axis=axis)
-        names.pop(axis)
-    amps = tensor.reshape(-1)
-    norm = np.linalg.norm(amps)
-    if abs(norm - 1.0) > TOL_SPECTRAL:
-        raise CompletenessError(
-            "final state is entangled with the input registers; not an honest run"
-        )
-    return StateVector(lay.without(INPUT_NAMES), amps / norm)
+def _sector(lay: RegisterLayout, x0: int, x1: int) -> tuple:
+    """Index of the slice of a state tensor where X0 = x0 and X1 = x1."""
+    index: list = [slice(None)] * len(lay.dims)
+    for name, value in zip(INPUT_NAMES, (x0, x1)):
+        index[lay.names.index(name)] = value
+    return tuple(index)
 
 
-def _uhlmann_block(fs: FinalStates, phi_key, psi_key) -> CMat:
+def _uhlmann_block(fs: FinalStates, phi_key, psi_key, rest: RegisterLayout,
+                   b_rest: tuple[str, ...]) -> CMat:
     """The unitary on Bob's non-input factors aligning one honest final
     state with another, achieving the reduced-state fidelity as overlap.
 
-    When Bob holds nothing beyond the input registers the block degenerates
-    to a 1x1 phase.
+    Honest runs keep the input registers in their initial basis states, so
+    slicing each state at its (x0, x1) drops them exactly.  When Bob holds
+    nothing beyond the input registers the block degenerates to a 1x1 phase.
     """
-    lay = next(iter(fs.states.values())).layout
-    b_rest = tuple(
-        n for n in lay.names if n not in fs.alice_factors and n not in INPUT_NAMES
-    )
-    phi = _strip_inputs(fs.states[phi_key], phi_key[1], phi_key[2])
-    psi = _strip_inputs(fs.states[psi_key], psi_key[1], psi_key[2])
+    stripped = []
+    for key in (phi_key, psi_key):
+        sv = fs.states[key]
+        amps = sv.amps.reshape(sv.layout.dims)[_sector(sv.layout, key[1], key[2])]
+        norm = np.linalg.norm(amps)
+        if abs(norm - 1.0) > TOL_SPECTRAL:
+            raise CompletenessError(
+                "final state is entangled with the input registers; not an honest run"
+            )
+        stripped.append(StateVector(rest, amps / norm))
+    phi, psi = stripped
     if b_rest:
         block, _ = uhlmann_unitary(phi, psi, b_rest)
         return block
@@ -146,43 +143,53 @@ def _uhlmann_block(fs: FinalStates, phi_key, psi_key) -> CMat:
     return np.array([[phase]], dtype=complex)
 
 
-def controlled_realignment(spec: ProtocolSpec, fs: FinalStates, s: int) -> CMat:
-    """The block unitary of the purified attack, on the full layout.
+def controlled_realignment(spec: ProtocolSpec, fs: FinalStates, s: int,
+                           states: tuple[StateVector, ...]) -> tuple[StateVector, ...]:
+    """Apply the block unitary of the purified attack to each state.
 
-    Block-diagonal over the computational basis of the input registers:
-    identity everywhere except the sectors where register ``X_s`` reads 1,
-    which carry the Uhlmann realignment toward the matching 0 sector.
-    Identity on Alice's factors throughout.
+    The unitary is block-diagonal over the computational basis of the input
+    registers: identity everywhere except the sectors where register ``X_s``
+    reads 1, which carry the Uhlmann realignment toward the matching 0
+    sector on Bob's non-input factors.  Identity on Alice's factors
+    throughout.  Each block acts on its (X0, X1) slice of the state tensor.
     """
     lay = spec.layout
-    b_rest = tuple(
-        n for n in lay.names if n not in fs.alice_factors and n not in INPUT_NAMES
-    )
+    rest = lay.without(INPUT_NAMES)
+    b_rest = tuple(n for n in rest.names if n not in fs.alice_factors)
     # Nontrivial blocks: for s=0 realign x0=1 branches toward x0=0 for each
     # x1 (extracted from the a=1 states); symmetrically for s=1.
     blocks: dict[tuple[int, int], CMat] = {}
     for x in (0, 1):
         if s == 0:
-            blocks[(1, x)] = _uhlmann_block(fs, (1, 0, x), (1, 1, x))
+            blocks[(1, x)] = _uhlmann_block(fs, (1, 0, x), (1, 1, x), rest, b_rest)
         else:
-            blocks[(x, 1)] = _uhlmann_block(fs, (0, x, 0), (0, x, 1))
+            blocks[(x, 1)] = _uhlmann_block(fs, (0, x, 0), (0, x, 1), rest, b_rest)
+    out = []
+    for sv in states:
+        tensor = sv.amps.reshape(lay.dims).copy()
+        for (x0, x1), block in blocks.items():
+            sector = _sector(lay, x0, x1)
+            tensor[sector] = apply_to_tensor(block, tensor[sector], rest, b_rest)
+        out.append(StateVector(lay, tensor))
+    return tuple(out)
 
-    cont = np.zeros((lay.dim, lay.dim), dtype=complex)
-    for x0 in (0, 1):
-        for x1 in (0, 1):
-            block = blocks.get((x0, x1))
-            term = np.eye(lay.dim, dtype=complex)
-            if block is not None:
-                if b_rest:
-                    term = embed_operator(block, lay, b_rest)
-                else:
-                    term = complex(block[0, 0]) * term
-            for name, value in (("X0", x0), ("X1", x1)):
-                proj = np.zeros((2, 2), dtype=complex)
-                proj[value, value] = 1.0
-                term = term @ embed_operator(proj, lay, [name])
-            cont += term
-    return cont
+
+def _purified_success(an: _Analysis, s: int) -> float:
+    if not an.completeness.passed:
+        raise CompletenessError(
+            "purified attack needs a complete protocol: " + "; ".join(an.completeness.failures)
+        )
+    lay = an.spec.layout
+    axis = lay.names.index(INPUT_NAMES[s])
+    attacked = controlled_realignment(an.spec, an.final, s, an.purified)
+    success = 0.0
+    for a, sv in enumerate(attacked):
+        plus_branch = np.tensordot(np.full(2, 2 ** -0.5), sv.amps.reshape(lay.dims),
+                                   axes=([0], [axis]))
+        p_plus = float(np.vdot(plus_branch, plus_branch).real)
+        # '-' means guess a=s, '+' means guess a=1-s
+        success += 0.5 * (p_plus if a != s else 1.0 - p_plus)
+    return success
 
 
 def bob_purified_attack(spec: ProtocolSpec, s: int) -> float:
@@ -200,42 +207,24 @@ def bob_purified_attack(spec: ProtocolSpec, s: int) -> float:
     """
     if s not in (0, 1):
         raise RangeError(f"register choice must be 0 or 1, got {s}")
-    report = validate_completeness(spec)
-    if not report.passed:
-        raise CompletenessError(
-            "purified attack needs a complete protocol: " + "; ".join(report.failures)
-        )
-    fs = all_final_states(spec)
-    lay = spec.layout
-    cont = controlled_realignment(spec, fs, s)
-    plus_full = embed_operator(PLUS_PROJ, lay, [INPUT_NAMES[s]])
-    success = 0.0
-    for a in (0, 1):
-        xi = run_purified(spec, a)
-        attacked = cont @ xi.amps
-        p_plus = float(np.real(np.vdot(attacked, plus_full @ attacked)))
-        # '-' means guess a=s, '+' means guess a=1-s
-        success += 0.5 * (p_plus if a != s else 1.0 - p_plus)
-    return success
+    return _purified_success(_analyze(spec), s)
 
 
 def cheat_report(spec: ProtocolSpec) -> CheatReport:
     """Full cheating analysis of a protocol.
 
     Computes the aggregate quantities, both bounds, and the two simulated
-    purified attacks, and checks that the simulated attack averaged over
-    the register choice reproduces Bob's bound.
+    purified attacks from one pass over the protocol, and raises
+    ``ConsistencyError`` unless the simulated attack averaged over the
+    register choice reproduces Bob's bound.
     """
-    fs = all_final_states(spec)
-    rf = reduce_alice(fs)
-    delta = delta_quantity(rf)
-    f = f_quantity(rf)
-    a_bound = 0.5 + delta / 8.0
-    b_bound = 0.5 + f / 16.0
-    sim0 = bob_purified_attack(spec, 0)
-    sim1 = bob_purified_attack(spec, 1)
+    an = _analyze(spec)
+    delta, f = delta_quantity(an.reduced), f_quantity(an.reduced)
+    a_bound, b_bound = _alice_bound_of(delta), _bob_bound_of(f)
+    sim0 = _purified_success(an, 0)
+    sim1 = _purified_success(an, 1)
     if abs((sim0 + sim1) / 2.0 - b_bound) > TOL_SPECTRAL:
-        raise AssertionError(
+        raise ConsistencyError(
             f"simulated purified attack {(sim0 + sim1) / 2} disagrees with bound {b_bound}"
         )
     return CheatReport(

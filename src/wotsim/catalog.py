@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RangeError
-from .protocol import ProtocolSpec, Round, run_honest
+from .protocol import ProtocolSpec, Round, validate_completeness
 from .qcore import (
     ALICE,
     BOB,
@@ -24,7 +24,6 @@ from .qcore import (
     Factor,
     RegisterLayout,
     TwoOutcomeMeasurement,
-    embed_operator,
     haar_unitary,
     kron,
 )
@@ -252,21 +251,6 @@ def combined_bounds(wcf: WCFPrimitive) -> TradeoffPoint:
     )
 
 
-def _outcome_one_probs(spec: ProtocolSpec) -> dict[tuple[int, int, int], float]:
-    """Probability of the 'bit is 1' outcome of alice_output[a] for each
-    honest run."""
-    end = spec.alice_end_factors
-    probs = {}
-    for a in (0, 1):
-        pos_full = embed_operator(spec.alice_output[a].pos, spec.layout, end)
-        for x0 in (0, 1):
-            for x1 in (0, 1):
-                sv = run_honest(spec, a, x0, x1)
-                p = float(np.real(np.vdot(sv.amps, pos_full @ sv.amps)))
-                probs[(a, x0, x1)] = min(max(p, 0.0), 1.0)
-    return probs
-
-
 def simulate_combined(wcf: WCFPrimitive, trials: int, seed: int) -> HonestRunStats:
     """Monte Carlo honest execution of the combined protocol.
 
@@ -278,10 +262,7 @@ def simulate_combined(wcf: WCFPrimitive, trials: int, seed: int) -> HonestRunSta
     """
     if trials < 1:
         raise RangeError(f"trials must be >= 1, got {trials}")
-    probs = {
-        0: _outcome_one_probs(build_trivial()),
-        1: _outcome_one_probs(build_cks()),
-    }
+    probs = [validate_completeness(build()).one_probs for build in (build_trivial, build_cks)]
     n_by_coin = [0, 0]
     n_complete = 0
     for t in range(trials):

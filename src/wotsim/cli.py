@@ -1,8 +1,10 @@
 """Command-line surface: analyze protocols, sweep the tradeoff curve and the
 robustness grid, run honest simulations, and run the verification suites.
 
-Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage or
-input error, 3 protocol fails structural validation or completeness.
+Exit codes: 0 success / all checks pass, 1 verification failure (including a
+``ConsistencyError``: a simulated attack that disagrees with its closed-form
+bound), 2 usage or input error, 3 protocol fails structural validation or
+completeness.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .catalog import (
 )
 from .errors import (
     CompletenessError,
+    ConsistencyError,
     LayoutError,
     NotPSDError,
     RangeError,
@@ -40,21 +42,14 @@ from .tradeoff import curve, tune_lambda
 BUILTIN_PROTOCOLS = {"cks": build_cks, "trivial": build_trivial}
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    seed: int = 0
-    out: str | None = None
-    fmt: str = "json"
-
-
 def _num(x: float) -> str:
     """12 significant digits, locale-independent."""
     return f"{x:.12g}"
 
 
-def _emit(text: str, cfg: RunConfig) -> None:
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+def _emit(text: str, out: str | None) -> None:
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -85,34 +80,31 @@ def _resolve_protocol(name_or_path: str):
 
 
 def cmd_analyze(args) -> int:
-    cfg = RunConfig(args.seed, args.out, args.format)
     spec = _resolve_protocol(args.protocol)
     report = cheat_report(spec)
     payload = dataclasses.asdict(report)
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         keys = sorted(payload)
         text = _csv_text(keys, [[payload[k] for k in keys]])
     else:
         text = _json_text(payload)
-    _emit(text, cfg)
+    _emit(text, args.out)
     return 0 if report.theorem1_lhs >= 2.0 - TOL_SPECTRAL else 1
 
 
 def cmd_curve(args) -> int:
-    cfg = RunConfig(args.seed, args.out, args.format)
     points = curve(args.epsilon, args.points, args.dyadic_bits)
     header = ["lambda", "epsilon", "p_bob", "p_alice", "combined"]
     rows = [[p.lam, p.epsilon, p.b_bound, p.a_bound, p.combined] for p in points]
-    if cfg.fmt == "json":
+    if args.format == "json":
         text = _json_text([dict(zip(header, row)) for row in rows])
     else:
         text = _csv_text(header, rows)
-    _emit(text, cfg)
+    _emit(text, args.out)
     return 0
 
 
 def cmd_robustness(args) -> int:
-    cfg = RunConfig(args.seed, args.out, args.format)
     if not 0.0 <= args.delta_min <= args.delta_max <= 0.5:
         raise RangeError(
             f"need 0 <= delta-min <= delta-max <= 1/2, got [{args.delta_min}, {args.delta_max}]"
@@ -130,27 +122,25 @@ def cmd_robustness(args) -> int:
         if args.oracle_grid:
             row.append(cks_alice_oracle(float(d), args.oracle_grid))
         rows.append(row)
-    if cfg.fmt == "json":
+    if args.format == "json":
         text = _json_text([dict(zip(header, row)) for row in rows])
     else:
         text = _csv_text(header, rows)
-    _emit(text, cfg)
+    _emit(text, args.out)
     return 0
 
 
 def cmd_simulate(args) -> int:
-    cfg = RunConfig(args.seed, args.out, args.format)
     lam = dyadic_round(args.lam, args.dyadic_bits)
     wcf = WCFPrimitive(lam, 0.0, args.dyadic_bits)
     stats = simulate_combined(wcf, args.trials, args.seed)
-    _emit(_json_text(dataclasses.asdict(stats)), cfg)
+    _emit(_json_text(dataclasses.asdict(stats)), args.out)
     return 0
 
 
 def cmd_verify(args) -> int:
-    cfg = RunConfig(args.seed, args.out, "text")
     lines, all_ok = verification.run_all(args.seed)
-    _emit("\n".join(lines) + "\n", cfg)
+    _emit("\n".join(lines) + "\n", args.out)
     return 0 if all_ok else 1
 
 
@@ -207,13 +197,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except ConsistencyError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (SpecError, CompletenessError, LayoutError, ShapeError, NotPSDError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (RangeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (RangeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -28,3 +28,7 @@ class CompletenessError(WotsimError):
 
 class RangeError(WotsimError):
     """A scalar parameter is outside its admissible range."""
+
+
+class ConsistencyError(WotsimError):
+    """A simulated strategy disagrees with the closed form it must reproduce."""

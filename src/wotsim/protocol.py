@@ -39,11 +39,10 @@ from .qcore import (
     RegisterLayout,
     StateVector,
     TwoOutcomeMeasurement,
+    apply_to_tensor,
     as_cmat,
-    embed_operator,
+    bipartition_matrix,
     hermitize,
-    partial_trace,
-    pure_density,
     trace_norm,
 )
 
@@ -65,6 +64,8 @@ def _check_unitary(mat: CMat, dim: int, what: str) -> None:
     mat = as_cmat(mat)
     if mat.shape != (dim, dim):
         raise SpecError(f"{what}: shape {mat.shape}, expected ({dim}, {dim})")
+    if not np.isfinite(mat).all():
+        raise SpecError(f"{what}: non-finite entries")
     if np.abs(mat.conj().T @ mat - np.eye(dim)).max() > TOL_EXACT:
         raise SpecError(f"{what}: not unitary within tolerance")
 
@@ -183,39 +184,31 @@ class CompletenessReport:
 
     ``support_overlap[a]`` is the trace norm of the product of the two
     support projectors spanned by Alice's states with the learned bit 0
-    vs 1; ``min_output_prob`` is the worst-case probability that Alice's
-    output measurement reports the correct bit over the 8 honest runs.
+    vs 1; ``one_probs[(a, x0, x1)]`` is the probability that Alice's output
+    measurement reports bit 1 on that honest run; ``min_output_prob`` is the
+    worst-case probability that it reports the correct bit over the 8 runs.
     """
 
     passed: bool
     support_overlap: tuple[float, float]
+    one_probs: dict[tuple[int, int, int], float]
     min_output_prob: float
     failures: tuple[str, ...]
 
 
-def _basis_column(dim: int, index: int) -> np.ndarray:
-    v = np.zeros(dim, dtype=complex)
-    v[index] = 1.0
-    return v
-
-
 def _execute(spec: ProtocolSpec, a: int, input_amps: dict[str, np.ndarray]) -> StateVector:
     lay = spec.layout
-    pieces = []
-    for f in lay.factors:
-        if f.owner == BOB_INPUT:
-            pieces.append(np.asarray(input_amps[f.name], dtype=complex))
-        else:
-            pieces.append(_basis_column(f.dim, 0))
-    amps = reduce(np.kron, pieces)
-    amps = embed_operator(spec.alice_prep[a], lay, held_factors(lay, ALICE, True)) @ amps
+    # every factor starts in |0> except the input registers
+    tensor = reduce(np.multiply.outer,
+                    [input_amps.get(f.name, np.eye(f.dim)[0]) for f in lay.factors])
+    tensor = apply_to_tensor(spec.alice_prep[a], tensor, lay, held_factors(lay, ALICE, True))
     msg_with_alice = True
     for rnd in spec.rounds:
         held = held_factors(lay, rnd.actor, msg_with_alice)
-        amps = embed_operator(rnd.unitary, lay, held) @ amps
+        tensor = apply_to_tensor(rnd.unitary, tensor, lay, held)
         if rnd.send:
             msg_with_alice = not msg_with_alice
-    return StateVector(lay, amps)
+    return StateVector(lay, tensor)
 
 
 def run_honest(spec: ProtocolSpec, a: int, x0: int, x1: int) -> StateVector:
@@ -223,7 +216,8 @@ def run_honest(spec: ProtocolSpec, a: int, x0: int, x1: int) -> StateVector:
     for bit in (a, x0, x1):
         if bit not in (0, 1):
             raise SpecError(f"input bits must be 0 or 1, got {bit}")
-    return _execute(spec, a, {"X0": _basis_column(2, x0), "X1": _basis_column(2, x1)})
+    basis = np.eye(2, dtype=complex)
+    return _execute(spec, a, {"X0": basis[x0], "X1": basis[x1]})
 
 
 def run_purified(spec: ProtocolSpec, a: int) -> StateVector:
@@ -245,10 +239,13 @@ def all_final_states(spec: ProtocolSpec) -> FinalStates:
 
 
 def reduce_alice(fs: FinalStates) -> ReducedFamily:
-    """Alice's reduced state for each of the eight honest runs."""
+    """Alice's reduced state for each of the eight honest runs: M M^dagger,
+    where M holds the amplitudes as an (Alice, rest) matrix."""
     rho = {}
     for key, sv in fs.states.items():
-        rho[key] = partial_trace(pure_density(sv), sv.layout, fs.alice_factors)
+        rest = [n for n in sv.layout.names if n not in fs.alice_factors]
+        m = bipartition_matrix(sv, rest)
+        rho[key] = DensityOp(hermitize(m @ m.conj().T))
     return ReducedFamily(rho)
 
 
@@ -263,15 +260,7 @@ def _support_projector(ops: list[DensityOp]) -> np.ndarray:
     return basis @ basis.conj().T
 
 
-def validate_completeness(spec: ProtocolSpec) -> CompletenessReport:
-    """Check that honest Alice learns her chosen bit with certainty.
-
-    Passes iff, for each choice bit, the supports of Alice's reduced states
-    with learned-bit 0 and learned-bit 1 are orthogonal, and the declared
-    output measurement reports the correct bit on every honest run.
-    """
-    fs = all_final_states(spec)
-    rf = reduce_alice(fs)
+def _completeness(spec: ProtocolSpec, rf: ReducedFamily) -> CompletenessReport:
     failures: list[str] = []
     overlaps = []
     for a in (0, 1):
@@ -288,22 +277,52 @@ def validate_completeness(spec: ProtocolSpec) -> CompletenessReport:
         overlaps.append(overlap)
         if overlap > TOL_SPECTRAL:
             failures.append(f"a={a}: learned-bit supports overlap ({overlap:.3e})")
+    one_probs = {}
     min_prob = 1.0
-    end = spec.alice_end_factors
-    for (a, x0, x1), sv in fs.states.items():
+    for (a, x0, x1), rho in rf.rho.items():
         xa = x0 if a == 0 else x1
-        meas = spec.alice_output[a]
-        proj = meas.pos if xa == 1 else meas.neg
-        p = float(np.real(np.vdot(sv.amps, embed_operator(proj, sv.layout, end) @ sv.amps)))
+        one = float(np.real(np.trace(spec.alice_output[a].pos @ rho.mat)))
+        one_probs[(a, x0, x1)] = one
+        p = one if xa == 1 else 1.0 - one
         min_prob = min(min_prob, p)
         if p < 1.0 - TOL_SPECTRAL:
             failures.append(f"output measurement misses x_{a}={xa} at (a,x0,x1)=({a},{x0},{x1}): p={p:.6f}")
     return CompletenessReport(
         passed=not failures,
         support_overlap=(overlaps[0], overlaps[1]),
+        one_probs=one_probs,
         min_output_prob=min_prob,
         failures=tuple(failures),
     )
+
+
+@dataclass(frozen=True, eq=False)
+class _Analysis:
+    """One pass over a protocol: everything the bounds, both attacks and the
+    completeness check read, each computed once."""
+
+    spec: ProtocolSpec
+    final: FinalStates
+    reduced: ReducedFamily
+    completeness: CompletenessReport
+    purified: tuple[StateVector, StateVector]
+
+
+def _analyze(spec: ProtocolSpec) -> _Analysis:
+    fs = all_final_states(spec)
+    rf = reduce_alice(fs)
+    purified = (run_purified(spec, 0), run_purified(spec, 1))
+    return _Analysis(spec, fs, rf, _completeness(spec, rf), purified)
+
+
+def validate_completeness(spec: ProtocolSpec) -> CompletenessReport:
+    """Check that honest Alice learns her chosen bit with certainty.
+
+    Passes iff, for each choice bit, the supports of Alice's reduced states
+    with learned-bit 0 and learned-bit 1 are orthogonal, and the declared
+    output measurement reports the correct bit on every honest run.
+    """
+    return _completeness(spec, reduce_alice(all_final_states(spec)))
 
 
 # ---------------------------------------------------------------------------

@@ -42,8 +42,11 @@ def hermitize(mat: CMat) -> CMat:
     return (mat + mat.conj().T) / 2
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
+def _frozen(arr: np.ndarray, what: str) -> np.ndarray:
+    """A read-only complex copy; NaN or inf entries raise ``ShapeError``."""
     out = np.array(arr, dtype=complex)
+    if not np.isfinite(out).all():
+        raise ShapeError(f"{what} has non-finite entries")
     out.setflags(write=False)
     return out
 
@@ -115,7 +118,7 @@ class StateVector:
     amps: np.ndarray
 
     def __post_init__(self):
-        amps = _frozen(np.asarray(self.amps).reshape(-1))
+        amps = _frozen(np.asarray(self.amps).reshape(-1), "state")
         object.__setattr__(self, "amps", amps)
         if amps.size != self.layout.dim:
             raise ShapeError(
@@ -133,7 +136,7 @@ class DensityOp:
     mat: np.ndarray
 
     def __post_init__(self):
-        mat = _frozen(np.atleast_2d(np.asarray(self.mat)))
+        mat = _frozen(np.atleast_2d(np.asarray(self.mat)), "density operator")
         object.__setattr__(self, "mat", mat)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ShapeError(f"density operator must be square, got {mat.shape}")
@@ -159,7 +162,7 @@ class TwoOutcomeMeasurement:
     neg: np.ndarray
 
     def __post_init__(self):
-        pos, neg = _frozen(self.pos), _frozen(self.neg)
+        pos, neg = _frozen(self.pos, "pos projector"), _frozen(self.neg, "neg projector")
         object.__setattr__(self, "pos", pos)
         object.__setattr__(self, "neg", neg)
         if pos.shape != neg.shape or pos.ndim != 2 or pos.shape[0] != pos.shape[1]:
@@ -206,6 +209,22 @@ def embed_operator(op: CMat, layout: RegisterLayout, names: Iterable[str]) -> CM
     # big lives in (sel..., rest...) digit order; conjugate back to layout order
     perm = _permutation_indices(layout.dims, positions + rest)
     return big[np.ix_(perm, perm)]
+
+
+def apply_to_tensor(op: CMat, tensor: np.ndarray, layout: RegisterLayout,
+                    names: Iterable[str]) -> np.ndarray:
+    """Apply an operator on the named factors (layout order) to an amplitude
+    tensor of shape ``layout.dims``, contracting only the named axes.  With
+    no names the operator is a 1x1 scalar that multiplies the tensor."""
+    positions = [layout.names.index(n) for n in layout.select(names)]
+    sel_dims = tuple(layout.dims[i] for i in positions)
+    op, d_sel, k = as_cmat(op), int(np.prod(sel_dims)), len(positions)
+    if op.shape != (d_sel, d_sel):
+        raise ShapeError(f"operator shape {op.shape} does not match subsystem dim {d_sel}")
+    out = np.tensordot(op.reshape(sel_dims + sel_dims), tensor,
+                       axes=(list(range(k, 2 * k)), positions))
+    # tensordot leaves the operator's output axes first; put them back in place
+    return np.moveaxis(out, list(range(k)), positions)
 
 
 def apply_on_factors(op: CMat, sv: StateVector, names: Iterable[str]) -> StateVector:
@@ -345,11 +364,6 @@ def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) 
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     m = g @ g.conj().T
     return DensityOp(hermitize(m / np.trace(m)))
-
-
-def random_pure_density(dim: int, rng: np.random.Generator) -> DensityOp:
-    """A random rank-one density operator."""
-    return random_density(dim, rng, rank=1)
 
 
 def pure_density(sv: StateVector) -> DensityOp:

@@ -70,7 +70,7 @@ def tune_lambda(delta: float, epsilon: float) -> RobustnessPoint:
     Solves lam + (1 - lam) p3(delta) = 3/4 - lam/4 for the weight that
     equalizes both parties' bounds at epsilon = 0, then adds the coin
     bias slack (epsilon/2 on Alice, epsilon/4 on Bob) and reports the
-    larger slacked bound.  Past ``delta_star()`` the equalizer hits
+    larger slacked bound, Alice's.  Past ``delta_star()`` the equalizer hits
     lam = 0 and the answer is the plain qutrit protocol at 3/4.
     """
     if epsilon < 0.0:
@@ -81,7 +81,7 @@ def tune_lambda(delta: float, epsilon: float) -> RobustnessPoint:
     else:
         lam = (QUTRIT_POINT[1] - p3) / (1.25 - p3)
         equalized = QUTRIT_POINT[1] - lam / 4.0
-    max_cheat = max(equalized + epsilon / 2.0, equalized + epsilon / 4.0)
+    max_cheat = equalized + epsilon / 2.0
     return RobustnessPoint(delta=delta, p3=p3, lambda_star=lam, max_cheat=max_cheat)
 
 

@@ -3,7 +3,16 @@ import pytest
 
 from wotsim.catalog import _qutrit_output, build_cks
 from wotsim.protocol import ProtocolSpec, Round
-from wotsim.qcore import ALICE, BOB, BOB_INPUT, MESSAGE, Factor, RegisterLayout
+from wotsim.qcore import (
+    ALICE,
+    BOB,
+    BOB_INPUT,
+    MESSAGE,
+    Factor,
+    RegisterLayout,
+    TwoOutcomeMeasurement,
+    kron,
+)
 
 
 @pytest.fixture
@@ -59,4 +68,64 @@ def build_incomplete_protocol() -> ProtocolSpec:
         alice_prep=base.alice_prep,
         rounds=(base.rounds[0], Round(BOB, np.eye(12, dtype=complex), send=True)),
         alice_output=base.alice_output,
+    )
+
+
+def build_cks_shuffled() -> ProtocolSpec:
+    """The qutrit protocol with the registers shuffled: input registers
+    first and last, message in the middle."""
+    layout = RegisterLayout((
+        Factor("X0", 2, BOB_INPUT),
+        Factor("A", 3, ALICE),
+        Factor("M", 3, MESSAGE),
+        Factor("X1", 2, BOB_INPUT),
+    ))
+    # Bob's held order is now (X0, M, X1); rebuild his phase diagonal
+    phases = np.ones((2, 3, 2))
+    phases[1, 0, :] = -1.0
+    phases[:, 1, 1] = -1.0
+    base = build_cks()
+    return ProtocolSpec(
+        name="cks-shuffled",
+        layout=layout,
+        alice_prep=base.alice_prep,
+        rounds=(Round(ALICE, np.eye(9, dtype=complex), send=True),
+                Round(BOB, np.diag(phases.reshape(-1)).astype(complex), send=True)),
+        alice_output=(_qutrit_output(0), _qutrit_output(1)),
+    )
+
+
+def build_two_register_trivial() -> ProtocolSpec:
+    """Bob copies x0 and x1 into two separate message qubits."""
+    layout = RegisterLayout((
+        Factor("A", 2, ALICE),
+        Factor("M0", 2, MESSAGE),
+        Factor("M1", 2, MESSAGE),
+        Factor("X0", 2, BOB_INPUT),
+        Factor("X1", 2, BOB_INPUT),
+    ))
+    # held order (M0, M1, X0, X1): |m0, m1, x0, x1> -> |m0+x0, m1+x1, x0, x1>
+    dim = 16
+    bob = np.zeros((dim, dim), dtype=complex)
+    for m0 in (0, 1):
+        for m1 in (0, 1):
+            for x0 in (0, 1):
+                for x1 in (0, 1):
+                    col = ((m0 * 2 + m1) * 2 + x0) * 2 + x1
+                    row = (((m0 ^ x0) * 2 + (m1 ^ x1)) * 2 + x0) * 2 + x1
+                    bob[row, col] = 1.0
+    one = np.diag([0.0, 1.0]).astype(complex)
+    eye2 = np.eye(2, dtype=complex)
+    outputs = []
+    for a in (0, 1):
+        # read M0 for a=0, M1 for a=1; measurement is on (A, M0, M1)
+        pos = kron(eye2, kron(one, eye2) if a == 0 else kron(eye2, one))
+        outputs.append(TwoOutcomeMeasurement(pos, np.eye(8) - pos))
+    return ProtocolSpec(
+        name="two-register-trivial",
+        layout=layout,
+        alice_prep=(np.eye(8, dtype=complex), np.eye(8, dtype=complex)),
+        rounds=(Round(ALICE, np.eye(8, dtype=complex), send=True),
+                Round(BOB, bob, send=True)),
+        alice_output=(outputs[0], outputs[1]),
     )

@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_cks_with_bob_register, build_incomplete_protocol
+from conftest import (
+    build_cks_shuffled,
+    build_cks_with_bob_register,
+    build_incomplete_protocol,
+    build_two_register_trivial,
+)
+from wotsim import attacks, cli
 from wotsim.attacks import (
     alice_bound,
     alice_helstrom_attack,
@@ -14,9 +20,24 @@ from wotsim.attacks import (
     f_quantity,
 )
 from wotsim.catalog import build_cks, build_trivial, random_complete_protocol
-from wotsim.errors import CompletenessError
-from wotsim.protocol import ReducedFamily, all_final_states, reduce_alice
-from wotsim.qcore import TOL_SPECTRAL, fidelity, random_density
+from wotsim.errors import CompletenessError, ConsistencyError
+from wotsim.protocol import (
+    INPUT_NAMES,
+    ReducedFamily,
+    all_final_states,
+    reduce_alice,
+    run_purified,
+)
+from wotsim.qcore import (
+    TOL_SPECTRAL,
+    StateVector,
+    embed_operator,
+    fidelity,
+    random_density,
+    uhlmann_unitary,
+)
+
+PLUS_PROJ = np.full((2, 2), 0.5, dtype=complex)
 
 
 def _family(rng, dim):
@@ -122,17 +143,22 @@ def test_purified_attack_matches_closed_form_on_random_variants():
             assert sim == pytest.approx(0.5 + fsum / 8.0, abs=TOL_SPECTRAL)
 
 
+def _realignment_matrix(spec, fs, s):
+    """The controlled realignment as a full-layout matrix, built column by
+    column from its action on the basis vectors."""
+    dim = spec.layout.dim
+    basis = tuple(StateVector(spec.layout, col) for col in np.eye(dim, dtype=complex))
+    cols = attacks.controlled_realignment(spec, fs, s, basis)
+    return np.column_stack([sv.amps for sv in cols])
+
+
 def test_purified_attack_equal_outcomes_when_choice_matches():
     # when Alice's choice equals Bob's register pick, the +/- outcomes are
     # equiprobable (the orthogonality that completeness provides)
-    from wotsim.attacks import PLUS_PROJ, controlled_realignment
-    from wotsim.protocol import run_purified
-    from wotsim.qcore import embed_operator
-
     for spec in (build_cks(), build_cks_with_bob_register()):
         fs = all_final_states(spec)
         for s in (0, 1):
-            cont = controlled_realignment(spec, fs, s)
+            cont = _realignment_matrix(spec, fs, s)
             dim = spec.layout.dim
             assert np.allclose(cont.conj().T @ cont, np.eye(dim), atol=1e-9)
             xi = run_purified(spec, s)  # a = s branch
@@ -142,38 +168,57 @@ def test_purified_attack_equal_outcomes_when_choice_matches():
             assert p_plus == pytest.approx(0.5, abs=TOL_SPECTRAL)
 
 
+def _dense_realignment(spec, fs, s):
+    """Reference: the controlled realignment as a sum over input sectors of
+    embedded Uhlmann blocks times embedded sector projectors."""
+    lay = spec.layout
+    rest = lay.without(INPUT_NAMES)
+    b_rest = tuple(n for n in rest.names if n not in fs.alice_factors)
+
+    def stripped(key):
+        tensor = fs.states[key].amps.reshape(lay.dims)
+        x_axes = [lay.names.index(n) for n in INPUT_NAMES]
+        index = [slice(None)] * len(lay.dims)
+        index[x_axes[0]], index[x_axes[1]] = key[1], key[2]
+        return StateVector(rest, tensor[tuple(index)])
+
+    cont = np.zeros((lay.dim, lay.dim), dtype=complex)
+    for x0 in (0, 1):
+        for x1 in (0, 1):
+            term = np.eye(lay.dim, dtype=complex)
+            if (x0, x1)[s] == 1:
+                phi_key = (1, 0, x1) if s == 0 else (0, x0, 0)
+                psi_key = (1, 1, x1) if s == 0 else (0, x0, 1)
+                phi, psi = stripped(phi_key), stripped(psi_key)
+                if b_rest:
+                    term = embed_operator(uhlmann_unitary(phi, psi, b_rest)[0], lay, b_rest)
+                else:
+                    inner = np.vdot(phi.amps, psi.amps)
+                    term = term * (1.0 if abs(inner) < 1e-15 else np.conj(inner) / abs(inner))
+            for name, value in zip(INPUT_NAMES, (x0, x1)):
+                proj = np.zeros((2, 2), dtype=complex)
+                proj[value, value] = 1.0
+                term = term @ embed_operator(proj, lay, [name])
+            cont += term
+    return cont
+
+
+def test_sector_realignment_matches_dense_reference():
+    for spec in (build_cks(), build_trivial(), build_cks_with_bob_register(),
+                 build_cks_shuffled(), build_two_register_trivial()):
+        fs = all_final_states(spec)
+        for s in (0, 1):
+            assert np.abs(_realignment_matrix(spec, fs, s)
+                          - _dense_realignment(spec, fs, s)).max() < 1e-12, (spec.name, s)
+
+
 def test_purified_attack_requires_completeness():
     with pytest.raises(CompletenessError):
         bob_purified_attack(build_incomplete_protocol(), 0)
 
 
 def test_attack_invariant_under_layout_reordering():
-    # same qutrit protocol with the registers shuffled: input registers
-    # first and last, message in the middle
-    from wotsim.catalog import _qutrit_output
-    from wotsim.protocol import ProtocolSpec, Round
-    from wotsim.qcore import ALICE, BOB, BOB_INPUT, MESSAGE, Factor, RegisterLayout
-
-    layout = RegisterLayout((
-        Factor("X0", 2, BOB_INPUT),
-        Factor("A", 3, ALICE),
-        Factor("M", 3, MESSAGE),
-        Factor("X1", 2, BOB_INPUT),
-    ))
-    # Bob's held order is now (X0, M, X1); rebuild his phase diagonal
-    phases = np.ones((2, 3, 2))
-    phases[1, 0, :] = -1.0
-    phases[:, 1, 1] = -1.0
-    base = build_cks()
-    spec = ProtocolSpec(
-        name="cks-shuffled",
-        layout=layout,
-        alice_prep=base.alice_prep,
-        rounds=(Round(ALICE, np.eye(9, dtype=complex), send=True),
-                Round(BOB, np.diag(phases.reshape(-1)).astype(complex), send=True)),
-        alice_output=(_qutrit_output(0), _qutrit_output(1)),
-    )
-    rep = cheat_report(spec)
+    rep = cheat_report(build_cks_shuffled())
     assert rep.alice_bound == pytest.approx(0.5, abs=1e-9)
     assert rep.bob_bound == pytest.approx(0.75, abs=TOL_SPECTRAL)
     assert rep.bob_sim_s0 == pytest.approx(0.75, abs=TOL_SPECTRAL)
@@ -208,3 +253,12 @@ def test_cheat_report_random_protocols_on_curve():
         assert rep.theorem1_lhs >= 2.0 - TOL_SPECTRAL
         assert rep.bob_bound == pytest.approx((rep.bob_sim_s0 + rep.bob_sim_s1) / 2,
                                               abs=TOL_SPECTRAL)
+
+
+def test_cheat_report_rejects_inconsistent_simulation(monkeypatch):
+    # a simulated attack 1e-3 off the closed form is a typed error, exit 1
+    exact = attacks._purified_success
+    monkeypatch.setattr(attacks, "_purified_success", lambda an, s: exact(an, s) + 1e-3)
+    with pytest.raises(ConsistencyError):
+        cheat_report(build_cks())
+    assert cli.main(["analyze", "cks"]) == 1

@@ -81,6 +81,16 @@ def test_analyze_invalid_spec_exits_3(tmp_path):
     assert main(["analyze", str(path)]) == 3
 
 
+def test_analyze_non_finite_entry_exits_3(tmp_path):
+    from wotsim.catalog import build_cks
+
+    data = spec_to_dict(build_cks())
+    data["rounds"][1]["matrix"][0][0] = [float("nan"), 0.0]
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(data))
+    assert main(["analyze", str(path)]) == 3
+
+
 def test_builtin_name_resolves_before_path(tmp_path, monkeypatch, capsys):
     # a file literally named "cks" in cwd must not shadow the builtin
     monkeypatch.chdir(tmp_path)

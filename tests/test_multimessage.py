@@ -5,55 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from conftest import build_two_register_trivial
 from wotsim.attacks import cheat_report
 from wotsim.cli import main
-from wotsim.protocol import ProtocolSpec, Round, run_honest, spec_to_dict, validate_completeness
-from wotsim.qcore import (
-    ALICE,
-    BOB,
-    BOB_INPUT,
-    MESSAGE,
-    Factor,
-    RegisterLayout,
-    TwoOutcomeMeasurement,
-    kron,
-)
-
-
-def build_two_register_trivial() -> ProtocolSpec:
-    """Bob copies x0 and x1 into two separate message qubits."""
-    layout = RegisterLayout((
-        Factor("A", 2, ALICE),
-        Factor("M0", 2, MESSAGE),
-        Factor("M1", 2, MESSAGE),
-        Factor("X0", 2, BOB_INPUT),
-        Factor("X1", 2, BOB_INPUT),
-    ))
-    # held order (M0, M1, X0, X1): |m0, m1, x0, x1> -> |m0+x0, m1+x1, x0, x1>
-    dim = 16
-    bob = np.zeros((dim, dim), dtype=complex)
-    for m0 in (0, 1):
-        for m1 in (0, 1):
-            for x0 in (0, 1):
-                for x1 in (0, 1):
-                    col = ((m0 * 2 + m1) * 2 + x0) * 2 + x1
-                    row = (((m0 ^ x0) * 2 + (m1 ^ x1)) * 2 + x0) * 2 + x1
-                    bob[row, col] = 1.0
-    one = np.diag([0.0, 1.0]).astype(complex)
-    eye2 = np.eye(2, dtype=complex)
-    outputs = []
-    for a in (0, 1):
-        # read M0 for a=0, M1 for a=1; measurement is on (A, M0, M1)
-        pos = kron(eye2, kron(one, eye2) if a == 0 else kron(eye2, one))
-        outputs.append(TwoOutcomeMeasurement(pos, np.eye(8) - pos))
-    return ProtocolSpec(
-        name="two-register-trivial",
-        layout=layout,
-        alice_prep=(np.eye(8, dtype=complex), np.eye(8, dtype=complex)),
-        rounds=(Round(ALICE, np.eye(8, dtype=complex), send=True),
-                Round(BOB, bob, send=True)),
-        alice_output=(outputs[0], outputs[1]),
-    )
+from wotsim.protocol import run_honest, spec_to_dict, validate_completeness
 
 
 def test_two_message_factors_travel_together():

@@ -3,13 +3,19 @@ import json
 import numpy as np
 import pytest
 
-from conftest import build_cks_with_bob_register, build_incomplete_protocol
+from conftest import (
+    build_cks_shuffled,
+    build_cks_with_bob_register,
+    build_incomplete_protocol,
+    build_two_register_trivial,
+)
 from wotsim.catalog import build_cks, build_trivial
 from wotsim.errors import SpecError
 from wotsim.protocol import (
     ProtocolSpec,
     Round,
     all_final_states,
+    held_factors,
     reduce_alice,
     run_honest,
     run_purified,
@@ -20,6 +26,7 @@ from wotsim.protocol import (
 from wotsim.qcore import (
     ALICE,
     BOB,
+    BOB_INPUT,
     TOL_SPECTRAL,
     StateVector,
     embed_operator,
@@ -139,6 +146,50 @@ def test_purified_run_is_uniform_superposition_of_honest_runs():
         assert np.allclose(xi.amps, combo, atol=1e-12)
 
 
+ENGINE_SPECS = (build_cks, build_trivial, build_cks_with_bob_register,
+                build_cks_shuffled, build_two_register_trivial)
+
+
+def _dense_run(spec, a, input_amps):
+    """Reference: the initial product state times one embedded full-layout
+    matrix per round."""
+    lay = spec.layout
+    amps = np.ones(1, dtype=complex)
+    for f in lay.factors:
+        piece = input_amps[f.name] if f.owner == BOB_INPUT else np.eye(f.dim)[0]
+        amps = np.kron(amps, piece)
+    amps = embed_operator(spec.alice_prep[a], lay, held_factors(lay, ALICE, True)) @ amps
+    msg_with_alice = True
+    for rnd in spec.rounds:
+        amps = embed_operator(rnd.unitary, lay, held_factors(lay, rnd.actor, msg_with_alice)) @ amps
+        if rnd.send:
+            msg_with_alice = not msg_with_alice
+    return amps
+
+
+def test_engine_matches_dense_reference():
+    plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    for build in ENGINE_SPECS:
+        spec = build()
+        for a in (0, 1):
+            for x0 in (0, 1):
+                for x1 in (0, 1):
+                    ref = _dense_run(spec, a, {"X0": np.eye(2)[x0], "X1": np.eye(2)[x1]})
+                    got = run_honest(spec, a, x0, x1).amps
+                    assert np.abs(got - ref).max() < 1e-12, (spec.name, a, x0, x1)
+            ref = _dense_run(spec, a, {"X0": plus, "X1": plus})
+            assert np.abs(run_purified(spec, a).amps - ref).max() < 1e-12, (spec.name, a)
+
+
+def test_reduce_alice_matches_partial_trace_of_pure_density():
+    for build in ENGINE_SPECS:
+        fs = all_final_states(build())
+        rf = reduce_alice(fs)
+        for key, sv in fs.states.items():
+            ref = partial_trace(pure_density(sv), sv.layout, fs.alice_factors)
+            assert np.abs(rf.rho[key].mat - ref.mat).max() < 1e-12, key
+
+
 # --- structural validation ----------------------------------------------------
 
 def test_spec_rejects_non_unitary_round():
@@ -163,6 +214,14 @@ def test_spec_rejects_uncontrolled_bob_round():
         ProtocolSpec(base.name, base.layout, base.alice_prep,
                      (base.rounds[0], Round(BOB, perm, send=True)),
                      base.alice_output)
+
+
+def test_spec_from_dict_rejects_non_finite_entry():
+    for value in (float("nan"), float("inf")):
+        data = spec_to_dict(build_cks())
+        data["rounds"][1]["matrix"][0][0] = [value, 0.0]
+        with pytest.raises(SpecError):
+            spec_from_dict(data)
 
 
 def test_spec_rejects_wrong_dimension_round():

@@ -48,6 +48,19 @@ def test_kron_identities():
     assert np.allclose(kron(e11, e11), expected)
 
 
+# --- constructors -----------------------------------------------------------
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_constructors_reject_non_finite_entries(value):
+    amps = np.array([1.0, 0.0, 0.0, value])
+    with pytest.raises(ShapeError):
+        StateVector(qubit_pair_layout(), amps)
+    with pytest.raises(ShapeError):
+        DensityOp(np.diag([1.0, value]))
+    with pytest.raises(ShapeError):
+        TwoOutcomeMeasurement(np.diag([1.0, value]), np.diag([0.0, 1.0]))
+
+
 # --- partial trace ---------------------------------------------------------
 
 def test_partial_trace_product_state():
