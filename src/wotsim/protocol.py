@@ -200,7 +200,8 @@ def _execute(spec: ProtocolSpec, a: int, input_amps: dict[str, np.ndarray]) -> S
     lay = spec.layout
     # every factor starts in |0> except the input registers
     tensor = reduce(np.multiply.outer,
-                    [input_amps.get(f.name, np.eye(f.dim)[0]) for f in lay.factors])
+                    [input_amps[f.name] if f.name in input_amps else np.eye(f.dim, 1).ravel()
+                     for f in lay.factors])
     tensor = apply_to_tensor(spec.alice_prep[a], tensor, lay, held_factors(lay, ALICE, True))
     msg_with_alice = True
     for rnd in spec.rounds:

@@ -196,7 +196,11 @@ def _permutation_indices(dims: Sequence[int], order: Sequence[int]) -> np.ndarra
 
 def embed_operator(op: CMat, layout: RegisterLayout, names: Iterable[str]) -> CMat:
     """Extend an operator on the named factors (layout order) by identity on
-    the remaining factors, returning a full-layout matrix."""
+    the remaining factors, returning a full-layout matrix.
+
+    The protocol engine applies operators with ``apply_to_tensor`` instead;
+    this dense form is kept as the reference that the tests compare the
+    engine against."""
     sel = layout.select(names)
     positions = [i for i, n in enumerate(layout.names) if n in set(sel)]
     rest = [i for i in range(len(layout.factors)) if i not in positions]
@@ -225,12 +229,6 @@ def apply_to_tensor(op: CMat, tensor: np.ndarray, layout: RegisterLayout,
                        axes=(list(range(k, 2 * k)), positions))
     # tensordot leaves the operator's output axes first; put them back in place
     return np.moveaxis(out, list(range(k)), positions)
-
-
-def apply_on_factors(op: CMat, sv: StateVector, names: Iterable[str]) -> StateVector:
-    """Apply an operator on the named factors of a state."""
-    full = embed_operator(op, sv.layout, names)
-    return StateVector(sv.layout, full @ sv.amps)
 
 
 def partial_trace(state: DensityOp, layout: RegisterLayout,
