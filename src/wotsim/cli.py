@@ -151,21 +151,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, default_fmt):
-        p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    def common(p, *, seed=False, default_fmt=None):
+        """The flags a verb reads: ``--out`` always, ``--seed`` for the seeded
+        verbs and ``--format`` for those with a choice of output format."""
+        if seed:
+            p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default=default_fmt)
+        if default_fmt:
+            p.add_argument("--format", choices=("json", "csv"), default=default_fmt)
 
     p = sub.add_parser("analyze", help="cheating report for a protocol")
     p.add_argument("protocol", help="builtin name (cks, trivial) or JSON file path")
-    common(p, "json")
+    common(p, default_fmt="json")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("curve", help="tradeoff curve over the mixing weight")
     p.add_argument("--epsilon", type=float, default=0.0, help="coin-flip bias")
     p.add_argument("--points", type=int, default=33, help="grid points (>= 2)")
     p.add_argument("--dyadic-bits", type=int, default=20)
-    common(p, "csv")
+    common(p, default_fmt="csv")
     p.set_defaults(func=cmd_curve)
 
     p = sub.add_parser("robustness", help="sweep the certainty relaxation")
@@ -174,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=11)
     p.add_argument("--oracle-grid", type=int, default=0,
                    help="add a grid-search cross-check column with this resolution")
-    common(p, "csv")
+    common(p, default_fmt="csv")
     p.set_defaults(func=cmd_robustness)
 
     p = sub.add_parser("simulate", help="honest Monte Carlo of the combined protocol")
@@ -182,11 +186,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="probability of the trivial branch (dyadically rounded)")
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--dyadic-bits", type=int, default=20)
-    common(p, "json")
+    common(p, seed=True)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("verify", help="run the seeded self-check suites")
-    common(p, "json")
+    common(p, seed=True)
     p.set_defaults(func=cmd_verify)
 
     return parser

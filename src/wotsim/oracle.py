@@ -20,6 +20,7 @@ from .qcore import (
     StateVector,
     bipartition_matrix,
     guess_prob,
+    haar_from_normals,
     haar_unitary,
     hermitize,
 )
@@ -27,6 +28,10 @@ from .qcore import (
 # Fixed stream for the oracle's random ancilla configurations; the oracle
 # takes no seed parameter and must be deterministic.
 _ANCILLA_SEED = 20131011
+
+# Samples per stacked QR in the measurement and unitary oracles, so their
+# memory stays O(_CHUNK * dim^2) whatever the sample count.
+_CHUNK = 512
 
 
 def grid_tolerance(grid: int) -> float:
@@ -69,19 +74,26 @@ def orthonormal_ancillas() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _frame(ancillas) -> np.ndarray:
-    """The three joint vectors |e_c>|c> as rows of a (3, 9) array.
+    """The three joint vectors |e_c>|c> as rows of a (..., 3, 9) array, for
+    ancillas given as rows e_c of a (3, 3) or (n, 3, 3) array.
 
     They are orthonormal for every ancilla configuration because the qutrit
     parts are distinct basis states.
     """
-    frame = np.zeros((3, 9), dtype=complex)
-    for c, e in enumerate(ancillas):
-        frame[c] = np.kron(e, np.eye(3)[c])
+    anc = np.asarray(ancillas, dtype=complex)
+    frame = np.zeros(anc.shape[:-1] + (9,), dtype=complex)
+    for c in range(3):
+        # |e_c>|c> has the entries of e_c at the joint indices 3 i + c
+        frame[..., c, c::3] = anc[..., c, :]
     return frame
 
 
 def _post_interaction_states(alphas, betas, gammas, ancillas) -> np.ndarray:
-    """Stacked states psi[x0, x1] for batches of weights: shape (n, 2, 2, 9)."""
+    """Stacked states psi[x0, x1] for batches of weights: shape (n, 2, 2, 9).
+
+    ``ancillas`` is one configuration for the whole batch, (3, 3), or one per
+    preparation, (n, 3, 3).
+    """
     frame = _frame(ancillas)
     alphas, betas, gammas = (np.asarray(v, dtype=float) for v in (alphas, betas, gammas))
     n = alphas.shape[0]
@@ -91,13 +103,14 @@ def _post_interaction_states(alphas, betas, gammas, ancillas) -> np.ndarray:
             coeff = np.stack(
                 [alphas * (-1) ** x0, betas * (-1) ** x1, gammas], axis=1
             )
-            out[:, x0, x1, :] = coeff @ frame
+            out[:, x0, x1, :] = np.matmul(coeff[:, None, :], frame)[:, 0]
     return out
 
 
 def _success_batch(alphas, betas, gammas, ancillas, target: int) -> np.ndarray:
     """Optimal guessing probability for the target bit, for a batch of
-    cheating preparations, computed via explicit trace norms."""
+    cheating preparations sharing one ancilla configuration (3, 3) or each
+    with its own (n, 3, 3), computed via explicit trace norms."""
     psi = _post_interaction_states(alphas, betas, gammas, ancillas)
     outer = np.einsum("nxyi,nxyj->nxyij", psi, psi.conj())
     if target == 0:
@@ -178,7 +191,7 @@ def cks_alice_oracle(delta: float, grid: int) -> float:
     rng = np.random.default_rng(_ANCILLA_SEED)
     configs = [orthonormal_ancillas()]
     for _ in range(2):
-        configs.append(tuple(haar_unitary(3, rng)[:, 0] for _ in range(3)))
+        configs.append(haar_unitary(3, rng, size=3)[..., 0])
     best = 0.5
     for ancillas in configs:
         p_x0 = _success_batch(alphas, betas, gammas, ancillas, target=0)
@@ -192,18 +205,14 @@ def cks_alice_oracle(delta: float, grid: int) -> float:
     return best
 
 
-def _random_projector(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:
-    u = haar_unitary(dim, rng)
-    cols = u[:, :rank]
-    return cols @ cols.conj().T
-
-
 def helstrom_oracle(rho0: DensityOp, rho1: DensityOp, samples: int, seed: int) -> float:
     """Best success probability among random two-outcome projective
     measurements at distinguishing equiprobable ``rho0`` and ``rho1``.
 
-    A lower bound on the optimal guessing probability; with enough samples
-    in low dimension it concentrates near it.
+    Sample ``i`` draws its rank and its Haar unitary from
+    ``default_rng([seed, i])`` and projects onto the unitary's first ``rank``
+    columns.  A lower bound on the optimal guessing probability; with enough
+    samples in low dimension it concentrates near it.
     """
     if rho0.dim != rho1.dim:
         raise RangeError("states must have equal dimension")
@@ -211,14 +220,23 @@ def helstrom_oracle(rho0: DensityOp, rho1: DensityOp, samples: int, seed: int) -
         raise RangeError(f"samples must be >= 1, got {samples}")
     dim = rho0.dim
     diff = rho0.mat - rho1.mat
-    best = 0.5
-    for i in range(samples):
-        rng = np.random.default_rng([seed, i])
-        rank = int(rng.integers(1, dim)) if dim > 2 else 1
-        proj = _random_projector(dim, rank, rng)
-        bias = 0.5 * abs(float(np.real(np.trace(proj @ diff))))
-        best = max(best, 0.5 + bias)
-    return best
+    best = 0.0
+    for start in range(0, samples, _CHUNK):
+        n = min(_CHUNK, samples - start)
+        ranks = np.ones(n, dtype=int)
+        normals = np.empty((n, 2, dim, dim))
+        for j in range(n):
+            rng = np.random.default_rng([seed, start + j])
+            if dim > 2:
+                ranks[j] = rng.integers(1, dim)
+            normals[j] = rng.standard_normal((2, dim, dim))
+        u = haar_from_normals(normals)
+        # tr(P diff) for P onto the first `rank` columns: the running sum of
+        # the per-column forms <u_k|diff|u_k>, read off at column rank - 1
+        forms = np.real((u.conj() * (diff @ u)).sum(axis=1))
+        traces = np.cumsum(forms, axis=1)[np.arange(n), ranks - 1]
+        best = max(best, float(np.abs(traces).max()))
+    return 0.5 + 0.5 * best
 
 
 def uhlmann_oracle(phi: StateVector, psi: StateVector, b_factors: Iterable[str],
@@ -238,7 +256,10 @@ def uhlmann_oracle(phi: StateVector, psi: StateVector, b_factors: Iterable[str],
     psi_mat = bipartition_matrix(psi, b)
     d_b = phi_mat.shape[1]
     rng = np.random.default_rng(seed)
-    vs = np.stack([haar_unitary(d_b, rng) for _ in range(samples)])
-    # <phi|(I x V)|psi> for each sample, evaluated through the states
-    overlaps = np.einsum("ij,ik,njk->n", phi_mat.conj(), psi_mat, vs)
-    return float(np.abs(overlaps).max())
+    best = 0.0
+    for start in range(0, samples, _CHUNK):
+        vs = haar_unitary(d_b, rng, size=min(_CHUNK, samples - start))
+        # <phi|(I x V)|psi> for each sample, evaluated through the states
+        overlaps = np.einsum("ij,ik,njk->n", phi_mat.conj(), psi_mat, vs)
+        best = max(best, float(np.abs(overlaps).max()))
+    return best

@@ -346,13 +346,22 @@ def uhlmann_unitary(phi: StateVector, psi: StateVector,
     return u, float(np.real(overlap))
 
 
-def haar_unitary(dim: int, rng: np.random.Generator) -> CMat:
-    """Approximately Haar-random unitary: QR of a complex Gaussian matrix
-    with the R diagonal's phases folded back in."""
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+def haar_from_normals(normals: np.ndarray) -> CMat:
+    """Haar-random unitaries from standard normals of shape ``(..., 2, d, d)``
+    (real part, then imaginary part): one QR over the whole stack, with the
+    R diagonal's phases folded back in (Mezzadri, arXiv:math-ph/0609050)."""
+    z = normals[..., 0, :, :] + 1j * normals[..., 1, :, :]
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def haar_unitary(dim: int, rng: np.random.Generator, size=None) -> CMat:
+    """Haar-random ``dim x dim`` unitary, or a stack of shape
+    ``(*size, dim, dim)``.  A stack of ``n`` consumes ``rng`` exactly as
+    ``n`` sequential calls do and returns the same matrices."""
+    shape = () if size is None else tuple(np.atleast_1d(size))
+    return haar_from_normals(rng.standard_normal((*shape, 2, dim, dim)))
 
 
 def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) -> DensityOp:

@@ -184,7 +184,7 @@ def suite_inequality_chain(seed: int, families: int = 500, seeds: int = 100) -> 
         f = attacks.f_quantity(rf)
         d = attacks.delta_quantity(rf)
         worst_fd = min(worst_fd, f + d)
-        worst_t1 = min(worst_t1, 2.0 * attacks.bob_bound(rf) + attacks.alice_bound(rf))
+        worst_t1 = min(worst_t1, 2.0 * attacks._bob_bound_of(f) + attacks._alice_bound_of(d))
     checks = [
         Check("f_plus_delta_at_least_4", worst_fd >= 4.0 - TOL_SPECTRAL, f"min {worst_fd:.8f}"),
         Check("tradeoff_at_least_2", worst_t1 >= 2.0 - TOL_SPECTRAL, f"min {worst_t1:.8f}"),
@@ -208,10 +208,10 @@ def suite_purified_attack(seed: int) -> list[Check]:
     specs += [catalog.random_complete_protocol(int(s)) for s in rng.integers(0, 2**31 - 1, 3)]
     worst_closed, worst_even, worst_alice = 0.0, 0.0, 0.0
     for spec in specs:
-        fs = protocol.all_final_states(spec)
-        rf = protocol.reduce_alice(fs)
+        an = protocol._analyze(spec)
+        rf = an.reduced
         for s in (0, 1):
-            sim = attacks.bob_purified_attack(spec, s)
+            sim = attacks._purified_success(an, s)
             if s == 0:
                 fsum = sum(fidelity(rf.rho[(1, 0, x)], rf.rho[(1, 1, x)]) for x in (0, 1))
             else:
@@ -285,14 +285,16 @@ def suite_tradeoff(seed: int) -> list[Check]:
 def suite_oracle(seed: int) -> list[Check]:
     rng = _rng(seed, 8)
     checks = []
-    worst = 0.0
-    for _ in range(300):
+    weights, ancillas = np.empty((300, 3)), np.empty((300, 3, 3), dtype=complex)
+    for i in range(300):
         raw = rng.random(3)
-        a, b, g = np.sqrt(raw / raw.sum())
-        anc = tuple(haar_unitary(3, rng)[:, 0] for _ in range(3))
-        cs = oracle.CheatState(a, b, g, anc)
-        worst = max(worst, abs(oracle.cks_alice_success(cs, 0) - (0.5 + a * g)))
-        worst = max(worst, abs(oracle.cks_alice_success(cs, 1) - (0.5 + b * g)))
+        weights[i] = np.sqrt(raw / raw.sum())
+        ancillas[i] = haar_unitary(3, rng, size=3)[..., 0]
+    a, b, g = weights.T
+    worst = float(max(
+        np.abs(oracle._success_batch(a, b, g, ancillas, 0) - (0.5 + a * g)).max(),
+        np.abs(oracle._success_batch(a, b, g, ancillas, 1) - (0.5 + b * g)).max(),
+    ))
     checks.append(Check("closed_forms", worst <= TOL_SPECTRAL, f"{worst:.2e}"))
 
     grid = 100

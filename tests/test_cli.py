@@ -211,3 +211,21 @@ def test_verify_out_file(tmp_path):
     code = main(["verify", "--seed", "3", "--out", str(out)])
     assert code == 0
     assert out.read_text().strip().endswith("OK")
+
+
+def test_verify_rejects_format_flag():
+    code, _, err = run_cli("verify", "--seed", "7", "--format", "csv")
+    assert code == 2
+    assert "--format" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "cks", "--seed", "1"],
+    ["curve", "--seed", "1"],
+    ["robustness", "--seed", "1"],
+    ["simulate", "--lambda", "0.5", "--format", "csv"],
+])
+def test_unread_flags_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2

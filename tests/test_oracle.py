@@ -5,6 +5,7 @@ import pytest
 
 from wotsim.errors import RangeError
 from wotsim.oracle import (
+    _CHUNK,
     CheatState,
     cks_alice_oracle,
     cks_alice_success,
@@ -21,6 +22,7 @@ from wotsim.qcore import (
     Factor,
     RegisterLayout,
     StateVector,
+    bipartition_matrix,
     fidelity,
     guess_prob,
     haar_unitary,
@@ -232,3 +234,102 @@ def test_helstrom_oracle_deterministic():
     gen = np.random.default_rng(6)
     rho, xi = random_density(2, gen), random_density(2, gen)
     assert helstrom_oracle(rho, xi, 200, seed=5) == helstrom_oracle(rho, xi, 200, seed=5)
+
+
+# --- batched sampling against the per-sample loops it replaced -------------------
+#
+# The two references below are the per-sample oracles as they were before the
+# sampling was batched: one Haar QR per sample.  They are kept here only to
+# check the batched code against.
+
+def _helstrom_successes_reference(rho0, rho1, samples, seed):
+    dim = rho0.dim
+    diff = rho0.mat - rho1.mat
+    successes = []
+    for i in range(samples):
+        gen = np.random.default_rng([seed, i])
+        rank = int(gen.integers(1, dim)) if dim > 2 else 1
+        cols = haar_unitary(dim, gen)[:, :rank]
+        proj = cols @ cols.conj().T
+        successes.append(0.5 + 0.5 * abs(float(np.real(np.trace(proj @ diff)))))
+    return successes
+
+
+def _helstrom_oracle_reference(rho0, rho1, samples, seed):
+    return max(0.5, *_helstrom_successes_reference(rho0, rho1, samples, seed))
+
+
+def _uhlmann_oracle_reference(phi, psi, b_factors, samples, seed):
+    b = phi.layout.select(b_factors)
+    phi_mat, psi_mat = bipartition_matrix(phi, b), bipartition_matrix(psi, b)
+    gen = np.random.default_rng(seed)
+    vs = np.stack([haar_unitary(phi_mat.shape[1], gen) for _ in range(samples)])
+    overlaps = np.einsum("ij,ik,njk->n", phi_mat.conj(), psi_mat, vs)
+    return float(np.abs(overlaps).max())
+
+
+SAMPLE_COUNTS = (1, _CHUNK, _CHUNK + 1)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_helstrom_oracle_matches_per_sample_reference(dim):
+    gen = np.random.default_rng(40 + dim)
+    for seed in (0, 1, 12345):
+        rho, xi = random_density(dim, gen), random_density(dim, gen)
+        for samples in SAMPLE_COUNTS:
+            batched = helstrom_oracle(rho, xi, samples, seed)
+            reference = _helstrom_oracle_reference(rho, xi, samples, seed)
+            assert abs(batched - reference) <= 1e-12, (dim, seed, samples)
+
+
+def test_helstrom_oracle_finds_a_best_sample_past_the_first_chunk():
+    # pick a seed whose best sample lies beyond the first chunk: the batched
+    # oracle matches only if that sample is drawn from its own stream
+    gen = np.random.default_rng(45)
+    rho, xi = random_density(3, gen), random_density(3, gen)
+    samples = 2 * _CHUNK + 3
+    for seed in range(20):
+        successes = _helstrom_successes_reference(rho, xi, samples, seed)
+        if int(np.argmax(successes)) >= _CHUNK:
+            break
+    else:
+        pytest.fail("no seed with its best sample past the first chunk")
+    best = max(successes)
+    assert best > max(successes[:_CHUNK])
+    assert abs(helstrom_oracle(rho, xi, samples, seed) - best) <= 1e-12
+
+
+@pytest.mark.parametrize("d_b", [2, 3])
+def test_uhlmann_oracle_equals_per_sample_reference(d_b):
+    gen = np.random.default_rng(50 + d_b)
+    lay = RegisterLayout((Factor("S", 2, ALICE), Factor("E", d_b, BOB)))
+    for seed in (0, 7):
+        amps = gen.standard_normal((2, 2 * d_b)) + 1j * gen.standard_normal((2, 2 * d_b))
+        phi, psi = (StateVector(lay, v / np.linalg.norm(v)) for v in amps)
+        for samples in SAMPLE_COUNTS + (2000,):
+            assert uhlmann_oracle(phi, psi, ["E"], samples, seed) == \
+                _uhlmann_oracle_reference(phi, psi, ["E"], samples, seed)
+
+
+def test_helstrom_oracle_grows_with_samples():
+    # sample i draws from its own stream, so more samples only add candidates
+    gen = np.random.default_rng(60)
+    for dim in (2, 3):
+        rho, xi = random_density(dim, gen), random_density(dim, gen)
+        counts = (1, 10, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3)
+        vals = [helstrom_oracle(rho, xi, n, seed=3) for n in counts]
+        assert all(a <= b for a, b in zip(vals, vals[1:]))
+
+
+def test_success_batch_with_per_sample_ancillas_matches_single_calls():
+    from wotsim.oracle import _success_batch
+
+    gen = np.random.default_rng(70)
+    raw = gen.random((40, 3))
+    a, b, g = np.sqrt(raw / raw.sum(axis=1, keepdims=True)).T
+    ancillas = haar_unitary(3, gen, size=(40, 3))[..., 0]
+    for target in (0, 1):
+        batch = _success_batch(a, b, g, ancillas, target)
+        for i in range(40):
+            cs = CheatState(a[i], b[i], g[i], tuple(ancillas[i]))
+            assert abs(batch[i] - cks_alice_success(cs, target)) <= 1e-12

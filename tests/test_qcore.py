@@ -334,3 +334,33 @@ def test_haar_unitary_is_unitary_and_deterministic():
     u2 = haar_unitary(4, np.random.default_rng(11))
     assert np.allclose(u1, u2)
     assert np.allclose(u1.conj().T @ u1, np.eye(4), atol=1e-12)
+
+
+def _haar_unitary_reference(dim, gen):
+    # the single-matrix recipe that haar_unitary must keep reproducing bitwise
+    z = gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 7])
+def test_haar_unitary_single_draw_is_unchanged(dim):
+    for seed in range(10):
+        assert np.array_equal(
+            haar_unitary(dim, np.random.default_rng(seed)),
+            _haar_unitary_reference(dim, np.random.default_rng(seed)),
+        )
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_haar_unitary_stack_equals_sequential_calls(dim):
+    for seed in range(5):
+        g1, g2 = np.random.default_rng(seed), np.random.default_rng(seed)
+        stack = haar_unitary(dim, g1, size=33)
+        sequential = np.stack([haar_unitary(dim, g2) for _ in range(33)])
+        assert stack.shape == (33, dim, dim)
+        assert np.array_equal(stack, sequential)
+        assert g1.random() == g2.random()  # both streams consumed alike
+        grid = haar_unitary(dim, np.random.default_rng(seed), size=(3, 11))
+        assert np.array_equal(grid, sequential.reshape(3, 11, dim, dim))
