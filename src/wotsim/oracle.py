@@ -112,11 +112,9 @@ def _success_batch(alphas, betas, gammas, ancillas, target: int) -> np.ndarray:
     cheating preparations sharing one ancilla configuration (3, 3) or each
     with its own (n, 3, 3), computed via explicit trace norms."""
     psi = _post_interaction_states(alphas, betas, gammas, ancillas)
-    outer = np.einsum("nxyi,nxyj->nxyij", psi, psi.conj())
-    if target == 0:
-        rho_v = outer.mean(axis=2)  # average over x1; index 1 is x0
-    else:
-        rho_v = outer.mean(axis=1)  # average over x0; index 1 is x1
+    # rho_v[n, v]: the target bit reads v, averaged over the other bit
+    subscripts = "nvyi,nvyj->nvij" if target == 0 else "nyvi,nyvj->nvij"
+    rho_v = np.einsum(subscripts, psi, psi.conj()) / 2
     diff = rho_v[:, 0] - rho_v[:, 1]
     diff = (diff + np.conj(np.swapaxes(diff, -1, -2))) / 2
     tn = np.abs(np.linalg.eigvalsh(diff)).sum(axis=-1)

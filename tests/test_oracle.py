@@ -134,12 +134,29 @@ def test_oracle_batch_matches_single_calls():
     gen = np.random.default_rng(11)
     raw = gen.random((5, 3))
     weights = np.sqrt(raw / raw.sum(axis=1, keepdims=True))
-    anc = orthonormal_ancillas()
-    for target in (0, 1):
-        batch = _success_batch(weights[:, 0], weights[:, 1], weights[:, 2], anc, target)
-        for i in range(5):
-            cs = CheatState(*weights[i], anc)
-            assert batch[i] == pytest.approx(cks_alice_success(cs, target), abs=1e-12)
+    shared = np.asarray(orthonormal_ancillas())
+    per_sample = haar_unitary(3, gen, size=(5, 3))[..., 0]
+    # one ancilla configuration for the batch, (3, 3), or one per preparation
+    for ancillas, ancillas_of in ((shared, lambda i: shared),
+                                  (per_sample, lambda i: per_sample[i])):
+        for target in (0, 1):
+            batch = _success_batch(weights[:, 0], weights[:, 1], weights[:, 2], ancillas, target)
+            for i in range(5):
+                cs = CheatState(*weights[i], tuple(ancillas_of(i)))
+                assert batch[i] == pytest.approx(cks_alice_success(cs, target), abs=1e-12)
+
+
+def test_frame_places_each_ancilla_vector_beside_its_qutrit_state():
+    # the successes do not depend on the ancillas, so check the frame itself
+    from wotsim.oracle import _frame
+
+    ancillas = haar_unitary(3, np.random.default_rng(12), size=(4, 3))[..., 0]
+    frames = _frame(ancillas)
+    assert frames.shape == (4, 3, 9)
+    for i in range(4):
+        assert np.array_equal(frames[i], _frame(ancillas[i]))
+        for c in range(3):
+            assert np.array_equal(frames[i, c], np.kron(ancillas[i, c], np.eye(3)[c]))
 
 
 def test_full_state_space_search_confirms_optimum():
@@ -320,16 +337,3 @@ def test_helstrom_oracle_grows_with_samples():
         vals = [helstrom_oracle(rho, xi, n, seed=3) for n in counts]
         assert all(a <= b for a, b in zip(vals, vals[1:]))
 
-
-def test_success_batch_with_per_sample_ancillas_matches_single_calls():
-    from wotsim.oracle import _success_batch
-
-    gen = np.random.default_rng(70)
-    raw = gen.random((40, 3))
-    a, b, g = np.sqrt(raw / raw.sum(axis=1, keepdims=True)).T
-    ancillas = haar_unitary(3, gen, size=(40, 3))[..., 0]
-    for target in (0, 1):
-        batch = _success_batch(a, b, g, ancillas, target)
-        for i in range(40):
-            cs = CheatState(a[i], b[i], g[i], tuple(ancillas[i]))
-            assert abs(batch[i] - cks_alice_success(cs, target)) <= 1e-12
