@@ -25,11 +25,11 @@ from .protocol import (
     ReducedFamily,
     _Analysis,
     _analyze,
+    input_sector,
 )
 from .qcore import (
     TOL_SPECTRAL,
     CMat,
-    RegisterLayout,
     StateVector,
     apply_to_tensor,
     fidelity,
@@ -107,34 +107,16 @@ def alice_helstrom_attack(rf: ReducedFamily) -> float:
     return float(np.mean(successes))
 
 
-def _sector(lay: RegisterLayout, x0: int, x1: int) -> tuple:
-    """Index of the slice of a state tensor where X0 = x0 and X1 = x1."""
-    index: list = [slice(None)] * len(lay.dims)
-    for name, value in zip(INPUT_NAMES, (x0, x1)):
-        index[lay.names.index(name)] = value
-    return tuple(index)
-
-
-def _uhlmann_block(fs: FinalStates, phi_key, psi_key, rest: RegisterLayout,
-                   b_rest: tuple[str, ...]) -> CMat:
+def _uhlmann_block(fs: FinalStates, phi_key, psi_key, b_rest: tuple[str, ...]) -> CMat:
     """The unitary on Bob's non-input factors aligning one honest final
     state with another, achieving the reduced-state fidelity as overlap.
 
-    Honest runs keep the input registers in their initial basis states, so
-    slicing each state at its (x0, x1) drops them exactly.  When Bob holds
-    nothing beyond the input registers the block degenerates to a 1x1 phase.
+    The honest states already omit the input registers, so the block acts
+    on the same layout as one input sector of a full-layout state.  When
+    Bob holds nothing beyond the input registers the block degenerates to
+    a 1x1 phase.
     """
-    stripped = []
-    for key in (phi_key, psi_key):
-        sv = fs.states[key]
-        amps = sv.amps.reshape(sv.layout.dims)[_sector(sv.layout, key[1], key[2])]
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > TOL_SPECTRAL:
-            raise CompletenessError(
-                "final state is entangled with the input registers; not an honest run"
-            )
-        stripped.append(StateVector(rest, amps / norm))
-    phi, psi = stripped
+    phi, psi = fs.states[phi_key], fs.states[psi_key]
     if b_rest:
         block, _ = uhlmann_unitary(phi, psi, b_rest)
         return block
@@ -161,14 +143,14 @@ def controlled_realignment(spec: ProtocolSpec, fs: FinalStates, s: int,
     blocks: dict[tuple[int, int], CMat] = {}
     for x in (0, 1):
         if s == 0:
-            blocks[(1, x)] = _uhlmann_block(fs, (1, 0, x), (1, 1, x), rest, b_rest)
+            blocks[(1, x)] = _uhlmann_block(fs, (1, 0, x), (1, 1, x), b_rest)
         else:
-            blocks[(x, 1)] = _uhlmann_block(fs, (0, x, 0), (0, x, 1), rest, b_rest)
+            blocks[(x, 1)] = _uhlmann_block(fs, (0, x, 0), (0, x, 1), b_rest)
     out = []
     for sv in states:
         tensor = sv.amps.reshape(lay.dims).copy()
         for (x0, x1), block in blocks.items():
-            sector = _sector(lay, x0, x1)
+            sector = input_sector(lay, x0, x1)
             tensor[sector] = apply_to_tensor(block, tensor[sector], rest, b_rest)
         out.append(StateVector(lay, tensor))
     return tuple(out)

@@ -25,7 +25,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import SpecError
+from .errors import CompletenessError, SpecError
 from .qcore import (
     ALICE,
     BOB,
@@ -164,7 +164,11 @@ class ProtocolSpec:
 @dataclass(frozen=True, eq=False)
 class FinalStates:
     """The eight deferred-measurement final states of a protocol, keyed by
-    (a, x0, x1), plus the factors Alice holds at the end."""
+    (a, x0, x1), plus the factors Alice holds at the end.
+
+    An honest run leaves the input registers in ``|x0 x1>``, so each state
+    lives on the layout without them (``layout.without(INPUT_NAMES)``).
+    """
 
     spec_name: str
     states: dict[tuple[int, int, int], StateVector]
@@ -213,7 +217,11 @@ def _execute(spec: ProtocolSpec, a: int, input_amps: dict[str, np.ndarray]) -> S
 
 
 def run_honest(spec: ProtocolSpec, a: int, x0: int, x1: int) -> StateVector:
-    """The final pure state of an honest run with the given input bits."""
+    """The final pure state of an honest run with the given input bits.
+
+    The analysis reads these states off the two purified runs instead; this
+    single run is the independent reference they are checked against.
+    """
     for bit in (a, x0, x1):
         if bit not in (0, 1):
             raise SpecError(f"input bits must be 0 or 1, got {bit}")
@@ -228,15 +236,12 @@ def run_purified(spec: ProtocolSpec, a: int) -> StateVector:
     return _execute(spec, a, {"X0": plus, "X1": plus})
 
 
-def all_final_states(spec: ProtocolSpec) -> FinalStates:
-    """All eight honest final states of a protocol."""
-    states = {
-        (a, x0, x1): run_honest(spec, a, x0, x1)
-        for a in (0, 1)
-        for x0 in (0, 1)
-        for x1 in (0, 1)
-    }
-    return FinalStates(spec.name, states, frozenset(spec.alice_end_factors))
+def input_sector(lay: RegisterLayout, x0: int, x1: int) -> tuple:
+    """Index of the slice of a state tensor where X0 = x0 and X1 = x1."""
+    index: list = [slice(None)] * len(lay.dims)
+    for name, value in zip(INPUT_NAMES, (x0, x1)):
+        index[lay.names.index(name)] = value
+    return tuple(index)
 
 
 def reduce_alice(fs: FinalStates) -> ReducedFamily:
@@ -310,10 +315,37 @@ class _Analysis:
 
 
 def _analyze(spec: ProtocolSpec) -> _Analysis:
-    fs = all_final_states(spec)
-    rf = reduce_alice(fs)
+    """The one place a protocol is executed for analysis: two purified runs.
+
+    Bob's rounds are controlled on the input registers and Alice never
+    touches them, so sector (x0, x1) of ``run_purified(spec, a)`` is the
+    honest final state for (a, x0, x1) scaled by 1/2.  A sector of any
+    other norm means the final state is entangled with the input registers.
+    """
+    lay = spec.layout
+    rest = lay.without(INPUT_NAMES)
     purified = (run_purified(spec, 0), run_purified(spec, 1))
+    states = {}
+    for a, sv in enumerate(purified):
+        tensor = sv.amps.reshape(lay.dims)
+        for x0 in (0, 1):
+            for x1 in (0, 1):
+                amps = tensor[input_sector(lay, x0, x1)]
+                norm = np.linalg.norm(amps)
+                if abs(norm - 0.5) > TOL_SPECTRAL:
+                    raise CompletenessError(
+                        "final state is entangled with the input registers; not an honest run"
+                    )
+                states[(a, x0, x1)] = StateVector(rest, amps / norm)
+    fs = FinalStates(spec.name, states, frozenset(spec.alice_end_factors))
+    rf = reduce_alice(fs)
     return _Analysis(spec, fs, rf, _completeness(spec, rf), purified)
+
+
+def all_final_states(spec: ProtocolSpec) -> FinalStates:
+    """All eight honest final states of a protocol, read off its two
+    purified runs."""
+    return _analyze(spec).final
 
 
 def validate_completeness(spec: ProtocolSpec) -> CompletenessReport:
@@ -323,7 +355,7 @@ def validate_completeness(spec: ProtocolSpec) -> CompletenessReport:
     with learned-bit 0 and learned-bit 1 are orthogonal, and the declared
     output measurement reports the correct bit on every honest run.
     """
-    return _completeness(spec, reduce_alice(all_final_states(spec)))
+    return _analyze(spec).completeness
 
 
 # ---------------------------------------------------------------------------

@@ -146,14 +146,17 @@ def suite_partial_trace(seed: int) -> list[Check]:
 def suite_protocol_honest(seed: int) -> list[Check]:
     checks = []
     for spec in (catalog.build_cks(), catalog.build_trivial()):
-        fs = protocol.all_final_states(spec)
+        # the analysed states are normalised by construction, so the norm
+        # check reads the independent single runs
         norm_ok = all(
-            abs(np.linalg.norm(sv.amps) - 1.0) <= 1e-9 for sv in fs.states.values()
+            abs(np.linalg.norm(protocol.run_honest(spec, a, x0, x1).amps) - 1.0) <= 1e-9
+            for a in (0, 1) for x0 in (0, 1) for x1 in (0, 1)
         )
         checks.append(Check(f"{spec.name}_norms", norm_ok))
-        report = protocol.validate_completeness(spec)
+        an = protocol._analyze(spec)
+        report = an.completeness
         checks.append(Check(f"{spec.name}_complete", report.passed, "; ".join(report.failures)))
-        rf = protocol.reduce_alice(fs)
+        rf = an.reduced
         worst = 0.0
         for a in (0, 1):
             for other in (0, 1):

@@ -175,13 +175,6 @@ def _dense_realignment(spec, fs, s):
     rest = lay.without(INPUT_NAMES)
     b_rest = tuple(n for n in rest.names if n not in fs.alice_factors)
 
-    def stripped(key):
-        tensor = fs.states[key].amps.reshape(lay.dims)
-        x_axes = [lay.names.index(n) for n in INPUT_NAMES]
-        index = [slice(None)] * len(lay.dims)
-        index[x_axes[0]], index[x_axes[1]] = key[1], key[2]
-        return StateVector(rest, tensor[tuple(index)])
-
     cont = np.zeros((lay.dim, lay.dim), dtype=complex)
     for x0 in (0, 1):
         for x1 in (0, 1):
@@ -189,7 +182,7 @@ def _dense_realignment(spec, fs, s):
             if (x0, x1)[s] == 1:
                 phi_key = (1, 0, x1) if s == 0 else (0, x0, 0)
                 psi_key = (1, 1, x1) if s == 0 else (0, x0, 1)
-                phi, psi = stripped(phi_key), stripped(psi_key)
+                phi, psi = fs.states[phi_key], fs.states[psi_key]
                 if b_rest:
                     term = embed_operator(uhlmann_unitary(phi, psi, b_rest)[0], lay, b_rest)
                 else:

@@ -33,8 +33,9 @@ def test_analyze_trivial(capsys):
     code = main(["analyze", "trivial"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
-    assert payload["alice_bound"] == pytest.approx(1.0, abs=1e-9)
-    assert payload["bob_bound"] == pytest.approx(0.5, abs=1e-9)
+    assert payload["alice_bound"] == 1.0
+    assert payload["bob_bound"] == 0.5
+    assert payload["theorem1_lhs"] == 2.0
 
 
 def test_analyze_csv_format(capsys):

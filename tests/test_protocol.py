@@ -10,12 +10,14 @@ from conftest import (
     build_two_register_trivial,
 )
 from wotsim.catalog import build_cks, build_trivial
-from wotsim.errors import SpecError
+from wotsim import protocol
+from wotsim.errors import CompletenessError, SpecError
 from wotsim.protocol import (
     ProtocolSpec,
     Round,
     all_final_states,
     held_factors,
+    input_sector,
     reduce_alice,
     run_honest,
     run_purified,
@@ -126,6 +128,19 @@ def test_validate_completeness_fails_without_information():
     assert report.failures
 
 
+def test_analysis_rejects_round_entangled_with_inputs(monkeypatch):
+    # a Bob round that rotates X0 fails spec validation, so build it past
+    # that check: the input-sector read must still refuse the final state
+    monkeypatch.setattr(protocol, "_check_input_controlled", lambda *args: None)
+    base = build_cks()
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    bob = np.kron(np.eye(3), np.kron(hadamard, np.eye(2))).astype(complex)
+    leaky = ProtocolSpec("leaky", base.layout, base.alice_prep,
+                         (base.rounds[0], Round(BOB, bob, send=True)), base.alice_output)
+    with pytest.raises(CompletenessError, match="entangled with the input registers"):
+        validate_completeness(leaky)
+
+
 def test_deferred_measurement_consistency():
     for spec in (build_cks(), build_trivial()):
         end = spec.alice_end_factors
@@ -137,17 +152,30 @@ def test_deferred_measurement_consistency():
             assert p == pytest.approx(1.0, abs=TOL_SPECTRAL)
 
 
-def test_purified_run_is_uniform_superposition_of_honest_runs():
-    spec = build_cks()
-    for a in (0, 1):
-        xi = run_purified(spec, a)
-        combo = sum(run_honest(spec, a, x0, x1).amps
-                    for x0 in (0, 1) for x1 in (0, 1)) / 2.0
-        assert np.allclose(xi.amps, combo, atol=1e-12)
-
-
 ENGINE_SPECS = (build_cks, build_trivial, build_cks_with_bob_register,
                 build_cks_shuffled, build_two_register_trivial)
+
+
+def test_purified_run_is_uniform_superposition_of_honest_runs():
+    # the analysis reads the honest states off the purified sectors, so
+    # pin both against independent single runs
+    for build in ENGINE_SPECS:
+        spec = build()
+        lay = spec.layout
+        fs = all_final_states(spec)
+        for a in (0, 1):
+            xi = run_purified(spec, a)
+            combo = sum(run_honest(spec, a, x0, x1).amps
+                        for x0 in (0, 1) for x1 in (0, 1)) / 2.0
+            assert np.allclose(xi.amps, combo, atol=1e-12), (spec.name, a)
+            for x0 in (0, 1):
+                for x1 in (0, 1):
+                    honest = run_honest(spec, a, x0, x1).amps.reshape(lay.dims).copy()
+                    sector = input_sector(lay, x0, x1)
+                    got = fs.states[(a, x0, x1)].amps
+                    assert np.abs(got - honest[sector].ravel()).max() < 1e-12, (spec.name, a, x0, x1)
+                    honest[sector] = 0.0
+                    assert np.abs(honest).max() < 1e-12, (spec.name, a, x0, x1)
 
 
 def _dense_run(spec, a, input_amps):
