@@ -30,9 +30,11 @@ from .protocol import (
 from .qcore import (
     TOL_SPECTRAL,
     CMat,
+    DensityOp,
     StateVector,
     apply_to_tensor,
     fidelity,
+    float_or_array,
     helstrom,
     trace_norm,
     uhlmann_unitary,
@@ -59,23 +61,29 @@ class CheatReport:
     theorem1_lhs: float
 
 
-def _pairs(rf: ReducedFamily):
-    """The four reduced-state pairs that differ only in the bit Alice did
-    not choose: (a=0, vary x1) for each x0, then (a=1, vary x0) for each x1."""
-    for x0 in (0, 1):
-        yield rf.rho[(0, x0, 0)], rf.rho[(0, x0, 1)]
-    for x1 in (0, 1):
-        yield rf.rho[(1, 0, x1)], rf.rho[(1, 1, x1)]
+# The four reduced-state pairs that differ only in the bit Alice did not
+# choose: (a=0, vary x1) for each x0, then (a=1, vary x0) for each x1.  Each
+# index picks the first or the second members as (a, x0, x1) index arrays,
+# so both sides of all four pairs are read as stacks of shape (..., 4, d, d).
+_PAIRS = ((..., (0, 0, 1, 1), (0, 1, 0, 0), (0, 0, 0, 1)),
+          (..., (0, 0, 1, 1), (0, 1, 1, 1), (1, 1, 0, 1)))
 
 
-def delta_quantity(rf: ReducedFamily) -> float:
-    """Half the summed trace distances over the four pairs, in [0, 4]."""
-    return 0.5 * sum(trace_norm(r.mat - s.mat) for r, s in _pairs(rf))
+def _pairs(rf: ReducedFamily) -> tuple[DensityOp, DensityOp]:
+    return rf.states[_PAIRS[0]], rf.states[_PAIRS[1]]
 
 
-def f_quantity(rf: ReducedFamily) -> float:
-    """The summed fidelities over the four pairs, in [0, 4]."""
-    return sum(fidelity(r, s) for r, s in _pairs(rf))
+def delta_quantity(rf: ReducedFamily):
+    """Half the summed trace distances over the four pairs, in [0, 4]; one
+    value per family for a batched family."""
+    rho, xi = _pairs(rf)
+    return float_or_array(0.5 * trace_norm(rho.mat - xi.mat).sum(axis=-1))
+
+
+def f_quantity(rf: ReducedFamily):
+    """The summed fidelities over the four pairs, in [0, 4]; one value per
+    family for a batched family."""
+    return float_or_array(fidelity(*_pairs(rf)).sum(axis=-1))
 
 
 def _alice_bound_of(delta: float) -> float:
@@ -96,15 +104,15 @@ def bob_bound(rf: ReducedFamily) -> float:
     return _bob_bound_of(f_quantity(rf))
 
 
-def alice_helstrom_attack(rf: ReducedFamily) -> float:
+def alice_helstrom_attack(rf: ReducedFamily):
     """Simulate Alice's attack through explicit Helstrom measurements.
 
     For each choice bit she distinguishes the two states compatible with
     what she learned; the overall success rate (uniform inputs, uniform
-    choice of which branch to run) reproduces :func:`alice_bound`.
+    choice of which branch to run) reproduces :func:`alice_bound`.  One
+    value per family for a batched family.
     """
-    successes = [helstrom(r, s)[1] for r, s in _pairs(rf)]
-    return float(np.mean(successes))
+    return float_or_array(np.mean(helstrom(*_pairs(rf))[1], axis=-1))
 
 
 def _uhlmann_block(fs: FinalStates, phi_key, psi_key, b_rest: tuple[str, ...]) -> CMat:

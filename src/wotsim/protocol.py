@@ -20,12 +20,13 @@ Conventions:
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
-from .errors import CompletenessError, SpecError
+from .errors import CompletenessError, ShapeError, SpecError
 from .qcore import (
     ALICE,
     BOB,
@@ -42,11 +43,22 @@ from .qcore import (
     apply_to_tensor,
     as_cmat,
     bipartition_matrix,
+    dagger,
     hermitize,
     trace_norm,
 )
 
 INPUT_NAMES = ("X0", "X1")
+
+# Largest total dimension a protocol layout may have.  The analysis holds
+# dense state tensors and Alice's reduced states over it, so a spec beyond
+# this is rejected before anything is allocated.  Every factor has dim >= 2,
+# so this also bounds the number of factors.
+MAX_LAYOUT_DIM = 2**16
+
+# The (a, x0, x1) keys of the eight honest runs, in the order the reduced
+# family stores them.
+RUN_KEYS = tuple((a, x0, x1) for a in (0, 1) for x0 in (0, 1) for x1 in (0, 1))
 
 
 def held_factors(layout: RegisterLayout, actor: str, message_with_alice: bool) -> tuple[str, ...]:
@@ -119,6 +131,9 @@ class ProtocolSpec:
         object.__setattr__(self, "alice_prep", tuple(self.alice_prep))
         object.__setattr__(self, "alice_output", tuple(self.alice_output))
         lay = self.layout
+        if lay.dim > MAX_LAYOUT_DIM:
+            raise SpecError(
+                f"layout dim {lay.dim} exceeds the cap MAX_LAYOUT_DIM = {MAX_LAYOUT_DIM}")
         if not lay.owned_by(ALICE):
             raise SpecError("layout needs at least one Alice-owned factor")
         inputs = lay.owned_by(BOB_INPUT)
@@ -150,9 +165,9 @@ class ProtocolSpec:
         object.__setattr__(self, "_msg_with_alice_at_end", msg_with_alice)
         d_out = lay.subset_dim(self.alice_end_factors)
         for a, meas in enumerate(self.alice_output):
-            if meas.dim != d_out:
+            if meas.pos.shape != (d_out, d_out):
                 raise SpecError(
-                    f"alice_output[{a}] has dim {meas.dim}, Alice ends holding dim {d_out}"
+                    f"alice_output[{a}] has shape {meas.pos.shape}, Alice ends holding dim {d_out}"
                 )
 
     @property
@@ -177,9 +192,31 @@ class FinalStates:
 
 @dataclass(frozen=True, eq=False)
 class ReducedFamily:
-    """Alice's reduced final states, keyed by (a, x0, x1)."""
+    """Alice's reduced final states as one validated density stack of shape
+    ``(..., 2, 2, 2, d, d)``, indexed ``[..., a, x0, x1]``.  Leading axes,
+    if any, batch independent families.
 
-    rho: dict[tuple[int, int, int], DensityOp]
+    Construct it from the stack or from a mapping of the eight
+    ``(a, x0, x1)`` keys to density operators.
+    """
+
+    states: DensityOp
+
+    def __post_init__(self):
+        states = self.states
+        if isinstance(states, Mapping):
+            mats = np.stack([states[key].mat for key in RUN_KEYS], axis=-3)
+            states = DensityOp(mats.reshape(mats.shape[:-3] + (2, 2, 2) + mats.shape[-2:]))
+        if states.mat.shape[-5:-2] != (2, 2, 2):
+            raise ShapeError(
+                f"reduced family needs shape (..., 2, 2, 2, d, d), got {states.mat.shape}")
+        object.__setattr__(self, "states", states)
+
+    @property
+    def rho(self) -> dict[tuple[int, int, int], DensityOp]:
+        """The eight members keyed by (a, x0, x1); for a batched family each
+        one is a stack over the leading axes."""
+        return {key: self.states[(..., *key)] for key in RUN_KEYS}
 
 
 @dataclass(frozen=True)
@@ -246,13 +283,14 @@ def input_sector(lay: RegisterLayout, x0: int, x1: int) -> tuple:
 
 def reduce_alice(fs: FinalStates) -> ReducedFamily:
     """Alice's reduced state for each of the eight honest runs: M M^dagger,
-    where M holds the amplitudes as an (Alice, rest) matrix."""
-    rho = {}
-    for key, sv in fs.states.items():
-        rest = [n for n in sv.layout.names if n not in fs.alice_factors]
-        m = bipartition_matrix(sv, rest)
-        rho[key] = DensityOp(hermitize(m @ m.conj().T))
-    return ReducedFamily(rho)
+    where M holds the amplitudes as an (Alice, rest) matrix.  All eight are
+    formed and validated as one stack."""
+    m = np.stack([
+        bipartition_matrix(sv, [n for n in sv.layout.names if n not in fs.alice_factors])
+        for sv in (fs.states[key] for key in RUN_KEYS)
+    ])
+    rho = hermitize(m @ dagger(m))
+    return ReducedFamily(DensityOp(rho.reshape((2, 2, 2) + rho.shape[-2:])))
 
 
 def _support_projector(ops: list[DensityOp]) -> np.ndarray:
@@ -269,11 +307,12 @@ def _support_projector(ops: list[DensityOp]) -> np.ndarray:
 def _completeness(spec: ProtocolSpec, rf: ReducedFamily) -> CompletenessReport:
     failures: list[str] = []
     overlaps = []
+    family = rf.rho
     for a in (0, 1):
         spans = {}
         for v in (0, 1):
             members = [
-                rf.rho[(a, x0, x1)]
+                family[(a, x0, x1)]
                 for x0 in (0, 1)
                 for x1 in (0, 1)
                 if (x0 if a == 0 else x1) == v
@@ -285,7 +324,7 @@ def _completeness(spec: ProtocolSpec, rf: ReducedFamily) -> CompletenessReport:
             failures.append(f"a={a}: learned-bit supports overlap ({overlap:.3e})")
     one_probs = {}
     min_prob = 1.0
-    for (a, x0, x1), rho in rf.rho.items():
+    for (a, x0, x1), rho in family.items():
         xa = x0 if a == 0 else x1
         one = float(np.real(np.trace(spec.alice_output[a].pos @ rho.mat)))
         one_probs[(a, x0, x1)] = one

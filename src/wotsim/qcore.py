@@ -5,6 +5,12 @@ row-major).  Multi-register objects carry a :class:`RegisterLayout` that fixes
 the tensor factorization; the leftmost factor is the most significant index
 digit, so ``amps.reshape(layout.dims)`` recovers the tensor form.
 
+Density matrices, measurements and the functionals of them take stacks:
+an array of shape ``(..., d, d)`` is a batch of ``d x d`` matrices over its
+leading axes, and every check and decomposition runs once over the whole
+batch.  A single matrix is the ``n = 1`` case of the same code; functionals
+return a Python float for it and an array over the leading axes for a stack.
+
 Two tolerances are used throughout: ``TOL_EXACT`` for algebraic identities on
 exactly representable constructions, and ``TOL_SPECTRAL`` for anything that
 passed through an eigendecomposition or SVD.
@@ -12,6 +18,7 @@ passed through an eigendecomposition or SVD.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -39,7 +46,22 @@ def as_cmat(entries) -> CMat:
 
 def hermitize(mat: CMat) -> CMat:
     """Symmetrize asymmetric roundoff: (M + M†)/2."""
-    return (mat + mat.conj().T) / 2
+    return (mat + dagger(mat)) / 2
+
+
+def dagger(mat: CMat) -> CMat:
+    """Conjugate transpose of each matrix in a stack."""
+    return mat.conj().swapaxes(-1, -2)
+
+
+def float_or_array(value):
+    """A Python float for a single result, the array itself for a stack."""
+    return float(value) if np.ndim(value) == 0 else value
+
+
+def _check_square(mat: np.ndarray, what: str) -> None:
+    if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
+        raise ShapeError(f"{what} must be square, got {mat.shape}")
 
 
 def _frozen(arr: np.ndarray, what: str) -> np.ndarray:
@@ -88,7 +110,7 @@ class RegisterLayout:
 
     @property
     def dim(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     def owned_by(self, *owners: str) -> tuple[str, ...]:
         return tuple(f.name for f in self.factors if f.owner in owners)
@@ -131,32 +153,44 @@ class StateVector:
 
 @dataclass(frozen=True, eq=False)
 class DensityOp:
-    """A density operator: Hermitian, PSD up to roundoff, unit trace."""
+    """A density operator, or a stack of them of shape ``(..., d, d)``:
+    Hermitian, PSD up to roundoff, unit trace.  Each check runs once over
+    the whole stack and fails if any member fails it."""
 
     mat: np.ndarray
 
     def __post_init__(self):
         mat = _frozen(np.atleast_2d(np.asarray(self.mat)), "density operator")
         object.__setattr__(self, "mat", mat)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ShapeError(f"density operator must be square, got {mat.shape}")
-        if np.abs(mat - mat.conj().T).max() > TOL_EXACT:
+        _check_square(mat, "density operator")
+        if np.abs(mat - dagger(mat)).max() > TOL_EXACT:
             raise ShapeError("density operator is not Hermitian within tolerance")
-        tr = np.trace(mat)
-        if abs(tr - 1.0) > TOL_EXACT:
-            raise ShapeError(f"density operator trace {tr} deviates from 1")
+        tr = np.trace(mat, axis1=-2, axis2=-1)
+        off = np.abs(tr - 1.0)
+        if off.max() > TOL_EXACT:
+            raise ShapeError(f"density operator trace {tr.flat[off.argmax()]} deviates from 1")
         wmin = np.linalg.eigvalsh(hermitize(mat)).min()
         if wmin < -TOL_SPECTRAL:
             raise NotPSDError(f"density operator has eigenvalue {wmin}")
 
     @property
     def dim(self) -> int:
-        return self.mat.shape[0]
+        return self.mat.shape[-1]
+
+    def __getitem__(self, index) -> "DensityOp":
+        """The members at ``index``, which indexes the leading axes only (the
+        two matrix axes are kept whole).  They passed the checks as part of
+        this stack, so they are not checked again."""
+        index = index if isinstance(index, tuple) else (index,)
+        member = object.__new__(DensityOp)
+        object.__setattr__(member, "mat", self.mat[(*index, slice(None), slice(None))])
+        return member
 
 
 @dataclass(frozen=True, eq=False)
 class TwoOutcomeMeasurement:
-    """A projective two-outcome measurement: pos + neg = identity."""
+    """A projective two-outcome measurement: pos + neg = identity, or a
+    stack of them of shape ``(..., d, d)``."""
 
     pos: np.ndarray
     neg: np.ndarray
@@ -165,19 +199,20 @@ class TwoOutcomeMeasurement:
         pos, neg = _frozen(self.pos, "pos projector"), _frozen(self.neg, "neg projector")
         object.__setattr__(self, "pos", pos)
         object.__setattr__(self, "neg", neg)
-        if pos.shape != neg.shape or pos.ndim != 2 or pos.shape[0] != pos.shape[1]:
+        if pos.shape != neg.shape:
             raise ShapeError(f"projector shapes {pos.shape}, {neg.shape} invalid")
+        _check_square(pos, "projector")
         for name, p in (("pos", pos), ("neg", neg)):
-            if np.abs(p - p.conj().T).max() > TOL_SPECTRAL:
+            if np.abs(p - dagger(p)).max() > TOL_SPECTRAL:
                 raise ShapeError(f"{name} projector is not Hermitian")
             if np.abs(p @ p - p).max() > TOL_SPECTRAL:
                 raise ShapeError(f"{name} projector is not idempotent")
-        if np.abs(pos + neg - np.eye(pos.shape[0])).max() > TOL_EXACT:
+        if np.abs(pos + neg - np.eye(pos.shape[-1])).max() > TOL_EXACT:
             raise ShapeError("projectors do not sum to the identity")
 
     @property
     def dim(self) -> int:
-        return self.pos.shape[0]
+        return self.pos.shape[-1]
 
 
 def kron(a: CMat, b: CMat) -> CMat:
@@ -233,34 +268,39 @@ def apply_to_tensor(op: CMat, tensor: np.ndarray, layout: RegisterLayout,
 
 def partial_trace(state: DensityOp, layout: RegisterLayout,
                   keep: Iterable[str]) -> DensityOp:
-    """Reduce a density operator to the kept factors, in layout order."""
+    """Reduce a density operator, or each member of a stack, to the kept
+    factors, in layout order."""
     if state.dim != layout.dim:
         raise LayoutError(f"state dim {state.dim} != layout dim {layout.dim}")
     kept = layout.select(keep)
     k = len(layout.factors)
     kept_pos = [i for i, n in enumerate(layout.names) if n in set(kept)]
-    tensor = state.mat.reshape(layout.dims + layout.dims)
+    batch = state.mat.shape[:-2]
+    tensor = state.mat.reshape(batch + layout.dims + layout.dims)
     row = list(range(k))
     col = [i if i not in kept_pos else k + i for i in range(k)]
     out = [i for i in kept_pos] + [k + i for i in kept_pos]
-    reduced = np.einsum(tensor, row + col, out)
+    reduced = np.einsum(tensor, [...] + row + col, [...] + out)
     d = int(np.prod([layout.dims[i] for i in kept_pos] or [1]))
-    return DensityOp(hermitize(reduced.reshape(d, d)))
+    return DensityOp(hermitize(reduced.reshape(batch + (d, d))))
 
 
-def trace_norm(mat: CMat) -> float:
+def trace_norm(mat: CMat):
     """Sum of the singular values."""
     mat = as_cmat(mat)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ShapeError(f"trace norm needs a square matrix, got {mat.shape}")
-    return float(np.linalg.svd(mat, compute_uv=False).sum())
+    _check_square(mat, "trace norm input")
+    return float_or_array(np.linalg.svd(mat, compute_uv=False).sum(axis=-1))
 
 
-def guess_prob(rho: DensityOp, xi: DensityOp) -> float:
-    """Optimal probability of identifying which of two equiprobable states
-    was prepared: 1/2 + ||rho - xi||_1 / 4."""
+def _check_dims(rho: DensityOp, xi: DensityOp) -> None:
     if rho.dim != xi.dim:
         raise ShapeError(f"dimension mismatch {rho.dim} != {xi.dim}")
+
+
+def guess_prob(rho: DensityOp, xi: DensityOp):
+    """Optimal probability of identifying which of two equiprobable states
+    was prepared: 1/2 + ||rho - xi||_1 / 4."""
+    _check_dims(rho, xi)
     return 0.5 + 0.25 * trace_norm(rho.mat - xi.mat)
 
 
@@ -271,20 +311,19 @@ def helstrom(rho: DensityOp, xi: DensityOp) -> tuple[TwoOutcomeMeasurement, floa
     The returned success probability is computed from the projectors, not
     from the trace-norm formula, so the two routes can be cross-checked.
     """
-    if rho.dim != xi.dim:
-        raise ShapeError(f"dimension mismatch {rho.dim} != {xi.dim}")
+    _check_dims(rho, xi)
     w, v = np.linalg.eigh(hermitize(rho.mat - xi.mat))
-    plus = v[:, w >= 0]
-    pos = plus @ plus.conj().T
+    pos = (v * (w >= 0)[..., None, :]) @ dagger(v)
     neg = np.eye(rho.dim) - pos
     meas = TwoOutcomeMeasurement(hermitize(pos), hermitize(neg))
-    success = 0.5 * float(np.real(np.trace(meas.pos @ rho.mat)
-                                  + np.trace(meas.neg @ xi.mat)))
-    return meas, success
+    success = 0.5 * np.real(np.trace(meas.pos @ rho.mat, axis1=-2, axis2=-1)
+                            + np.trace(meas.neg @ xi.mat, axis1=-2, axis2=-1))
+    return meas, float_or_array(success)
 
 
 def herm_sqrt(rho: DensityOp) -> CMat:
-    """Hermitian PSD square root of a density operator.
+    """Hermitian PSD square root of a density operator, or of each member
+    of a stack.
 
     Eigenvalues in [-TOL_SPECTRAL, 0) are clipped to zero; anything more
     negative raises, since that is no longer partial-trace roundoff.
@@ -293,13 +332,12 @@ def herm_sqrt(rho: DensityOp) -> CMat:
     if w.min() < -TOL_SPECTRAL:
         raise NotPSDError(f"eigenvalue {w.min()} below -{TOL_SPECTRAL}")
     w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
+    return (v * np.sqrt(w)[..., None, :]) @ dagger(v)
 
 
-def fidelity(rho: DensityOp, xi: DensityOp) -> float:
+def fidelity(rho: DensityOp, xi: DensityOp):
     """Fidelity ||sqrt(rho) sqrt(xi)||_1, in [0, 1]."""
-    if rho.dim != xi.dim:
-        raise ShapeError(f"dimension mismatch {rho.dim} != {xi.dim}")
+    _check_dims(rho, xi)
     return trace_norm(herm_sqrt(rho) @ herm_sqrt(xi))
 
 
@@ -364,13 +402,24 @@ def haar_unitary(dim: int, rng: np.random.Generator, size=None) -> CMat:
     return haar_from_normals(rng.standard_normal((*shape, 2, dim, dim)))
 
 
-def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) -> DensityOp:
+def density_from_normals(normals: np.ndarray) -> DensityOp:
+    """Random density operators from standard normals of shape
+    ``(..., 2, d, r)`` (real part, then imaginary part): G G† / tr(G G†)
+    for each ``d x r`` complex G, validated once as one stack."""
+    g = normals[..., 0, :, :] + 1j * normals[..., 1, :, :]
+    m = g @ dagger(g)
+    return DensityOp(hermitize(m / np.trace(m, axis1=-2, axis2=-1)[..., None, None]))
+
+
+def random_density(dim: int, rng: np.random.Generator, rank: int | None = None,
+                   size=None) -> DensityOp:
     """A random density operator of the given dimension (full rank unless
-    ``rank`` is given)."""
+    ``rank`` is given), or a stack of shape ``(*size, dim, dim)``.  A stack
+    of ``n`` consumes ``rng`` exactly as ``n`` sequential calls do and holds
+    the same matrices."""
     rank = dim if rank is None else rank
-    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-    m = g @ g.conj().T
-    return DensityOp(hermitize(m / np.trace(m)))
+    shape = () if size is None else tuple(np.atleast_1d(size))
+    return density_from_normals(rng.standard_normal((*shape, 2, dim, rank)))
 
 
 def pure_density(sv: StateVector) -> DensityOp:

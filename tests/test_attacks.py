@@ -9,7 +9,7 @@ from conftest import (
     build_incomplete_protocol,
     build_two_register_trivial,
 )
-from wotsim import attacks, cli
+from wotsim import attacks, cli, protocol
 from wotsim.attacks import (
     alice_bound,
     alice_helstrom_attack,
@@ -25,7 +25,6 @@ from wotsim.protocol import (
     INPUT_NAMES,
     ReducedFamily,
     all_final_states,
-    reduce_alice,
     run_purified,
 )
 from wotsim.qcore import (
@@ -57,10 +56,10 @@ def _constant_family(dim=2):
 # --- aggregate quantities -----------------------------------------------------
 
 def test_delta_and_f_on_catalog():
-    rf_cks = reduce_alice(all_final_states(build_cks()))
+    rf_cks = protocol._analyze(build_cks()).reduced
     assert delta_quantity(rf_cks) == pytest.approx(0.0, abs=TOL_SPECTRAL)
     assert f_quantity(rf_cks) == pytest.approx(4.0, abs=TOL_SPECTRAL)
-    rf_triv = reduce_alice(all_final_states(build_trivial()))
+    rf_triv = protocol._analyze(build_trivial()).reduced
     assert delta_quantity(rf_triv) == pytest.approx(4.0, abs=TOL_SPECTRAL)
     assert f_quantity(rf_triv) == pytest.approx(0.0, abs=TOL_SPECTRAL)
 
@@ -74,10 +73,10 @@ def test_identical_family_extremes():
 
 
 def test_bounds_on_catalog():
-    rf = reduce_alice(all_final_states(build_cks()))
+    rf = protocol._analyze(build_cks()).reduced
     assert alice_bound(rf) == pytest.approx(0.5, abs=1e-9)
     assert bob_bound(rf) == pytest.approx(0.75, abs=TOL_SPECTRAL)
-    rf = reduce_alice(all_final_states(build_trivial()))
+    rf = protocol._analyze(build_trivial()).reduced
     assert alice_bound(rf) == pytest.approx(1.0, abs=1e-9)
     assert bob_bound(rf) == pytest.approx(0.5, abs=1e-9)
 
@@ -91,8 +90,24 @@ def test_alice_helstrom_attack_achieves_bound(rng):
     for dim in (2, 3):
         rf = _family(rng, dim)
         assert alice_helstrom_attack(rf) == pytest.approx(alice_bound(rf), abs=TOL_SPECTRAL)
-    rf = reduce_alice(all_final_states(build_trivial()))
+    rf = protocol._analyze(build_trivial()).reduced
     assert alice_helstrom_attack(rf) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_batched_family_equals_per_family_values(rng, dim):
+    stack = random_density(dim, rng, size=(6, 2, 2, 2))
+    batched = ReducedFamily(stack)
+    delta, f, hel = delta_quantity(batched), f_quantity(batched), alice_helstrom_attack(batched)
+    for value in (delta, f, hel):
+        assert isinstance(value, np.ndarray) and value.shape == (6,)
+    for n in range(6):
+        single = ReducedFamily(stack[n])
+        keyed = ReducedFamily(single.rho)  # the eight-key mapping form
+        for rf in (single, keyed):
+            assert abs(delta[n] - delta_quantity(rf)) <= 1e-14
+            assert abs(f[n] - f_quantity(rf)) <= 1e-14
+            assert abs(hel[n] - alice_helstrom_attack(rf)) <= 1e-14
 
 
 # --- the inequality chain -------------------------------------------------------
@@ -133,7 +148,7 @@ def test_purified_attack_with_bob_side_register():
 def test_purified_attack_matches_closed_form_on_random_variants():
     for seed in (1, 2, 3, 4, 5):
         spec = random_complete_protocol(seed)
-        rf = reduce_alice(all_final_states(spec))
+        rf = protocol._analyze(spec).reduced
         for s in (0, 1):
             if s == 0:
                 fsum = sum(fidelity(rf.rho[(1, 0, x)], rf.rho[(1, 1, x)]) for x in (0, 1))

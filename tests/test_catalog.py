@@ -15,7 +15,8 @@ from wotsim.catalog import (
     simulate_combined,
 )
 from wotsim.errors import RangeError
-from wotsim.protocol import all_final_states, reduce_alice, run_honest, validate_completeness
+from wotsim import protocol
+from wotsim.protocol import run_honest, validate_completeness
 from wotsim.qcore import TOL_SPECTRAL
 
 
@@ -44,12 +45,12 @@ def test_trivial_report_endpoint():
 
 
 def test_random_complete_protocol_properties():
-    rf0 = reduce_alice(all_final_states(build_cks()))
+    rf0 = protocol._analyze(build_cks()).reduced
     base = (delta_quantity(rf0), f_quantity(rf0))
     for seed in (0, 1, 99):
         spec = random_complete_protocol(seed)
         assert validate_completeness(spec).passed
-        rf = reduce_alice(all_final_states(spec))
+        rf = protocol._analyze(spec).reduced
         assert delta_quantity(rf) == pytest.approx(base[0], abs=TOL_SPECTRAL)
         assert f_quantity(rf) == pytest.approx(base[1], abs=TOL_SPECTRAL)
 

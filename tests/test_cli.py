@@ -92,6 +92,18 @@ def test_analyze_non_finite_entry_exits_3(tmp_path):
     assert main(["analyze", str(path)]) == 3
 
 
+def test_analyze_layout_beyond_cap_exits_3(tmp_path, capsys):
+    from wotsim.catalog import build_cks
+
+    data = spec_to_dict(build_cks())
+    data["factors"].append({"name": "B", "dim": 1_000_000, "owner": "Bob"})
+    data["rounds"] = []
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    assert main(["analyze", str(path)]) == 3
+    assert "MAX_LAYOUT_DIM" in capsys.readouterr().err
+
+
 def test_builtin_name_resolves_before_path(tmp_path, monkeypatch, capsys):
     # a file literally named "cks" in cwd must not shadow the builtin
     monkeypatch.chdir(tmp_path)

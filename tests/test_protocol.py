@@ -279,6 +279,24 @@ def test_spec_requires_named_inputs():
         ProtocolSpec(base.name, renamed, base.alice_prep, base.rounds, base.alice_output)
 
 
+def _cks_with_bob_factor(dim: int) -> dict:
+    # cks without rounds plus an idle Bob factor: layout dim 36 * dim
+    data = spec_to_dict(build_cks())
+    data["factors"].append({"name": "B", "dim": dim, "owner": BOB})
+    data["rounds"] = []
+    return data
+
+
+def test_spec_rejects_layout_beyond_cap():
+    # construction only: nothing of layout size is allocated before the check
+    at_cap = protocol.MAX_LAYOUT_DIM // 36
+    assert spec_from_dict(_cks_with_bob_factor(at_cap)).layout.dim <= protocol.MAX_LAYOUT_DIM
+    with pytest.raises(SpecError, match="MAX_LAYOUT_DIM"):
+        spec_from_dict(_cks_with_bob_factor(at_cap + 1))
+    with pytest.raises(SpecError, match="MAX_LAYOUT_DIM"):
+        spec_from_dict(_cks_with_bob_factor(1_000_000))
+
+
 # --- JSON round trip -----------------------------------------------------------
 
 def test_spec_json_round_trip(tmp_path):

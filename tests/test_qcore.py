@@ -364,3 +364,81 @@ def test_haar_unitary_stack_equals_sequential_calls(dim):
         assert g1.random() == g2.random()  # both streams consumed alike
         grid = haar_unitary(dim, np.random.default_rng(seed), size=(3, 11))
         assert np.array_equal(grid, sequential.reshape(3, 11, dim, dim))
+
+
+# --- stacks ------------------------------------------------------------------
+
+def _random_density_reference(dim, gen):
+    # the single-matrix recipe that random_density must keep reproducing bitwise
+    g = gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))
+    m = g @ g.conj().T
+    m = m / np.trace(m)
+    return (m + m.conj().T) / 2
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_random_density_stack_equals_sequential_calls(dim):
+    for seed in range(5):
+        g1, g2 = np.random.default_rng(seed), np.random.default_rng(seed)
+        stack = random_density(dim, g1, size=17)
+        sequential = np.stack([random_density(dim, g2).mat for _ in range(17)])
+        assert stack.mat.shape == (17, dim, dim)
+        assert np.array_equal(stack.mat, sequential)
+        assert g1.random() == g2.random()  # both streams consumed alike
+        grid = random_density(dim, np.random.default_rng(seed), size=(1, 17))
+        assert np.array_equal(grid.mat, sequential.reshape(1, 17, dim, dim))
+        single = random_density(dim, np.random.default_rng(seed)).mat
+        assert np.array_equal(single, _random_density_reference(dim, np.random.default_rng(seed)))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_stacked_primitives_equal_per_matrix_calls(dim):
+    gen = np.random.default_rng(dim)
+    rho, xi = random_density(dim, gen, size=(3, 4)), random_density(dim, gen, size=(3, 4))
+    arbitrary = gen.standard_normal((3, 4, dim, dim)) + 1j * gen.standard_normal((3, 4, dim, dim))
+    tn, gp, f = trace_norm(arbitrary), guess_prob(rho, xi), fidelity(rho, xi)
+    meas, success = helstrom(rho, xi)
+    root = herm_sqrt(rho)
+    for shaped in (tn, gp, f, success):
+        assert isinstance(shaped, np.ndarray) and shaped.shape == (3, 4)
+    for i in np.ndindex(3, 4):
+        r, x = rho[i], xi[i]
+        single = [trace_norm(arbitrary[i]), guess_prob(r, x), fidelity(r, x), helstrom(r, x)[1]]
+        assert all(isinstance(v, float) for v in single)
+        for stacked, value in zip((tn, gp, f, success), single):
+            assert abs(stacked[i] - value) <= 1e-15
+        m, _ = helstrom(r, x)
+        assert np.abs(meas.pos[i] - m.pos).max() <= 1e-15
+        assert np.abs(meas.neg[i] - m.neg).max() <= 1e-15
+        assert np.abs(root[i] - herm_sqrt(r)).max() <= 1e-15
+
+
+def _bad_members():
+    # (matrix, error) pairs that the scalar constructor rejects
+    nan = np.eye(2, dtype=complex) / 2
+    nan[0, 1] = nan[1, 0] = np.nan
+    return [
+        (np.array([[0.5, 0.1], [0.3, 0.5]], dtype=complex), ShapeError),  # not Hermitian
+        (np.eye(2, dtype=complex), ShapeError),  # trace 2
+        (np.diag([1.5, -0.5]).astype(complex), NotPSDError),  # not PSD
+        (nan, ShapeError),  # non-finite
+    ]
+
+
+@pytest.mark.parametrize("bad, error", _bad_members())
+def test_stacked_density_op_rejects_one_bad_member(bad, error):
+    with pytest.raises(error):
+        DensityOp(bad)
+    stack = random_density(2, np.random.default_rng(0), size=(3, 5)).mat.copy()
+    stack[2, 3] = bad
+    with pytest.raises(error):
+        DensityOp(stack)
+
+
+def test_density_op_member_read_keeps_matrix_axes():
+    stack = random_density(3, np.random.default_rng(1), size=(3, 3))
+    assert np.array_equal(stack[1, 2].mat, stack.mat[1, 2])
+    assert np.array_equal(stack[..., 0].mat, stack.mat[:, 0])
+    assert stack[1].mat.shape == (3, 3, 3)
+    with pytest.raises(IndexError):
+        stack[1, 2, 0]
