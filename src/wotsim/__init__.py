@@ -15,6 +15,7 @@ from .catalog import (
     TradeoffPoint,
     WCFPrimitive,
     build_cks,
+    build_leaky,
     build_trivial,
     combined_bounds,
     dyadic_round,

@@ -25,19 +25,18 @@ from .protocol import (
     ReducedFamily,
     _Analysis,
     _analyze,
-    input_sector,
 )
 from .qcore import (
     TOL_SPECTRAL,
     CMat,
     DensityOp,
     StateVector,
-    apply_to_tensor,
+    bipartition_matrix,
     fidelity,
     float_or_array,
     helstrom,
     trace_norm,
-    uhlmann_unitary,
+    uhlmann_blocks,
 )
 
 @dataclass(frozen=True)
@@ -115,22 +114,22 @@ def alice_helstrom_attack(rf: ReducedFamily):
     return float_or_array(np.mean(helstrom(*_pairs(rf))[1], axis=-1))
 
 
-def _uhlmann_block(fs: FinalStates, phi_key, psi_key, b_rest: tuple[str, ...]) -> CMat:
-    """The unitary on Bob's non-input factors aligning one honest final
-    state with another, achieving the reduced-state fidelity as overlap.
+# The purified attack reads amplitude matrices indexed [..., s, x_s, x_other]:
+# for register choice s, the input register Bob measures, then the other one.
+def _by_register(mats: np.ndarray) -> np.ndarray:
+    """Amplitude matrices indexed ``[..., x0, x1, :, :]``, stacked for both
+    register choices as ``[..., s, x_s, x_other, :, :]``."""
+    return np.stack([mats, mats.swapaxes(-3, -4)], axis=-5)
 
-    The honest states already omit the input registers, so the block acts
-    on the same layout as one input sector of a full-layout state.  When
-    Bob holds nothing beyond the input registers the block degenerates to
-    a 1x1 phase.
-    """
-    phi, psi = fs.states[phi_key], fs.states[psi_key]
-    if b_rest:
-        block, _ = uhlmann_unitary(phi, psi, b_rest)
-        return block
-    inner = np.vdot(phi.amps, psi.amps)
-    phase = 1.0 if abs(inner) < 1e-15 else np.conj(inner) / abs(inner)
-    return np.array([[phase]], dtype=complex)
+
+def _realignment_blocks(fs: FinalStates) -> CMat:
+    """Bob's realignment unitaries ``[s, x_other]``, from one batched SVD:
+    the Uhlmann unitary on his non-input factors taking the ``a = 1 - s``
+    honest state with ``X_s = 1`` toward the one with ``X_s = 0`` (a 1x1
+    phase when he holds nothing else)."""
+    t = _by_register(bipartition_matrix(fs.stack, fs.bob_factors))
+    u, _ = uhlmann_blocks(t[(1, 0), (0, 1), 0], t[(1, 0), (0, 1), 1])
+    return u
 
 
 def controlled_realignment(spec: ProtocolSpec, fs: FinalStates, s: int,
@@ -141,45 +140,35 @@ def controlled_realignment(spec: ProtocolSpec, fs: FinalStates, s: int,
     registers: identity everywhere except the sectors where register ``X_s``
     reads 1, which carry the Uhlmann realignment toward the matching 0
     sector on Bob's non-input factors.  Identity on Alice's factors
-    throughout.  Each block acts on its (X0, X1) slice of the state tensor.
+    throughout.  All states are realigned as one stack.
     """
-    lay = spec.layout
-    rest = lay.without(INPUT_NAMES)
-    b_rest = tuple(n for n in rest.names if n not in fs.alice_factors)
-    # Nontrivial blocks: for s=0 realign x0=1 branches toward x0=0 for each
-    # x1 (extracted from the a=1 states); symmetrically for s=1.
-    blocks: dict[tuple[int, int], CMat] = {}
-    for x in (0, 1):
-        if s == 0:
-            blocks[(1, x)] = _uhlmann_block(fs, (1, 0, x), (1, 1, x), b_rest)
-        else:
-            blocks[(x, 1)] = _uhlmann_block(fs, (0, x, 0), (0, x, 1), b_rest)
-    out = []
-    for sv in states:
-        tensor = sv.amps.reshape(lay.dims).copy()
-        for (x0, x1), block in blocks.items():
-            sector = input_sector(lay, x0, x1)
-            tensor[sector] = apply_to_tensor(block, tensor[sector], rest, b_rest)
-        out.append(StateVector(lay, tensor))
-    return tuple(out)
+    lay, names = spec.layout, spec.layout.names
+    k, bob = len(names), [names.index(n) for n in fs.bob_factors]
+    d_b, new = lay.subset_dim(fs.bob_factors), list(range(len(names), len(names) + len(bob)))
+    # block [x_s, x_other] of the unitary, on Bob's non-input factors
+    blocks = np.stack([np.broadcast_to(np.eye(d_b), (2, d_b, d_b)), _realignment_blocks(fs)[s]])
+    ops = blocks.reshape((2, 2) + tuple(lay.dims[i] for i in bob) * 2)
+    x = [names.index(n) for n in (INPUT_NAMES[s], INPUT_NAMES[1 - s])]
+    out = [dict(zip(bob, new)).get(i, i) for i in range(k)]
+    tensor = np.stack([sv.amps for sv in states]).reshape((-1,) + lay.dims)
+    realigned = np.einsum(ops, x + new + bob, tensor, [..., *range(k)], [..., *out])
+    return tuple(StateVector(lay, amps) for amps in realigned)
 
 
-def _purified_success(an: _Analysis, s: int) -> float:
+def _purified_success(an: _Analysis) -> np.ndarray:
+    """Bob's success probabilities for register choice s = 0 and s = 1, from
+    the purified runs of both preparations as one stack."""
     if not an.completeness.passed:
         raise CompletenessError(
             "purified attack needs a complete protocol: " + "; ".join(an.completeness.failures)
         )
-    lay = an.spec.layout
-    axis = lay.names.index(INPUT_NAMES[s])
-    attacked = controlled_realignment(an.spec, an.final, s, an.purified)
-    success = 0.0
-    for a, sv in enumerate(attacked):
-        plus_branch = np.tensordot(np.full(2, 2 ** -0.5), sv.amps.reshape(lay.dims),
-                                   axes=([0], [axis]))
-        p_plus = float(np.vdot(plus_branch, plus_branch).real)
-        # '-' means guess a=s, '+' means guess a=1-s
-        success += 0.5 * (p_plus if a != s else 1.0 - p_plus)
-    return success
+    mats = bipartition_matrix(an.purified, an.final.bob_factors)
+    t = _by_register(mats.reshape(2, 2, 2, -1, mats.shape[-1]))  # [a, s, x_s, x_other, alice, bob]
+    # the x_s = 1 sectors realigned, then projected with the x_s = 0 ones on |+>
+    plus = (t[:, :, 0] + t[:, :, 1] @ _realignment_blocks(an.final).swapaxes(-1, -2)) * 2 ** -0.5
+    p_plus = np.sum(np.abs(plus) ** 2, axis=(-3, -2, -1))  # [a, s]
+    # '-' means guess a = s, '+' means guess a = 1 - s
+    return 0.5 * np.where(np.eye(2, dtype=bool), 1.0 - p_plus, p_plus).sum(axis=0)
 
 
 def bob_purified_attack(spec: ProtocolSpec, s: int) -> float:
@@ -197,7 +186,7 @@ def bob_purified_attack(spec: ProtocolSpec, s: int) -> float:
     """
     if s not in (0, 1):
         raise RangeError(f"register choice must be 0 or 1, got {s}")
-    return _purified_success(_analyze(spec), s)
+    return float(_purified_success(_analyze(spec))[s])
 
 
 def cheat_report(spec: ProtocolSpec) -> CheatReport:
@@ -211,8 +200,7 @@ def cheat_report(spec: ProtocolSpec) -> CheatReport:
     an = _analyze(spec)
     delta, f = delta_quantity(an.reduced), f_quantity(an.reduced)
     a_bound, b_bound = _alice_bound_of(delta), _bob_bound_of(f)
-    sim0 = _purified_success(an, 0)
-    sim1 = _purified_success(an, 1)
+    sim0, sim1 = (float(p) for p in _purified_success(an))
     if abs((sim0 + sim1) / 2.0 - b_bound) > TOL_SPECTRAL:
         raise ConsistencyError(
             f"simulated purified attack {(sim0 + sim1) / 2} disagrees with bound {b_bound}"

@@ -145,6 +145,34 @@ def build_cks() -> ProtocolSpec:
     )
 
 
+def build_leaky(theta: float) -> ProtocolSpec:
+    """The qutrit protocol plus a Message qubit ``E`` that Bob rotates by
+    R(theta)^(x0 + x1) before he sends it back.  Alice's output measures
+    only the qutrits, so it is complete for every theta, and delta =
+    4 sin(theta), f = 4 cos(theta): 2 P_bob + P_alice is above 2 strictly
+    between ``cks`` at theta = 0 and Alice's bound 1 at pi/2."""
+    base = build_cks()
+    factors = base.layout.factors
+    layout = RegisterLayout(factors[:2] + (Factor("E", 2, MESSAGE),) + factors[2:])
+    c, s = math.cos(theta), math.sin(theta)
+    rotation = np.array([[c, -s], [s, c]])
+    powers = np.array([[np.linalg.matrix_power(rotation, x0 + x1) for x1 in (0, 1)]
+                       for x0 in (0, 1)])
+    phases = np.diagonal(base.rounds[1].unitary).reshape(3, 2, 2)
+    eye2 = np.eye(2)
+    # Bob holds (M, E, X0, X1): the cks phases on M and R^(x0 + x1) on E
+    bob = np.einsum("mab,abef,mn,ac,bd->meabnfcd", phases, powers, np.eye(3), eye2, eye2)
+    return ProtocolSpec(
+        name=f"leaky-{theta:.6g}",
+        layout=layout,
+        alice_prep=tuple(kron(u, eye2) for u in base.alice_prep),
+        rounds=(Round(ALICE, np.eye(18, dtype=complex), send=True),
+                Round(BOB, bob.reshape(24, 24), send=True)),
+        alice_output=tuple(TwoOutcomeMeasurement(kron(m.pos, eye2), kron(m.neg, eye2))
+                           for m in base.alice_output),
+    )
+
+
 def build_trivial() -> ProtocolSpec:
     """The classical protocol in which Bob announces both bits.
 

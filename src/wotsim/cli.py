@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -59,7 +60,9 @@ def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
+def _table_text(fmt: str, header: list[str], rows: list[list]) -> str:
+    if fmt == "json":
+        return _json_text([dict(zip(header, row)) for row in rows])
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_num(v) if isinstance(v, float) else str(v) for v in row))
@@ -83,11 +86,9 @@ def cmd_analyze(args) -> int:
     spec = _resolve_protocol(args.protocol)
     report = cheat_report(spec)
     payload = dataclasses.asdict(report)
-    if args.format == "csv":
-        keys = sorted(payload)
-        text = _csv_text(keys, [[payload[k] for k in keys]])
-    else:
-        text = _json_text(payload)
+    keys = sorted(payload)
+    text = (_json_text(payload) if args.format == "json"
+            else _table_text("csv", keys, [[payload[k] for k in keys]]))
     _emit(text, args.out)
     return 0 if report.theorem1_lhs >= 2.0 - TOL_SPECTRAL else 1
 
@@ -96,11 +97,7 @@ def cmd_curve(args) -> int:
     points = curve(args.epsilon, args.points, args.dyadic_bits)
     header = ["lambda", "epsilon", "p_bob", "p_alice", "combined"]
     rows = [[p.lam, p.epsilon, p.b_bound, p.a_bound, p.combined] for p in points]
-    if args.format == "json":
-        text = _json_text([dict(zip(header, row)) for row in rows])
-    else:
-        text = _csv_text(header, rows)
-    _emit(text, args.out)
+    _emit(_table_text(args.format, header, rows), args.out)
     return 0
 
 
@@ -122,11 +119,7 @@ def cmd_robustness(args) -> int:
         if args.oracle_grid:
             row.append(cks_alice_oracle(float(d), args.oracle_grid))
         rows.append(row)
-    if args.format == "json":
-        text = _json_text([dict(zip(header, row)) for row in rows])
-    else:
-        text = _csv_text(header, rows)
-    _emit(text, args.out)
+    _emit(_table_text(args.format, header, rows), args.out)
     return 0
 
 
@@ -196,9 +189,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConsistencyError as exc:

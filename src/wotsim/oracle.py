@@ -134,15 +134,10 @@ def cks_alice_success(cs: CheatState, target: int) -> float:
         np.array([cs.alpha]), np.array([cs.beta]), np.array([cs.gamma]),
         cs.ancilla_vectors,
     )[0]
-    rhos = []
-    for value in (0, 1):
-        if target == 0:
-            members = (psi[value, 0], psi[value, 1])
-        else:
-            members = (psi[0, value], psi[1, value])
-        acc = sum(np.outer(v, v.conj()) for v in members) / 2.0
-        rhos.append(DensityOp(hermitize(acc)))
-    return guess_prob(rhos[0], rhos[1])
+    # members[v]: the two states whose target bit reads v
+    members = psi if target == 0 else psi.swapaxes(0, 1)
+    rho = np.mean(members[..., :, None] * members.conj()[..., None, :], axis=1)
+    return guess_prob(DensityOp(hermitize(rho[0])), DensityOp(hermitize(rho[1])))
 
 
 def _candidate_weights(delta: float, grid: int) -> tuple[np.ndarray, np.ndarray]:
@@ -153,8 +148,6 @@ def _candidate_weights(delta: float, grid: int) -> tuple[np.ndarray, np.ndarray]
     alphas, gammas = [1.0 / np.sqrt(2.0)], [1.0 / np.sqrt(2.0)]
     for j in range(1, grid + 1):
         g = j / grid
-        if g <= 0:
-            continue
         a = threshold / g
         if a <= 1.0 and a * a + g * g <= 1.0:
             alphas.append(a)

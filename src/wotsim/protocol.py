@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,7 +41,6 @@ from .qcore import (
     RegisterLayout,
     StateVector,
     TwoOutcomeMeasurement,
-    apply_to_tensor,
     as_cmat,
     bipartition_matrix,
     dagger,
@@ -59,6 +59,10 @@ MAX_LAYOUT_DIM = 2**16
 # The (a, x0, x1) keys of the eight honest runs, in the order the reduced
 # family stores them.
 RUN_KEYS = tuple((a, x0, x1) for a in (0, 1) for x0 in (0, 1) for x1 in (0, 1))
+
+# LEARNED[a, x0, x1] is the bit Alice learns on that run: x0 for a = 0, x1
+# for a = 1.
+LEARNED = np.array([[[0, 0], [1, 1]], [[0, 1], [0, 1]]])
 
 
 def held_factors(layout: RegisterLayout, actor: str, message_with_alice: bool) -> tuple[str, ...]:
@@ -82,23 +86,47 @@ def _check_unitary(mat: CMat, dim: int, what: str) -> None:
         raise SpecError(f"{what}: not unitary within tolerance")
 
 
-def _check_input_controlled(mat: CMat, layout: RegisterLayout,
-                            held: tuple[str, ...]) -> None:
-    """Verify a Bob unitary is block-diagonal over the X0 (x) X1 basis."""
-    dims = tuple(layout.dims[layout.names.index(n)] for n in held)
-    n = len(held)
-    x_pos = [i for i, name in enumerate(held) if name in INPUT_NAMES]
-    rest = [i for i in range(n) if i not in x_pos]
-    t = as_cmat(mat).reshape(dims + dims)
-    perm = rest + x_pos
-    t = np.transpose(t, perm + [n + i for i in perm])
-    d_rest = int(np.prod([dims[i] for i in rest] or [1]))
-    d_x = int(np.prod([dims[i] for i in x_pos]))
-    t = t.reshape(d_rest, d_x, d_rest, d_x).copy()
-    for x in range(d_x):
-        t[:, x, :, x] = 0
-    if np.abs(t).max() > TOL_EXACT:
+def _check_input_controlled(op: np.ndarray, held: tuple[str, ...]) -> None:
+    """Verify a Bob unitary, reshaped to the dims of his held factors as
+    output then input axes, is block-diagonal over the X0 (x) X1 basis."""
+    k = len(held)
+    diagonal = np.ones((1,) * 2 * k, dtype=bool)
+    for j, name in enumerate(held):
+        if name in INPUT_NAMES:
+            shape = [1] * 2 * k
+            shape[j] = shape[k + j] = 2
+            diagonal = diagonal & np.eye(2, dtype=bool).reshape(shape)
+    if np.abs(np.where(diagonal, 0, op)).max() > TOL_EXACT:
         raise SpecError("Bob round is not controlled on his input registers")
+
+
+def _compile_step(op: np.ndarray, layout: RegisterLayout, held: tuple[str, ...],
+                  stacked: bool) -> tuple:
+    """A round, or both preparations ``stacked``, as ``(op, axes, src, dst)``:
+    ``tensordot(op, tensor, axes)`` then the output axes ``src`` moved back
+    to ``dst``, on a state tensor led by the choice-bit axis, which the
+    preparations create from the initial state."""
+    names, dims = layout.names, layout.dims
+    positions = [names.index(n) for n in held]
+    sel = tuple(dims[i] for i in positions)
+    k, lead = len(positions), int(stacked)
+    dst = [1 + p for p in positions]
+    return (op.reshape(op.shape[:lead] + sel + sel),
+            (list(range(lead + k, lead + 2 * k)), positions if stacked else dst),
+            list(range(lead, lead + k)), dst)
+
+
+class _Plan(NamedTuple):
+    """A protocol compiled once for execution and analysis: the compiled
+    steps, the axes of the input registers, the layout without them, the
+    layout with them moved to the front, and Alice's two output projectors
+    as one ``(2, d, d)`` stack."""
+
+    steps: tuple[tuple, ...]
+    input_axes: tuple[int, int]
+    rest: RegisterLayout
+    inputs_first: RegisterLayout
+    out_pos: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,17 +172,20 @@ class ProtocolSpec:
                 raise SpecError(f"input register {name} must have dim 2")
         if len(self.alice_prep) != 2 or len(self.alice_output) != 2:
             raise SpecError("alice_prep and alice_output need one entry per choice bit")
-        d_prep = lay.subset_dim(held_factors(lay, ALICE, True))
+        held = held_factors(lay, ALICE, True)
+        d_prep = lay.subset_dim(held)
         for a, prep in enumerate(self.alice_prep):
             _check_unitary(prep, d_prep, f"alice_prep[{a}]")
+        steps = [_compile_step(np.stack([as_cmat(p) for p in self.alice_prep]), lay, held, True)]
         msg_with_alice = True
         has_message = bool(lay.owned_by(MESSAGE))
         for i, rnd in enumerate(self.rounds):
             held = held_factors(lay, rnd.actor, msg_with_alice)
             d = lay.subset_dim(held)
             _check_unitary(rnd.unitary, d, f"round {i} ({rnd.actor})")
+            steps.append(_compile_step(as_cmat(rnd.unitary), lay, held, False))
             if rnd.actor == BOB:
-                _check_input_controlled(rnd.unitary, lay, held)
+                _check_input_controlled(steps[-1][0], held)
             if rnd.send:
                 if not has_message:
                     raise SpecError(f"round {i} sends but the layout has no Message factor")
@@ -169,6 +200,12 @@ class ProtocolSpec:
                 raise SpecError(
                     f"alice_output[{a}] has shape {meas.pos.shape}, Alice ends holding dim {d_out}"
                 )
+        input_axes = tuple(lay.names.index(n) for n in INPUT_NAMES)
+        rest = lay.without(INPUT_NAMES)
+        object.__setattr__(self, "_plan", _Plan(
+            tuple(steps), input_axes, rest,
+            RegisterLayout(tuple(lay.factors[i] for i in input_axes) + rest.factors),
+            np.stack([m.pos for m in self.alice_output])))
 
     @property
     def alice_end_factors(self) -> tuple[str, ...]:
@@ -178,16 +215,23 @@ class ProtocolSpec:
 
 @dataclass(frozen=True, eq=False)
 class FinalStates:
-    """The eight deferred-measurement final states of a protocol, keyed by
-    (a, x0, x1), plus the factors Alice holds at the end.
+    """The eight deferred-measurement final states of a protocol as one
+    state stack of shape ``(2, 2, 2, D)`` indexed ``[a, x0, x1]``, plus the
+    factors Alice holds at the end.  An honest run leaves the input
+    registers in ``|x0 x1>``, so the states omit them."""
 
-    An honest run leaves the input registers in ``|x0 x1>``, so each state
-    lives on the layout without them (``layout.without(INPUT_NAMES)``).
-    """
-
-    spec_name: str
-    states: dict[tuple[int, int, int], StateVector]
+    stack: StateVector
     alice_factors: frozenset[str]
+
+    @cached_property
+    def states(self) -> dict[tuple[int, int, int], StateVector]:
+        """The eight states keyed by (a, x0, x1)."""
+        return {key: StateVector(self.stack.layout, self.stack.amps[key]) for key in RUN_KEYS}
+
+    @property
+    def bob_factors(self) -> tuple[str, ...]:
+        """The factors of the states that Alice does not hold at the end."""
+        return tuple(n for n in self.stack.layout.names if n not in self.alice_factors)
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,106 +281,81 @@ class CompletenessReport:
     failures: tuple[str, ...]
 
 
-def _execute(spec: ProtocolSpec, a: int, input_amps: dict[str, np.ndarray]) -> StateVector:
-    lay = spec.layout
+def _execute(spec: ProtocolSpec, input_amps: dict[str, np.ndarray]) -> np.ndarray:
+    """Both preparations of the protocol in one pass: the final amplitude
+    tensors, of shape ``(2, *layout.dims)`` indexed by the choice bit."""
     # every factor starts in |0> except the input registers
     tensor = reduce(np.multiply.outer,
                     [input_amps[f.name] if f.name in input_amps else np.eye(f.dim, 1).ravel()
-                     for f in lay.factors])
-    tensor = apply_to_tensor(spec.alice_prep[a], tensor, lay, held_factors(lay, ALICE, True))
-    msg_with_alice = True
-    for rnd in spec.rounds:
-        held = held_factors(lay, rnd.actor, msg_with_alice)
-        tensor = apply_to_tensor(rnd.unitary, tensor, lay, held)
-        if rnd.send:
-            msg_with_alice = not msg_with_alice
-    return StateVector(lay, tensor)
+                     for f in spec.layout.factors])
+    for op, axes, src, dst in spec._plan.steps:
+        tensor = np.moveaxis(np.tensordot(op, tensor, axes), src, dst)
+    return tensor
 
 
 def run_honest(spec: ProtocolSpec, a: int, x0: int, x1: int) -> StateVector:
     """The final pure state of an honest run with the given input bits.
 
-    The analysis reads these states off the two purified runs instead; this
-    single run is the independent reference they are checked against.
+    The analysis reads these states off the purified runs instead.  This
+    run executes the same compiled plan with basis inputs, so it checks
+    the reading of the sectors, not the plan; the tests check the plan
+    against dense full-layout operators.
     """
     for bit in (a, x0, x1):
         if bit not in (0, 1):
             raise SpecError(f"input bits must be 0 or 1, got {bit}")
     basis = np.eye(2, dtype=complex)
-    return _execute(spec, a, {"X0": basis[x0], "X1": basis[x1]})
+    return StateVector(spec.layout, _execute(spec, {"X0": basis[x0], "X1": basis[x1]})[a])
+
+
+_PLUS = {name: np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0) for name in INPUT_NAMES}
 
 
 def run_purified(spec: ProtocolSpec, a: int) -> StateVector:
     """The final pure state when both input registers start in the uniform
     superposition (Bob running all his honest strategies coherently)."""
-    plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
-    return _execute(spec, a, {"X0": plus, "X1": plus})
-
-
-def input_sector(lay: RegisterLayout, x0: int, x1: int) -> tuple:
-    """Index of the slice of a state tensor where X0 = x0 and X1 = x1."""
-    index: list = [slice(None)] * len(lay.dims)
-    for name, value in zip(INPUT_NAMES, (x0, x1)):
-        index[lay.names.index(name)] = value
-    return tuple(index)
+    return StateVector(spec.layout, _execute(spec, _PLUS)[a])
 
 
 def reduce_alice(fs: FinalStates) -> ReducedFamily:
     """Alice's reduced state for each of the eight honest runs: M M^dagger,
     where M holds the amplitudes as an (Alice, rest) matrix.  All eight are
     formed and validated as one stack."""
-    m = np.stack([
-        bipartition_matrix(sv, [n for n in sv.layout.names if n not in fs.alice_factors])
-        for sv in (fs.states[key] for key in RUN_KEYS)
-    ])
-    rho = hermitize(m @ dagger(m))
-    return ReducedFamily(DensityOp(rho.reshape((2, 2, 2) + rho.shape[-2:])))
+    m = bipartition_matrix(fs.stack, fs.bob_factors)
+    return ReducedFamily(DensityOp(hermitize(m @ dagger(m))))
 
 
-def _support_projector(ops: list[DensityOp]) -> np.ndarray:
-    cols = []
-    for op in ops:
-        w, v = np.linalg.eigh(hermitize(op.mat))
-        cols.append(v[:, w > TOL_SPECTRAL])
-    stacked = np.hstack(cols)
-    q, s, _ = np.linalg.svd(stacked, full_matrices=False)
-    basis = q[:, s > TOL_SPECTRAL]
-    return basis @ basis.conj().T
+def support_projectors(rf: ReducedFamily) -> np.ndarray:
+    """Projectors onto the span of the supports of Alice's two states with
+    x_a = v, indexed ``[a, v]``.  Eigenvectors with eigenvalue at most
+    ``TOL_SPECTRAL`` are zeroed, not dropped, which leaves each span
+    unchanged, so one batched ``eigh`` and one batched SVD give all four."""
+    w, v = np.linalg.eigh(hermitize(rf.states.mat))
+    kept = v * (w > TOL_SPECTRAL)[..., None, :]
+    # [a, x0, x1] -> [a, v, other bit]
+    grouped = np.stack([kept[0], kept[1].swapaxes(0, 1)])
+    q, s, _ = np.linalg.svd(np.concatenate([grouped[:, :, 0], grouped[:, :, 1]], axis=-1),
+                            full_matrices=False)
+    basis = q * (s > TOL_SPECTRAL)[..., None, :]
+    return basis @ dagger(basis)
 
 
 def _completeness(spec: ProtocolSpec, rf: ReducedFamily) -> CompletenessReport:
-    failures: list[str] = []
-    overlaps = []
-    family = rf.rho
-    for a in (0, 1):
-        spans = {}
-        for v in (0, 1):
-            members = [
-                family[(a, x0, x1)]
-                for x0 in (0, 1)
-                for x1 in (0, 1)
-                if (x0 if a == 0 else x1) == v
-            ]
-            spans[v] = _support_projector(members)
-        overlap = trace_norm(spans[0] @ spans[1])
-        overlaps.append(overlap)
-        if overlap > TOL_SPECTRAL:
-            failures.append(f"a={a}: learned-bit supports overlap ({overlap:.3e})")
-    one_probs = {}
-    min_prob = 1.0
-    for (a, x0, x1), rho in family.items():
-        xa = x0 if a == 0 else x1
-        one = float(np.real(np.trace(spec.alice_output[a].pos @ rho.mat)))
-        one_probs[(a, x0, x1)] = one
-        p = one if xa == 1 else 1.0 - one
-        min_prob = min(min_prob, p)
-        if p < 1.0 - TOL_SPECTRAL:
-            failures.append(f"output measurement misses x_{a}={xa} at (a,x0,x1)=({a},{x0},{x1}): p={p:.6f}")
+    proj = support_projectors(rf)
+    overlaps = trace_norm(proj[:, 0] @ proj[:, 1])
+    failures = [f"a={a}: learned-bit supports overlap ({overlap:.3e})"
+                for a, overlap in enumerate(overlaps) if overlap > TOL_SPECTRAL]
+    one = np.real(np.trace(spec._plan.out_pos[:, None, None] @ rf.states.mat, axis1=-2, axis2=-1))
+    correct = np.where(LEARNED == 1, one, 1.0 - one)
+    for key in RUN_KEYS:
+        if correct[key] < 1.0 - TOL_SPECTRAL:
+            failures.append(f"output measurement misses x_{key[0]}={LEARNED[key]} at "
+                            f"(a,x0,x1)=({key[0]},{key[1]},{key[2]}): p={correct[key]:.6f}")
     return CompletenessReport(
         passed=not failures,
-        support_overlap=(overlaps[0], overlaps[1]),
-        one_probs=one_probs,
-        min_output_prob=min_prob,
+        support_overlap=(float(overlaps[0]), float(overlaps[1])),
+        one_probs={key: float(one[key]) for key in RUN_KEYS},
+        min_output_prob=min(1.0, float(correct.min())),
         failures=tuple(failures),
     )
 
@@ -344,46 +363,43 @@ def _completeness(spec: ProtocolSpec, rf: ReducedFamily) -> CompletenessReport:
 @dataclass(frozen=True, eq=False)
 class _Analysis:
     """One pass over a protocol: everything the bounds, both attacks and the
-    completeness check read, each computed once."""
+    completeness check read, each computed once.  ``purified`` holds both
+    purified runs with the input registers first."""
 
     spec: ProtocolSpec
     final: FinalStates
     reduced: ReducedFamily
     completeness: CompletenessReport
-    purified: tuple[StateVector, StateVector]
+    purified: StateVector
 
 
 def _analyze(spec: ProtocolSpec) -> _Analysis:
-    """The one place a protocol is executed for analysis: two purified runs.
+    """The one place a protocol is executed for analysis: one pass runs
+    both purified runs.
 
     Bob's rounds are controlled on the input registers and Alice never
-    touches them, so sector (x0, x1) of ``run_purified(spec, a)`` is the
+    touches them, so sector (x0, x1) of the purified run for ``a`` is the
     honest final state for (a, x0, x1) scaled by 1/2.  A sector of any
     other norm means the final state is entangled with the input registers.
     """
-    lay = spec.layout
-    rest = lay.without(INPUT_NAMES)
-    purified = (run_purified(spec, 0), run_purified(spec, 1))
-    states = {}
-    for a, sv in enumerate(purified):
-        tensor = sv.amps.reshape(lay.dims)
-        for x0 in (0, 1):
-            for x1 in (0, 1):
-                amps = tensor[input_sector(lay, x0, x1)]
-                norm = np.linalg.norm(amps)
-                if abs(norm - 0.5) > TOL_SPECTRAL:
-                    raise CompletenessError(
-                        "final state is entangled with the input registers; not an honest run"
-                    )
-                states[(a, x0, x1)] = StateVector(rest, amps / norm)
-    fs = FinalStates(spec.name, states, frozenset(spec.alice_end_factors))
+    plan = spec._plan
+    purified = StateVector(plan.inputs_first, np.moveaxis(
+        _execute(spec, _PLUS), [1 + i for i in plan.input_axes], [1, 2]))
+    sectors = purified.amps.reshape(2, 2, 2, -1)
+    norms = np.linalg.norm(sectors, axis=-1)
+    if np.abs(norms - 0.5).max() > TOL_SPECTRAL:
+        raise CompletenessError(
+            "final state is entangled with the input registers; not an honest run"
+        )
+    fs = FinalStates(StateVector(plan.rest, sectors / norms[..., None]),
+                     frozenset(spec.alice_end_factors))
     rf = reduce_alice(fs)
     return _Analysis(spec, fs, rf, _completeness(spec, rf), purified)
 
 
 def all_final_states(spec: ProtocolSpec) -> FinalStates:
-    """All eight honest final states of a protocol, read off its two
-    purified runs."""
+    """All eight honest final states of a protocol, read off its purified
+    runs."""
     return _analyze(spec).final
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -125,7 +125,7 @@ class RegisterLayout:
 
     def subset_dim(self, names: Iterable[str]) -> int:
         sel = set(self.select(names))
-        return int(np.prod([f.dim for f in self.factors if f.name in sel] or [1]))
+        return math.prod(f.dim for f in self.factors if f.name in sel)
 
     def without(self, names: Iterable[str]) -> "RegisterLayout":
         drop = set(self.select(names))
@@ -134,21 +134,27 @@ class RegisterLayout:
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
-    """A normalized pure state over a register layout."""
+    """A normalized pure state over a register layout, or a stack of them:
+    amplitudes of shape ``(..., layout.dim)``, or ``(..., *layout.dims)``
+    in tensor form, stored as the former.  The norm check runs once over
+    the whole stack and fails if any member fails it."""
 
     layout: RegisterLayout
     amps: np.ndarray
 
     def __post_init__(self):
-        amps = _frozen(np.asarray(self.amps).reshape(-1), "state")
+        amps, dims = np.asarray(self.amps), self.layout.dims
+        lead = amps.shape[:-len(dims)] if amps.shape[-len(dims):] == dims else amps.shape[:-1]
+        amps = _frozen(amps.reshape(lead + (-1,)), "state")
         object.__setattr__(self, "amps", amps)
-        if amps.size != self.layout.dim:
+        if amps.shape[-1] != self.layout.dim:
             raise ShapeError(
-                f"state has {amps.size} amplitudes, layout dim is {self.layout.dim}"
+                f"state has {amps.shape[-1]} amplitudes, layout dim is {self.layout.dim}"
             )
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > TOL_EXACT:
-            raise ShapeError(f"state norm {norm} deviates from 1 beyond tolerance")
+        norm = np.linalg.norm(amps, axis=-1)
+        off = np.abs(norm - 1.0)
+        if off.max() > TOL_EXACT:
+            raise ShapeError(f"state norm {norm.flat[off.argmax()]} deviates from 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,9 +187,9 @@ class DensityOp:
         """The members at ``index``, which indexes the leading axes only (the
         two matrix axes are kept whole).  They passed the checks as part of
         this stack, so they are not checked again."""
-        index = index if isinstance(index, tuple) else (index,)
         member = object.__new__(DensityOp)
-        object.__setattr__(member, "mat", self.mat[(*index, slice(None), slice(None))])
+        index = (*np.index_exp[index], slice(None), slice(None))
+        object.__setattr__(member, "mat", self.mat[index])
         return member
 
 
@@ -220,20 +226,11 @@ def kron(a: CMat, b: CMat) -> CMat:
     return np.kron(as_cmat(a), as_cmat(b))
 
 
-def _permutation_indices(dims: Sequence[int], order: Sequence[int]) -> np.ndarray:
-    """Map each flat index (dims-order digits) to its flat index after
-    reordering the digits to ``order``."""
-    idx = np.arange(int(np.prod(dims)))
-    digits = np.unravel_index(idx, tuple(dims))
-    new_dims = tuple(dims[i] for i in order)
-    return np.ravel_multi_index(tuple(digits[i] for i in order), new_dims)
-
-
 def embed_operator(op: CMat, layout: RegisterLayout, names: Iterable[str]) -> CMat:
     """Extend an operator on the named factors (layout order) by identity on
     the remaining factors, returning a full-layout matrix.
 
-    The protocol engine applies operators with ``apply_to_tensor`` instead;
+    The protocol engine contracts each operator on its own axes instead;
     this dense form is kept as the reference that the tests compare the
     engine against."""
     sel = layout.select(names)
@@ -243,27 +240,11 @@ def embed_operator(op: CMat, layout: RegisterLayout, names: Iterable[str]) -> CM
     d_sel = layout.subset_dim(sel)
     if op.shape != (d_sel, d_sel):
         raise ShapeError(f"operator shape {op.shape} does not match subsystem dim {d_sel}")
-    d_rest = int(np.prod([layout.dims[i] for i in rest] or [1]))
-    big = np.kron(op, np.eye(d_rest))
-    # big lives in (sel..., rest...) digit order; conjugate back to layout order
-    perm = _permutation_indices(layout.dims, positions + rest)
-    return big[np.ix_(perm, perm)]
-
-
-def apply_to_tensor(op: CMat, tensor: np.ndarray, layout: RegisterLayout,
-                    names: Iterable[str]) -> np.ndarray:
-    """Apply an operator on the named factors (layout order) to an amplitude
-    tensor of shape ``layout.dims``, contracting only the named axes.  With
-    no names the operator is a 1x1 scalar that multiplies the tensor."""
-    positions = [layout.names.index(n) for n in layout.select(names)]
-    sel_dims = tuple(layout.dims[i] for i in positions)
-    op, d_sel, k = as_cmat(op), int(np.prod(sel_dims)), len(positions)
-    if op.shape != (d_sel, d_sel):
-        raise ShapeError(f"operator shape {op.shape} does not match subsystem dim {d_sel}")
-    out = np.tensordot(op.reshape(sel_dims + sel_dims), tensor,
-                       axes=(list(range(k, 2 * k)), positions))
-    # tensordot leaves the operator's output axes first; put them back in place
-    return np.moveaxis(out, list(range(k)), positions)
+    # op x I lives in (sel..., rest...) digit order; move the digits back to layout order
+    digits = [layout.dims[i] for i in positions + rest]
+    big = np.kron(op, np.eye(layout.dim // d_sel)).reshape(digits + digits)
+    back, k = np.argsort(positions + rest), len(digits)
+    return big.transpose(*back, *(k + back)).reshape(layout.dim, layout.dim)
 
 
 def partial_trace(state: DensityOp, layout: RegisterLayout,
@@ -281,7 +262,7 @@ def partial_trace(state: DensityOp, layout: RegisterLayout,
     col = [i if i not in kept_pos else k + i for i in range(k)]
     out = [i for i in kept_pos] + [k + i for i in kept_pos]
     reduced = np.einsum(tensor, [...] + row + col, [...] + out)
-    d = int(np.prod([layout.dims[i] for i in kept_pos] or [1]))
+    d = math.prod(layout.dims[i] for i in kept_pos)
     return DensityOp(hermitize(reduced.reshape(batch + (d, d))))
 
 
@@ -342,46 +323,52 @@ def fidelity(rho: DensityOp, xi: DensityOp):
 
 
 def bipartition_matrix(sv: StateVector, b_names: Iterable[str]) -> CMat:
-    """Reshape amplitudes to a (kept, b) matrix for the given bipartition."""
+    """Reshape amplitudes to a (kept, b) matrix for the given bipartition,
+    or each state of a stack to one, as ``(..., d_kept, d_b)``."""
     b = sv.layout.select(b_names)
     b_pos = [i for i, n in enumerate(sv.layout.names) if n in set(b)]
     keep_pos = [i for i in range(len(sv.layout.factors)) if i not in b_pos]
-    tensor = sv.amps.reshape(sv.layout.dims)
-    tensor = np.transpose(tensor, keep_pos + b_pos)
-    d_keep = int(np.prod([sv.layout.dims[i] for i in keep_pos] or [1]))
-    return tensor.reshape(d_keep, -1)
+    lead = sv.amps.shape[:-1]
+    tensor = sv.amps.reshape(lead + sv.layout.dims)
+    tensor = np.transpose(tensor, [*range(len(lead)), *(len(lead) + i for i in keep_pos + b_pos)])
+    return tensor.reshape(lead + (math.prod(sv.layout.dims[i] for i in keep_pos), -1))
+
+
+def inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a|b> for each pair of vectors in two stacks of shape ``(..., n)``;
+    each sums as ``np.vdot`` sums one pair."""
+    return (a.conj()[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def uhlmann_blocks(phi_mat: CMat, psi_mat: CMat) -> tuple[CMat, np.ndarray]:
+    """The Uhlmann recipe on ``(kept, b)`` amplitude matrices, or on stacks
+    of them of shape ``(..., d_kept, d_b)``.
+
+    The maximum of <phi|(I x U)|psi> over unitaries U on the b subsystem
+    equals the fidelity of the two reduced states on the kept subsystem,
+    and is attained at U = conj(W Vh) where W diag(s) Vh is the SVD of the
+    cross matrix M[j,k] = <phi|(I x |j><k|)|psi>.  Returns U and the
+    achieved overlap, which is sum(s), real and nonnegative; it is
+    evaluated through the states, as a self-check of the recipe.
+    """
+    w, _, vh = np.linalg.svd(dagger(phi_mat) @ psi_mat)
+    u = np.conj(w @ vh)
+    flat = phi_mat.shape[:-2] + (-1,)
+    return u, np.real(inner(phi_mat.reshape(flat), (psi_mat @ u.swapaxes(-1, -2)).reshape(flat)))
 
 
 def uhlmann_unitary(phi: StateVector, psi: StateVector,
                     b_factors: Iterable[str]) -> tuple[CMat, float]:
-    """A unitary on the ``b_factors`` subsystem maximizing the overlap
-    <phi|(I x U)|psi>.
-
-    The maximum over unitaries equals the fidelity of the two reduced states
-    on the complementary factors, and is attained at U = conj(W Vh) where
-    W diag(s) Vh is the SVD of the cross matrix M[j,k] = <phi|(I x |j><k|)|psi>
-    over the b-subsystem basis.  The achieved overlap is sum(s), real and
-    nonnegative.
-
-    Returns
-    -------
-    (U, overlap)
-        ``U`` acts on the b factors in layout order; ``overlap`` is the
-        achieved real overlap.
-    """
+    """A unitary U on the ``b_factors`` subsystem (in layout order)
+    maximizing <phi|(I x U)|psi>, and that real overlap, by
+    :func:`uhlmann_blocks`."""
     if phi.layout != psi.layout:
         raise LayoutError("states must share a layout")
     b = phi.layout.select(b_factors)
     if not b or len(b) == len(phi.layout.factors):
         raise LayoutError("b_factors must be a nonempty strict subset of the factors")
-    phi_mat = bipartition_matrix(phi, b)
-    psi_mat = bipartition_matrix(psi, b)
-    m = phi_mat.conj().T @ psi_mat
-    w, s, vh = np.linalg.svd(m)
-    u = np.conj(w @ vh)
-    # overlap evaluated through the states, as a self-check of the recipe
-    overlap = np.vdot(phi_mat, psi_mat @ u.T)
-    return u, float(np.real(overlap))
+    u, overlap = uhlmann_blocks(bipartition_matrix(phi, b), bipartition_matrix(psi, b))
+    return u, float(overlap)
 
 
 def haar_from_normals(normals: np.ndarray) -> CMat:
@@ -423,5 +410,6 @@ def random_density(dim: int, rng: np.random.Generator, rank: int | None = None,
 
 
 def pure_density(sv: StateVector) -> DensityOp:
-    """The rank-one density operator of a pure state."""
-    return DensityOp(np.outer(sv.amps, sv.amps.conj()))
+    """The rank-one density operator of a pure state, or of each state of a
+    stack."""
+    return DensityOp(sv.amps[..., :, None] * sv.amps.conj()[..., None, :])

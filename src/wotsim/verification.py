@@ -14,22 +14,24 @@ import numpy as np
 
 from . import attacks, catalog, oracle, protocol, tradeoff
 from .qcore import (
-    DensityOp,
     Factor,
     RegisterLayout,
     StateVector,
     TOL_SPECTRAL,
+    bipartition_matrix,
+    dagger,
     density_from_normals,
     fidelity,
     guess_prob,
     haar_from_normals,
     haar_unitary,
     helstrom,
+    inner,
     partial_trace,
     pure_density,
     random_density,
     trace_norm,
-    uhlmann_unitary,
+    uhlmann_blocks,
 )
 
 
@@ -42,10 +44,6 @@ class Check:
 
 def _rng(seed: int, lane: int) -> np.random.Generator:
     return np.random.default_rng([seed, lane])
-
-
-def _random_pair(rng, dim):
-    return random_density(dim, rng), random_density(dim, rng)
 
 
 # At most this many draws are stacked into one batched evaluation.  Larger
@@ -122,28 +120,27 @@ def suite_helstrom(seed: int) -> list[Check]:
 def suite_fidelity_and_uhlmann(seed: int) -> list[Check]:
     rng = _rng(seed, 4)
     checks = []
-    worst = 0.0
-    for _ in range(200):
-        u = haar_unitary(3, rng)
-        phi, psi = u[:, 0], haar_unitary(3, rng)[:, 0]
-        f = fidelity(DensityOp(np.outer(phi, phi.conj())), DensityOp(np.outer(psi, psi.conj())))
-        worst = max(worst, abs(f - abs(np.vdot(phi, psi))))
+    # per draw: two Haar unitaries, whose first columns are phi and psi
+    u = haar_unitary(3, rng, size=(200, 2))[..., 0]
+    pure = pure_density(StateVector(RegisterLayout((Factor("Q", 3, "Alice"),)), u))
+    f = fidelity(pure[:, 0], pure[:, 1])
+    overlap = inner(u[:, 0], u[:, 1])
+    # |<phi|psi>| by hypot, which rounds as abs() of one complex number does
+    worst = float(np.max(np.abs(f - np.hypot(overlap.real, overlap.imag))))
     checks.append(Check("pure_fidelity_inner_product", worst <= TOL_SPECTRAL, f"{worst:.2e}"))
 
     lay = RegisterLayout((Factor("S", 2, "Alice"), Factor("E", 3, "Bob")))
-    worst_unitary, worst_overlap = 0.0, 0.0
-    for _ in range(100):
-        amps = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        phi_sv = StateVector(lay, amps / np.linalg.norm(amps))
-        amps = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        psi_sv = StateVector(lay, amps / np.linalg.norm(amps))
-        u, overlap = uhlmann_unitary(phi_sv, psi_sv, ["E"])
-        worst_unitary = max(worst_unitary, np.abs(u.conj().T @ u - np.eye(3)).max())
-        f = fidelity(
-            partial_trace(pure_density(phi_sv), lay, ["S"]),
-            partial_trace(pure_density(psi_sv), lay, ["S"]),
-        )
-        worst_overlap = max(worst_overlap, abs(overlap - f))
+    # per draw: phi's real and imaginary amplitudes, then psi's
+    normals = rng.standard_normal((100, 4, 6))
+    amps = normals[:, 0::2] + 1j * normals[:, 1::2]
+    # each norm as np.linalg.norm takes it for one complex vector
+    amps /= np.sqrt(inner(amps.real, amps.real) + inner(amps.imag, amps.imag))[..., None]
+    states = StateVector(lay, amps)
+    mats = bipartition_matrix(states, ["E"])
+    u, overlap = uhlmann_blocks(mats[:, 0], mats[:, 1])
+    worst_unitary = float(np.abs(dagger(u) @ u - np.eye(3)).max())
+    reduced = partial_trace(pure_density(states), lay, ["S"])
+    worst_overlap = float(np.max(np.abs(overlap - fidelity(reduced[:, 0], reduced[:, 1]))))
     checks.append(Check("uhlmann_unitary_is_unitary", worst_unitary <= 1e-9, f"{worst_unitary:.2e}"))
     checks.append(Check("uhlmann_attains_fidelity", worst_overlap <= TOL_SPECTRAL, f"{worst_overlap:.2e}"))
     return checks
@@ -171,26 +168,20 @@ def suite_partial_trace(seed: int) -> list[Check]:
 def suite_protocol_honest(seed: int) -> list[Check]:
     checks = []
     for spec in (catalog.build_cks(), catalog.build_trivial()):
-        # the analysed states are normalised by construction, so the norm
-        # check reads the independent single runs
+        # the analysed states are normalised by construction; single runs are not
         norm_ok = all(
-            abs(np.linalg.norm(protocol.run_honest(spec, a, x0, x1).amps) - 1.0) <= 1e-9
-            for a in (0, 1) for x0 in (0, 1) for x1 in (0, 1)
+            abs(np.linalg.norm(protocol.run_honest(spec, *key).amps) - 1.0) <= 1e-9
+            for key in protocol.RUN_KEYS
         )
         checks.append(Check(f"{spec.name}_norms", norm_ok))
         an = protocol._analyze(spec)
         report = an.completeness
         checks.append(Check(f"{spec.name}_complete", report.passed, "; ".join(report.failures)))
-        rf = an.reduced
-        worst = 0.0
-        for a in (0, 1):
-            for other in (0, 1):
-                # vary the learned bit, holding the other input fixed
-                if a == 0:
-                    states = rf.rho[(0, 0, other)], rf.rho[(0, 1, other)]
-                else:
-                    states = rf.rho[(1, other, 0)], rf.rho[(1, other, 1)]
-                worst = max(worst, abs(guess_prob(*states) - 1.0))
+        # vary the learned bit (x0 for a = 0, x1 for a = 1), holding the
+        # other input fixed
+        rho = an.reduced.states
+        gaps = [guess_prob(rho[0, 0], rho[0, 1]), guess_prob(rho[1, :, 0], rho[1, :, 1])]
+        worst = float(np.max(np.abs(np.subtract(gaps, 1.0))))
         checks.append(Check(f"{spec.name}_learned_bit_distinguishable", worst <= TOL_SPECTRAL,
                             f"{worst:.2e}"))
     return checks
@@ -229,17 +220,16 @@ def suite_purified_attack(seed: int) -> list[Check]:
     rng = _rng(seed, 7)
     specs = [catalog.build_cks(), catalog.build_trivial()]
     specs += [catalog.random_complete_protocol(int(s)) for s in rng.integers(0, 2**31 - 1, 3)]
-    worst_closed, worst_even, worst_alice = 0.0, 0.0, 0.0
+    worst_closed, worst_alice = 0.0, 0.0
     for spec in specs:
         an = protocol._analyze(spec)
-        rf = an.reduced
-        for s in (0, 1):
-            sim = attacks._purified_success(an, s)
-            if s == 0:
-                fsum = sum(fidelity(rf.rho[(1, 0, x)], rf.rho[(1, 1, x)]) for x in (0, 1))
-            else:
-                fsum = sum(fidelity(rf.rho[(0, x, 0)], rf.rho[(0, x, 1)]) for x in (0, 1))
-            worst_closed = max(worst_closed, abs(sim - (0.5 + fsum / 8.0)))
+        rf, rho = an.reduced, an.reduced.states
+        # register s = 0 realigns the a = 1 states across x0, s = 1 the
+        # a = 0 states across x1
+        fsum = np.array([np.sum(fidelity(rho[1, 0], rho[1, 1])),
+                         np.sum(fidelity(rho[0, :, 0], rho[0, :, 1]))])
+        sims = attacks._purified_success(an)
+        worst_closed = max(worst_closed, float(np.max(np.abs(sims - (0.5 + fsum / 8.0)))))
         worst_alice = max(
             worst_alice, abs(attacks.alice_helstrom_attack(rf) - attacks.alice_bound(rf))
         )
@@ -253,17 +243,15 @@ def suite_catalog(seed: int) -> list[Check]:
     checks = []
     spec = catalog.build_cks()
     worst = 0.0
-    for a in (0, 1):
-        for x0 in (0, 1):
-            for x1 in (0, 1):
-                sv = protocol.run_honest(spec, a, x0, x1)
-                expected = np.zeros(36, dtype=complex)
-                xa = x0 if a == 0 else x1
-                base = x0 * 2 + x1
-                aa = 4 * a  # |aa| index within the 9-dim qutrit pair
-                expected[aa * 4 + base] = (-1.0) ** xa / np.sqrt(2)
-                expected[8 * 4 + base] = 1.0 / np.sqrt(2)
-                worst = max(worst, np.abs(sv.amps - expected).max())
+    for a, x0, x1 in protocol.RUN_KEYS:
+        sv = protocol.run_honest(spec, a, x0, x1)
+        expected = np.zeros(36, dtype=complex)
+        xa = x0 if a == 0 else x1
+        base = x0 * 2 + x1
+        aa = 4 * a  # |aa| index within the 9-dim qutrit pair
+        expected[aa * 4 + base] = (-1.0) ** xa / np.sqrt(2)
+        expected[8 * 4 + base] = 1.0 / np.sqrt(2)
+        worst = max(worst, np.abs(sv.amps - expected).max())
     checks.append(Check("qutrit_states_exact", worst <= 1e-9, f"{worst:.2e}"))
     worst_line = 0.0
     ok_range = True
@@ -332,7 +320,7 @@ def suite_oracle(seed: int) -> list[Check]:
 
     ok_hel = True
     for _ in range(20):
-        rho, xi = _random_pair(rng, 2)
+        rho, xi = random_density(2, rng), random_density(2, rng)
         gp = guess_prob(rho, xi)
         val = oracle.helstrom_oracle(rho, xi, 500, int(rng.integers(2**31)))
         ok_hel &= gp - 0.05 <= val <= gp + TOL_SPECTRAL

@@ -263,10 +263,35 @@ def test_cheat_report_random_protocols_on_curve():
                                               abs=TOL_SPECTRAL)
 
 
+def test_cheat_report_executes_the_protocol_in_one_batched_pass(monkeypatch):
+    # one execution serves both preparations, with one contraction per
+    # preparation stack and per round; nothing runs per choice bit or per key
+    spec = build_cks()
+    shapes, contractions = [], []
+    execute, tensordot = protocol._execute, np.tensordot
+
+    def counted_execute(*args):
+        out = execute(*args)
+        shapes.append(out.shape)
+        return out
+
+    def counted_tensordot(*args, **kwargs):
+        contractions.append(1)
+        return tensordot(*args, **kwargs)
+
+    monkeypatch.setattr(protocol, "_execute", counted_execute)
+    monkeypatch.setattr(np, "tensordot", counted_tensordot)
+    for name in ("run_purified", "run_honest"):
+        monkeypatch.setattr(protocol, name, lambda *args: pytest.fail("per-choice run"))
+    cheat_report(spec)
+    assert shapes == [(2,) + spec.layout.dims]
+    assert len(contractions) == 1 + len(spec.rounds)
+
+
 def test_cheat_report_rejects_inconsistent_simulation(monkeypatch):
     # a simulated attack 1e-3 off the closed form is a typed error, exit 1
     exact = attacks._purified_success
-    monkeypatch.setattr(attacks, "_purified_success", lambda an, s: exact(an, s) + 1e-3)
+    monkeypatch.setattr(attacks, "_purified_success", lambda an: exact(an) + 1e-3)
     with pytest.raises(ConsistencyError):
         cheat_report(build_cks())
     assert cli.main(["analyze", "cks"]) == 1

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wotsim.attacks import cheat_report, delta_quantity, f_quantity
@@ -8,6 +8,7 @@ from wotsim.catalog import (
     HonestRunStats,
     WCFPrimitive,
     build_cks,
+    build_leaky,
     build_trivial,
     combined_bounds,
     dyadic_round,
@@ -42,6 +43,25 @@ def test_cks_report_endpoint():
 def test_trivial_report_endpoint():
     rep = cheat_report(build_trivial())
     assert (rep.alice_bound, rep.bob_bound) == pytest.approx((1.0, 0.5), abs=TOL_SPECTRAL)
+
+
+@settings(max_examples=60, deadline=None)
+@given(theta=st.floats(0.0, np.pi / 2))
+@example(theta=0.0)
+@example(theta=np.pi / 2)
+def test_leaky_protocol_matches_closed_form(theta):
+    # a family off the two endpoints: a formula that agrees with the closed
+    # form only at delta = 0 or f = 0 fails here
+    rep = cheat_report(build_leaky(theta))
+    sin, cos = np.sin(theta), np.cos(theta)
+    assert abs(rep.delta - 4.0 * sin) <= 1e-12
+    assert abs(rep.alice_bound - (0.5 + sin / 2.0)) <= 1e-12
+    # f passes through herm_sqrt of rank-deficient states, which reads it
+    # about 1.2e-8 off at theta = pi/2
+    assert abs(rep.f - 4.0 * cos) <= 1e-7
+    assert abs(rep.bob_bound - (0.5 + cos / 4.0)) <= 1e-7
+    assert abs(rep.theorem1_lhs - (1.5 + (sin + cos) / 2.0)) <= 1e-7
+    assert abs((rep.bob_sim_s0 + rep.bob_sim_s1) / 2.0 - rep.bob_bound) <= 1e-7
 
 
 def test_random_complete_protocol_properties():

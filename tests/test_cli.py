@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from conftest import build_incomplete_protocol
+from wotsim import cli
 from wotsim.cli import main
 from wotsim.protocol import spec_to_dict
 
@@ -242,3 +243,21 @@ def test_unread_flags_are_usage_errors(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+def test_one_process_builds_the_parser_once(monkeypatch, capsys):
+    # analyze, a usage error and verify in one process give what each gives
+    # in a fresh process, from one parser
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    for argv in (["analyze", "cks"], ["verify", "--seed", "7", "--format", "csv"],
+                 ["verify", "--seed", "7"]):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code, out, err) == run_cli(*argv), argv
+    assert len(built) == 1

@@ -13,16 +13,17 @@ from wotsim.catalog import build_cks, build_trivial
 from wotsim import protocol
 from wotsim.errors import CompletenessError, SpecError
 from wotsim.protocol import (
+    INPUT_NAMES,
     ProtocolSpec,
     Round,
     all_final_states,
     held_factors,
-    input_sector,
     reduce_alice,
     run_honest,
     run_purified,
     spec_from_dict,
     spec_to_dict,
+    support_projectors,
     validate_completeness,
 )
 from wotsim.qcore import (
@@ -32,8 +33,10 @@ from wotsim.qcore import (
     TOL_SPECTRAL,
     StateVector,
     embed_operator,
+    hermitize,
     pure_density,
     partial_trace,
+    trace_norm,
 )
 
 
@@ -74,6 +77,10 @@ def test_all_final_states_counts_and_norms():
         assert len(fs.states) == 8
         for sv in fs.states.values():
             assert abs(np.linalg.norm(sv.amps) - 1.0) < 1e-9
+        # the keyed view is built once, over the frozen stack
+        assert fs.states is fs.states and fs.stack.amps.shape[:3] == (2, 2, 2)
+        assert not fs.stack.amps.flags.writeable
+        assert np.array_equal(fs.states[(1, 0, 1)].amps, fs.stack.amps[1, 0, 1])
     assert all_final_states(build_cks()).alice_factors == {"A", "M"}
 
 
@@ -156,9 +163,18 @@ ENGINE_SPECS = (build_cks, build_trivial, build_cks_with_bob_register,
                 build_cks_shuffled, build_two_register_trivial)
 
 
+def _input_sector(lay, x0, x1) -> tuple:
+    """Index of the slice of a state tensor where X0 = x0 and X1 = x1."""
+    index: list = [slice(None)] * len(lay.dims)
+    for name, value in zip(INPUT_NAMES, (x0, x1)):
+        index[lay.names.index(name)] = value
+    return tuple(index)
+
+
 def test_purified_run_is_uniform_superposition_of_honest_runs():
     # the analysis reads the honest states off the purified sectors, so
-    # pin both against independent single runs
+    # pin both against single runs with basis inputs; those run the same
+    # compiled plan, which test_engine_matches_dense_reference checks
     for build in ENGINE_SPECS:
         spec = build()
         lay = spec.layout
@@ -171,11 +187,65 @@ def test_purified_run_is_uniform_superposition_of_honest_runs():
             for x0 in (0, 1):
                 for x1 in (0, 1):
                     honest = run_honest(spec, a, x0, x1).amps.reshape(lay.dims).copy()
-                    sector = input_sector(lay, x0, x1)
+                    sector = _input_sector(lay, x0, x1)
                     got = fs.states[(a, x0, x1)].amps
                     assert np.abs(got - honest[sector].ravel()).max() < 1e-12, (spec.name, a, x0, x1)
                     honest[sector] = 0.0
                     assert np.abs(honest).max() < 1e-12, (spec.name, a, x0, x1)
+
+
+def _support_projector_reference(ops):
+    """The per-member construction: each member's eigenvectors with
+    eigenvalue above TOL_SPECTRAL side by side, then their span by SVD."""
+    cols = []
+    for op in ops:
+        w, v = np.linalg.eigh(hermitize(op.mat))
+        cols.append(v[:, w > TOL_SPECTRAL])
+    q, s, _ = np.linalg.svd(np.hstack(cols), full_matrices=False)
+    basis = q[:, s > TOL_SPECTRAL]
+    return basis @ basis.conj().T
+
+
+def _completeness_reference(spec, family):
+    """The completeness fields computed one key at a time."""
+    failures, overlaps, one_probs, min_prob = [], [], {}, 1.0
+    projectors = {}
+    for a in (0, 1):
+        for v in (0, 1):
+            members = [family[(a, x0, x1)] for x0 in (0, 1) for x1 in (0, 1)
+                       if (x0 if a == 0 else x1) == v]
+            projectors[(a, v)] = _support_projector_reference(members)
+        overlaps.append(trace_norm(projectors[(a, 0)] @ projectors[(a, 1)]))
+        if overlaps[-1] > TOL_SPECTRAL:
+            failures.append(f"a={a}: learned-bit supports overlap ({overlaps[-1]:.3e})")
+    for (a, x0, x1), rho in family.items():
+        xa = x0 if a == 0 else x1
+        one = float(np.real(np.trace(spec.alice_output[a].pos @ rho.mat)))
+        one_probs[(a, x0, x1)] = one
+        p = one if xa == 1 else 1.0 - one
+        min_prob = min(min_prob, p)
+        if p < 1.0 - TOL_SPECTRAL:
+            failures.append(f"output measurement misses x_{a}={xa} at "
+                            f"(a,x0,x1)=({a},{x0},{x1}): p={p:.6f}")
+    return projectors, overlaps, one_probs, min_prob, failures
+
+
+def test_support_projectors_and_completeness_match_per_key_reference():
+    for build in ENGINE_SPECS + (build_incomplete_protocol,):
+        spec = build()
+        an = protocol._analyze(spec)
+        projectors, overlaps, one_probs, min_prob, failures = _completeness_reference(
+            spec, an.reduced.rho)
+        got = support_projectors(an.reduced)
+        for (a, v), ref in projectors.items():
+            assert np.abs(got[a, v] - ref).max() < 1e-12, (spec.name, a, v)
+        report = an.completeness
+        assert report.passed == (not failures) == (spec.name != "no-information")
+        assert report.failures == tuple(failures)
+        assert np.abs(np.subtract(report.support_overlap, overlaps)).max() < 1e-12
+        assert list(report.one_probs) == list(one_probs)
+        assert max(abs(report.one_probs[k] - one_probs[k]) for k in one_probs) < 1e-12
+        assert abs(report.min_output_prob - min_prob) < 1e-12
 
 
 def _dense_run(spec, a, input_amps):

@@ -13,12 +13,14 @@ from wotsim.qcore import (
     RegisterLayout,
     StateVector,
     TwoOutcomeMeasurement,
+    bipartition_matrix,
     embed_operator,
     fidelity,
     guess_prob,
     haar_unitary,
     helstrom,
     herm_sqrt,
+    inner,
     kron,
     partial_trace,
     pure_density,
@@ -442,3 +444,37 @@ def test_density_op_member_read_keeps_matrix_axes():
     assert stack[1].mat.shape == (3, 3, 3)
     with pytest.raises(IndexError):
         stack[1, 2, 0]
+
+
+def test_state_primitives_take_stacks():
+    lay = RegisterLayout((Factor("A", 2, ALICE), Factor("B", 3, BOB), Factor("C", 2, ALICE)))
+    gen = np.random.default_rng(3)
+    amps = gen.standard_normal((4, 2, 12)) + 1j * gen.standard_normal((4, 2, 12))
+    amps /= np.linalg.norm(amps, axis=-1, keepdims=True)
+    stack = StateVector(lay, amps)
+    # the tensor form gives the same stack
+    assert np.array_equal(StateVector(lay, amps.reshape(4, 2, 2, 3, 2)).amps, stack.amps)
+    mats, rho = bipartition_matrix(stack, ["A", "C"]), pure_density(stack)
+    assert mats.shape == (4, 2, 3, 4) and rho.mat.shape == (4, 2, 12, 12)
+    # rows are B, columns (A, C)
+    tensor = amps.reshape(4, 2, 2, 3, 2)
+    assert np.array_equal(mats, tensor.transpose(0, 1, 3, 2, 4).reshape(4, 2, 3, 4))
+    overlaps = inner(amps[:, 0], amps[:, 1])
+    for i in np.ndindex(4, 2):
+        single = StateVector(lay, amps[i])
+        assert np.array_equal(mats[i], bipartition_matrix(single, ["A", "C"]))
+        assert np.array_equal(rho.mat[i], np.outer(amps[i], amps[i].conj()))
+        assert np.array_equal(rho.mat[i], pure_density(single).mat)
+    for n in range(4):
+        assert overlaps[n] == np.vdot(amps[n, 0], amps[n, 1])
+
+
+def test_stacked_state_vector_rejects_one_bad_member():
+    lay = qubit_pair_layout()
+    amps = np.tile(np.array([1, 0, 0, 0], dtype=complex), (3, 1))
+    StateVector(lay, amps)
+    amps[1, 3] = 1.0
+    with pytest.raises(ShapeError):
+        StateVector(lay, amps)
+    with pytest.raises(ShapeError):
+        StateVector(lay, np.zeros((3, 5)))
