@@ -122,12 +122,12 @@ def _by_register(mats: np.ndarray) -> np.ndarray:
     return np.stack([mats, mats.swapaxes(-3, -4)], axis=-5)
 
 
-def _realignment_blocks(fs: FinalStates) -> CMat:
-    """Bob's realignment unitaries ``[s, x_other]``, from one batched SVD:
-    the Uhlmann unitary on his non-input factors taking the ``a = 1 - s``
-    honest state with ``X_s = 1`` toward the one with ``X_s = 0`` (a 1x1
-    phase when he holds nothing else)."""
-    t = _by_register(bipartition_matrix(fs.stack, fs.bob_factors))
+def _realignment_blocks(t: np.ndarray) -> CMat:
+    """Bob's realignment unitaries ``[s, x_other]``, from one batched SVD of
+    the honest amplitude matrices ``t`` by register: the Uhlmann unitary on
+    his non-input factors taking the ``a = 1 - s`` honest state with
+    ``X_s = 1`` toward the one with ``X_s = 0`` (a 1x1 phase when he holds
+    nothing else)."""
     u, _ = uhlmann_blocks(t[(1, 0), (0, 1), 0], t[(1, 0), (0, 1), 1])
     return u
 
@@ -146,7 +146,8 @@ def controlled_realignment(spec: ProtocolSpec, fs: FinalStates, s: int,
     k, bob = len(names), [names.index(n) for n in fs.bob_factors]
     d_b, new = lay.subset_dim(fs.bob_factors), list(range(len(names), len(names) + len(bob)))
     # block [x_s, x_other] of the unitary, on Bob's non-input factors
-    blocks = np.stack([np.broadcast_to(np.eye(d_b), (2, d_b, d_b)), _realignment_blocks(fs)[s]])
+    realign = _realignment_blocks(_by_register(bipartition_matrix(fs.stack, fs.bob_factors)))[s]
+    blocks = np.stack([np.broadcast_to(np.eye(d_b), (2, d_b, d_b)), realign])
     ops = blocks.reshape((2, 2) + tuple(lay.dims[i] for i in bob) * 2)
     x = [names.index(n) for n in (INPUT_NAMES[s], INPUT_NAMES[1 - s])]
     out = [dict(zip(bob, new)).get(i, i) for i in range(k)]
@@ -157,15 +158,17 @@ def controlled_realignment(spec: ProtocolSpec, fs: FinalStates, s: int,
 
 def _purified_success(an: _Analysis) -> np.ndarray:
     """Bob's success probabilities for register choice s = 0 and s = 1, from
-    the purified runs of both preparations as one stack."""
+    the purified runs of both preparations as one stack.  Sector
+    ``(x0, x1)`` of a purified run is the honest state scaled by 1/2, so
+    the honest amplitude matrices serve for both."""
     if not an.completeness.passed:
         raise CompletenessError(
             "purified attack needs a complete protocol: " + "; ".join(an.completeness.failures)
         )
-    mats = bipartition_matrix(an.purified, an.final.bob_factors)
-    t = _by_register(mats.reshape(2, 2, 2, -1, mats.shape[-1]))  # [a, s, x_s, x_other, alice, bob]
-    # the x_s = 1 sectors realigned, then projected with the x_s = 0 ones on |+>
-    plus = (t[:, :, 0] + t[:, :, 1] @ _realignment_blocks(an.final).swapaxes(-1, -2)) * 2 ** -0.5
+    t = _by_register(bipartition_matrix(an.final.stack, an.final.bob_factors))
+    # [a, s, x_s, x_other, alice, bob]: the x_s = 1 sectors realigned, then
+    # projected with the x_s = 0 ones on |+>, a factor 2**-0.5 on top of 1/2
+    plus = (t[:, :, 0] + t[:, :, 1] @ _realignment_blocks(t).swapaxes(-1, -2)) / np.sqrt(8.0)
     p_plus = np.sum(np.abs(plus) ** 2, axis=(-3, -2, -1))  # [a, s]
     # '-' means guess a = s, '+' means guess a = 1 - s
     return 0.5 * np.where(np.eye(2, dtype=bool), 1.0 - p_plus, p_plus).sum(axis=0)

@@ -284,17 +284,17 @@ def simulate_combined(wcf: WCFPrimitive, trials: int, seed: int) -> HonestRunSta
 
     Each trial samples the coin (0 with probability lam), runs the chosen
     sub-protocol honestly with uniform inputs, and records whether Alice's
-    measured bit matches the data bit she chose.  Trials draw from
-    counter-derived RNG streams, so results do not depend on execution
-    order.
+    measured bit matches the data bit she chose.  Trial ``t`` reads the
+    ``t``-th five uniforms of one ``default_rng(seed)``; the trials run in a
+    loop, so memory stays constant whatever their number.
     """
     if trials < 1:
         raise RangeError(f"trials must be >= 1, got {trials}")
     probs = [validate_completeness(build()).one_probs for build in (build_trivial, build_cks)]
     n_by_coin = [0, 0]
     n_complete = 0
-    for t in range(trials):
-        rng = np.random.default_rng([seed, t])
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
         u = rng.random(5)
         c = 0 if u[0] < wcf.lam else 1
         a, x0, x1 = (int(u[i] < 0.5) for i in (1, 2, 3))

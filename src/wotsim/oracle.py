@@ -20,7 +20,6 @@ from .qcore import (
     StateVector,
     bipartition_matrix,
     guess_prob,
-    haar_from_normals,
     haar_unitary,
     hermitize,
 )
@@ -112,12 +111,10 @@ def _success_batch(alphas, betas, gammas, ancillas, target: int) -> np.ndarray:
     cheating preparations sharing one ancilla configuration (3, 3) or each
     with its own (n, 3, 3), computed via explicit trace norms."""
     psi = _post_interaction_states(alphas, betas, gammas, ancillas)
-    # rho_v[n, v]: the target bit reads v, averaged over the other bit
-    subscripts = "nvyi,nvyj->nvij" if target == 0 else "nyvi,nyvj->nvij"
-    rho_v = np.einsum(subscripts, psi, psi.conj()) / 2
-    diff = rho_v[:, 0] - rho_v[:, 1]
-    diff = (diff + np.conj(np.swapaxes(diff, -1, -2))) / 2
-    tn = np.abs(np.linalg.eigvalsh(diff)).sum(axis=-1)
+    # rho_0 - rho_1, where rho_v averages the states whose target bit reads v
+    subscripts = "nvyi,nvyj->vnij" if target == 0 else "nyvi,nyvj->vnij"
+    diff = np.subtract(*np.einsum(subscripts, psi, psi.conj())) / 2
+    tn = np.abs(np.linalg.eigvalsh(hermitize(diff))).sum(axis=-1)
     return 0.5 + 0.25 * tn
 
 
@@ -200,10 +197,11 @@ def helstrom_oracle(rho0: DensityOp, rho1: DensityOp, samples: int, seed: int) -
     """Best success probability among random two-outcome projective
     measurements at distinguishing equiprobable ``rho0`` and ``rho1``.
 
-    Sample ``i`` draws its rank and its Haar unitary from
-    ``default_rng([seed, i])`` and projects onto the unitary's first ``rank``
-    columns.  A lower bound on the optimal guessing probability; with enough
-    samples in low dimension it concentrates near it.
+    Sample ``i`` is the ``i``-th Haar unitary drawn from one
+    ``default_rng(seed)`` and projects onto its first ``1 + i mod (dim - 1)``
+    columns, so the ranks cycle and more samples only add candidates.  A
+    lower bound on the optimal guessing probability; with enough samples in
+    low dimension it concentrates near it.
     """
     if rho0.dim != rho1.dim:
         raise RangeError("states must have equal dimension")
@@ -211,21 +209,15 @@ def helstrom_oracle(rho0: DensityOp, rho1: DensityOp, samples: int, seed: int) -
         raise RangeError(f"samples must be >= 1, got {samples}")
     dim = rho0.dim
     diff = rho0.mat - rho1.mat
+    rng = np.random.default_rng(seed)
     best = 0.0
     for start in range(0, samples, _CHUNK):
-        n = min(_CHUNK, samples - start)
-        ranks = np.ones(n, dtype=int)
-        normals = np.empty((n, 2, dim, dim))
-        for j in range(n):
-            rng = np.random.default_rng([seed, start + j])
-            if dim > 2:
-                ranks[j] = rng.integers(1, dim)
-            normals[j] = rng.standard_normal((2, dim, dim))
-        u = haar_from_normals(normals)
+        u = haar_unitary(dim, rng, size=min(_CHUNK, samples - start))
+        ranks = 1 + (start + np.arange(len(u))) % max(dim - 1, 1)
         # tr(P diff) for P onto the first `rank` columns: the running sum of
         # the per-column forms <u_k|diff|u_k>, read off at column rank - 1
         forms = np.real((u.conj() * (diff @ u)).sum(axis=1))
-        traces = np.cumsum(forms, axis=1)[np.arange(n), ranks - 1]
+        traces = np.cumsum(forms, axis=1)[np.arange(len(u)), ranks - 1]
         best = max(best, float(np.abs(traces).max()))
     return 0.5 + 0.5 * best
 

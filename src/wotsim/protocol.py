@@ -118,14 +118,12 @@ def _compile_step(op: np.ndarray, layout: RegisterLayout, held: tuple[str, ...],
 
 class _Plan(NamedTuple):
     """A protocol compiled once for execution and analysis: the compiled
-    steps, the axes of the input registers, the layout without them, the
-    layout with them moved to the front, and Alice's two output projectors
-    as one ``(2, d, d)`` stack."""
+    steps, the axes of the input registers, the layout without them, and
+    Alice's two output projectors as one ``(2, d, d)`` stack."""
 
     steps: tuple[tuple, ...]
     input_axes: tuple[int, int]
     rest: RegisterLayout
-    inputs_first: RegisterLayout
     out_pos: np.ndarray
 
 
@@ -201,10 +199,8 @@ class ProtocolSpec:
                     f"alice_output[{a}] has shape {meas.pos.shape}, Alice ends holding dim {d_out}"
                 )
         input_axes = tuple(lay.names.index(n) for n in INPUT_NAMES)
-        rest = lay.without(INPUT_NAMES)
         object.__setattr__(self, "_plan", _Plan(
-            tuple(steps), input_axes, rest,
-            RegisterLayout(tuple(lay.factors[i] for i in input_axes) + rest.factors),
+            tuple(steps), input_axes, lay.without(INPUT_NAMES),
             np.stack([m.pos for m in self.alice_output])))
 
     @property
@@ -363,14 +359,12 @@ def _completeness(spec: ProtocolSpec, rf: ReducedFamily) -> CompletenessReport:
 @dataclass(frozen=True, eq=False)
 class _Analysis:
     """One pass over a protocol: everything the bounds, both attacks and the
-    completeness check read, each computed once.  ``purified`` holds both
-    purified runs with the input registers first."""
+    completeness check read, each computed once."""
 
     spec: ProtocolSpec
     final: FinalStates
     reduced: ReducedFamily
     completeness: CompletenessReport
-    purified: StateVector
 
 
 def _analyze(spec: ProtocolSpec) -> _Analysis:
@@ -383,9 +377,8 @@ def _analyze(spec: ProtocolSpec) -> _Analysis:
     other norm means the final state is entangled with the input registers.
     """
     plan = spec._plan
-    purified = StateVector(plan.inputs_first, np.moveaxis(
-        _execute(spec, _PLUS), [1 + i for i in plan.input_axes], [1, 2]))
-    sectors = purified.amps.reshape(2, 2, 2, -1)
+    sectors = np.moveaxis(_execute(spec, _PLUS), [1 + i for i in plan.input_axes],
+                          [1, 2]).reshape(2, 2, 2, -1)
     norms = np.linalg.norm(sectors, axis=-1)
     if np.abs(norms - 0.5).max() > TOL_SPECTRAL:
         raise CompletenessError(
@@ -394,7 +387,7 @@ def _analyze(spec: ProtocolSpec) -> _Analysis:
     fs = FinalStates(StateVector(plan.rest, sectors / norms[..., None]),
                      frozenset(spec.alice_end_factors))
     rf = reduce_alice(fs)
-    return _Analysis(spec, fs, rf, _completeness(spec, rf), purified)
+    return _Analysis(spec, fs, rf, _completeness(spec, rf))
 
 
 def all_final_states(spec: ProtocolSpec) -> FinalStates:

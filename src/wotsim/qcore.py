@@ -306,13 +306,16 @@ def herm_sqrt(rho: DensityOp) -> CMat:
     """Hermitian PSD square root of a density operator, or of each member
     of a stack.
 
-    Eigenvalues in [-TOL_SPECTRAL, 0) are clipped to zero; anything more
-    negative raises, since that is no longer partial-trace roundoff.
+    Eigenvalues at or below ``d * eps`` times a member's largest one are
+    set to zero: they are roundoff, and their square roots (about 1e-8)
+    would otherwise reach the fidelity of rank-deficient states.  An
+    eigenvalue below -TOL_SPECTRAL raises, since that is no longer
+    partial-trace roundoff.
     """
     w, v = np.linalg.eigh(hermitize(rho.mat))
     if w.min() < -TOL_SPECTRAL:
         raise NotPSDError(f"eigenvalue {w.min()} below -{TOL_SPECTRAL}")
-    w = np.clip(w, 0.0, None)
+    w = np.where(w > w.shape[-1] * np.finfo(float).eps * w[..., -1:], w, 0.0)
     return (v * np.sqrt(w)[..., None, :]) @ dagger(v)
 
 
@@ -371,42 +374,32 @@ def uhlmann_unitary(phi: StateVector, psi: StateVector,
     return u, float(overlap)
 
 
-def haar_from_normals(normals: np.ndarray) -> CMat:
-    """Haar-random unitaries from standard normals of shape ``(..., 2, d, d)``
-    (real part, then imaginary part): one QR over the whole stack, with the
-    R diagonal's phases folded back in (Mezzadri, arXiv:math-ph/0609050)."""
-    z = normals[..., 0, :, :] + 1j * normals[..., 1, :, :]
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[..., None, :]
-
-
 def haar_unitary(dim: int, rng: np.random.Generator, size=None) -> CMat:
     """Haar-random ``dim x dim`` unitary, or a stack of shape
-    ``(*size, dim, dim)``.  A stack of ``n`` consumes ``rng`` exactly as
-    ``n`` sequential calls do and returns the same matrices."""
+    ``(*size, dim, dim)``: one QR over the whole stack, with the R
+    diagonal's phases folded back in (Mezzadri, arXiv:math-ph/0609050).  A
+    stack of ``n`` consumes ``rng`` exactly as ``n`` sequential calls do
+    and returns the same matrices."""
     shape = () if size is None else tuple(np.atleast_1d(size))
-    return haar_from_normals(rng.standard_normal((*shape, 2, dim, dim)))
-
-
-def density_from_normals(normals: np.ndarray) -> DensityOp:
-    """Random density operators from standard normals of shape
-    ``(..., 2, d, r)`` (real part, then imaginary part): G G† / tr(G G†)
-    for each ``d x r`` complex G, validated once as one stack."""
-    g = normals[..., 0, :, :] + 1j * normals[..., 1, :, :]
-    m = g @ dagger(g)
-    return DensityOp(hermitize(m / np.trace(m, axis1=-2, axis2=-1)[..., None, None]))
+    normals = rng.standard_normal((*shape, 2, dim, dim))
+    q, r = np.linalg.qr(normals[..., 0, :, :] + 1j * normals[..., 1, :, :])
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def random_density(dim: int, rng: np.random.Generator, rank: int | None = None,
                    size=None) -> DensityOp:
     """A random density operator of the given dimension (full rank unless
-    ``rank`` is given), or a stack of shape ``(*size, dim, dim)``.  A stack
-    of ``n`` consumes ``rng`` exactly as ``n`` sequential calls do and holds
-    the same matrices."""
+    ``rank`` is given), or a stack of shape ``(*size, dim, dim)``: G G† /
+    tr(G G†) for a ``dim x rank`` complex Gaussian G, validated once as one
+    stack.  A stack of ``n`` consumes ``rng`` exactly as ``n`` sequential
+    calls do and holds the same matrices."""
     rank = dim if rank is None else rank
     shape = () if size is None else tuple(np.atleast_1d(size))
-    return density_from_normals(rng.standard_normal((*shape, 2, dim, rank)))
+    normals = rng.standard_normal((*shape, 2, dim, rank))
+    g = normals[..., 0, :, :] + 1j * normals[..., 1, :, :]
+    m = g @ dagger(g)
+    return DensityOp(hermitize(m / np.trace(m, axis1=-2, axis2=-1)[..., None, None]))
 
 
 def pure_density(sv: StateVector) -> DensityOp:

@@ -20,10 +20,8 @@ from .qcore import (
     TOL_SPECTRAL,
     bipartition_matrix,
     dagger,
-    density_from_normals,
     fidelity,
     guess_prob,
-    haar_from_normals,
     haar_unitary,
     helstrom,
     inner,
@@ -46,36 +44,13 @@ def _rng(seed: int, lane: int) -> np.random.Generator:
     return np.random.default_rng([seed, lane])
 
 
-# At most this many draws are stacked into one batched evaluation.  Larger
-# blocks save no measurable time, as the per-call overhead is already spread
-# thin, but raise verify's peak memory: one block of all 500 families raised
-# its resident peak by about 1.7 MB.
-_BLOCK = 100
-
-
-def _by_dim(rng, draws: int, shape):
-    """``draws`` iterations of: a dimension in [2, 4], then standard normals
-    of shape ``(*shape, dim, dim)``.  Yields the normals stacked per
-    dimension, for each block of ``_BLOCK`` consecutive iterations.  The
-    stream is consumed exactly as by the per-iteration loop, so each group
-    can be evaluated in one batched call, provided the caller draws nothing
-    else until the last group."""
-    for start in range(0, draws, _BLOCK):
-        groups: dict[int, list[np.ndarray]] = {}
-        for _ in range(min(_BLOCK, draws - start)):
-            dim = int(rng.integers(2, 5))
-            groups.setdefault(dim, []).append(rng.standard_normal((*shape, dim, dim)))
-        for dim in sorted(groups):
-            yield np.stack(groups.pop(dim))
-
-
 def suite_fuchs_van_de_graaf(seed: int) -> list[Check]:
     rng = _rng(seed, 1)
     checks = []
     worst_lo, worst_hi = 0.0, 0.0
-    # per draw: a pair of densities, each from (real, imaginary) normals
-    for normals in _by_dim(rng, 500, (2, 2)):
-        pairs = density_from_normals(normals)
+    # five rounds of 34 pairs per dimension: larger calls raise the peak memory
+    for dim in (2, 3, 4) * 5:
+        pairs = random_density(dim, rng, size=(34, 2))
         rho, xi = pairs[:, 0], pairs[:, 1]
         tn = trace_norm(rho.mat - xi.mat)
         f = fidelity(rho, xi)
@@ -91,11 +66,12 @@ def suite_trace_norm(seed: int) -> list[Check]:
     rng = _rng(seed, 2)
     checks = []
     ok_nonneg = ok_triangle = ok_unitary = True
-    # per draw: matrices a and b, then unitaries u and v, each from
-    # (real, imaginary) normals
-    for normals in _by_dim(rng, 200, (4, 2)):
-        a, b = (normals[:, i, 0] + 1j * normals[:, i, 1] for i in (0, 1))
-        u, v = haar_from_normals(normals[:, 2]), haar_from_normals(normals[:, 3])
+    # two rounds of 34 instances per dimension, each matrices a and b and
+    # unitaries u and v
+    for dim in (2, 3, 4) * 2:
+        z = rng.standard_normal((2, 2, 34, dim, dim))
+        a, b = z[0] + 1j * z[1]
+        u, v = haar_unitary(dim, rng, size=(2, 34))
         tn_a = trace_norm(a)
         ok_nonneg &= bool(np.all(tn_a >= 0.0))
         ok_triangle &= bool(np.all(trace_norm(a + b) <= tn_a + trace_norm(b) + TOL_SPECTRAL))
@@ -124,18 +100,14 @@ def suite_fidelity_and_uhlmann(seed: int) -> list[Check]:
     u = haar_unitary(3, rng, size=(200, 2))[..., 0]
     pure = pure_density(StateVector(RegisterLayout((Factor("Q", 3, "Alice"),)), u))
     f = fidelity(pure[:, 0], pure[:, 1])
-    overlap = inner(u[:, 0], u[:, 1])
-    # |<phi|psi>| by hypot, which rounds as abs() of one complex number does
-    worst = float(np.max(np.abs(f - np.hypot(overlap.real, overlap.imag))))
+    worst = float(np.max(np.abs(f - np.abs(inner(u[:, 0], u[:, 1])))))
     checks.append(Check("pure_fidelity_inner_product", worst <= TOL_SPECTRAL, f"{worst:.2e}"))
 
     lay = RegisterLayout((Factor("S", 2, "Alice"), Factor("E", 3, "Bob")))
     # per draw: phi's real and imaginary amplitudes, then psi's
     normals = rng.standard_normal((100, 4, 6))
     amps = normals[:, 0::2] + 1j * normals[:, 1::2]
-    # each norm as np.linalg.norm takes it for one complex vector
-    amps /= np.sqrt(inner(amps.real, amps.real) + inner(amps.imag, amps.imag))[..., None]
-    states = StateVector(lay, amps)
+    states = StateVector(lay, amps / np.linalg.norm(amps, axis=-1, keepdims=True))
     mats = bipartition_matrix(states, ["E"])
     u, overlap = uhlmann_blocks(mats[:, 0], mats[:, 1])
     worst_unitary = float(np.abs(dagger(u) @ u - np.eye(3)).max())
@@ -187,13 +159,13 @@ def suite_protocol_honest(seed: int) -> list[Check]:
     return checks
 
 
-def suite_inequality_chain(seed: int, families: int = 500, seeds: int = 100) -> list[Check]:
+def suite_inequality_chain(seed: int) -> list[Check]:
     rng = _rng(seed, 6)
     worst_fd, worst_t1 = 4.0, 2.0
-    # per draw: a family of eight densities keyed (a, x0, x1), each from
-    # (real, imaginary) normals
-    for normals in _by_dim(rng, families, (2, 2, 2, 2)):
-        rf = protocol.ReducedFamily(density_from_normals(normals))
+    # six rounds of 28 families per dimension, each family eight densities
+    # keyed (a, x0, x1): one call over all of them raises verify's peak memory
+    for dim in (2, 3, 4) * 6:
+        rf = protocol.ReducedFamily(random_density(dim, rng, size=(28, 2, 2, 2)))
         f = attacks.f_quantity(rf)
         d = attacks.delta_quantity(rf)
         worst_fd = min(worst_fd, float(np.min(f + d)))
@@ -204,7 +176,7 @@ def suite_inequality_chain(seed: int, families: int = 500, seeds: int = 100) -> 
         Check("tradeoff_at_least_2", worst_t1 >= 2.0 - TOL_SPECTRAL, f"min {worst_t1:.8f}"),
     ]
     worst_lhs, worst_df = 2.0, 0.0
-    base_seeds = rng.integers(0, 2**31 - 1, size=seeds)
+    base_seeds = rng.integers(0, 2**31 - 1, size=100)
     for s in base_seeds:
         rep = attacks.cheat_report(catalog.random_complete_protocol(int(s)))
         worst_lhs = min(worst_lhs, rep.theorem1_lhs)

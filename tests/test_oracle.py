@@ -253,19 +253,20 @@ def test_helstrom_oracle_deterministic():
     assert helstrom_oracle(rho, xi, 200, seed=5) == helstrom_oracle(rho, xi, 200, seed=5)
 
 
-# --- batched sampling against the per-sample loops it replaced -------------------
+# --- batched sampling against per-sample loops -----------------------------------
 #
-# The two references below are the per-sample oracles as they were before the
-# sampling was batched: one Haar QR per sample.  They are kept here only to
+# The two references below are the oracles written as one loop iteration per
+# sample: one Haar QR each, drawn in order from the one seeded stream, with
+# the projector rank cycling through 1 .. dim - 1.  They are kept here only to
 # check the batched code against.
 
 def _helstrom_successes_reference(rho0, rho1, samples, seed):
     dim = rho0.dim
     diff = rho0.mat - rho1.mat
+    gen = np.random.default_rng(seed)
     successes = []
     for i in range(samples):
-        gen = np.random.default_rng([seed, i])
-        rank = int(gen.integers(1, dim)) if dim > 2 else 1
+        rank = 1 + i % (dim - 1)
         cols = haar_unitary(dim, gen)[:, :rank]
         proj = cols @ cols.conj().T
         successes.append(0.5 + 0.5 * abs(float(np.real(np.trace(proj @ diff)))))
@@ -301,7 +302,8 @@ def test_helstrom_oracle_matches_per_sample_reference(dim):
 
 def test_helstrom_oracle_finds_a_best_sample_past_the_first_chunk():
     # pick a seed whose best sample lies beyond the first chunk: the batched
-    # oracle matches only if that sample is drawn from its own stream
+    # oracle matches only if each chunk continues the stream where the
+    # previous one stopped
     gen = np.random.default_rng(45)
     rho, xi = random_density(3, gen), random_density(3, gen)
     samples = 2 * _CHUNK + 3
@@ -329,7 +331,8 @@ def test_uhlmann_oracle_equals_per_sample_reference(d_b):
 
 
 def test_helstrom_oracle_grows_with_samples():
-    # sample i draws from its own stream, so more samples only add candidates
+    # sample i is the i-th draw of one stream whatever the sample count, so
+    # more samples only add candidates
     gen = np.random.default_rng(60)
     for dim in (2, 3):
         rho, xi = random_density(dim, gen), random_density(dim, gen)

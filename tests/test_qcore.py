@@ -191,6 +191,12 @@ def test_fidelity_extremes(rng):
     rho = random_density(3, rng)
     assert fidelity(rho, rho) == pytest.approx(1.0, abs=1e-9)
     assert fidelity(KET0, KET1) == pytest.approx(0.0, abs=1e-9)
+    # orthogonal pure states in random bases: the roundoff eigenvalues of
+    # rank-deficient states must not reach the fidelity through their roots
+    for dim in (2, 3, 4):
+        cols = haar_unitary(dim, rng, size=50)[..., :2]
+        pair = DensityOp(np.einsum("nik,njk->nkij", cols, cols.conj()))
+        assert np.max(fidelity(pair[:, 0], pair[:, 1])) <= 1e-12
 
 
 @settings(max_examples=50, deadline=None)

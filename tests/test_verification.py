@@ -1,3 +1,8 @@
+import math
+
+import numpy as np
+import pytest
+
 import wotsim.verification as verification
 from wotsim.cli import main
 from wotsim.qcore import fidelity
@@ -36,3 +41,25 @@ def test_suites_are_seed_sensitive():
     _, ok_a = verification.run_all(1)
     _, ok_b = verification.run_all(2)
     assert ok_a and ok_b
+
+
+@pytest.mark.parametrize("suite, sampler, per_instance, instances", [
+    (verification.suite_fuchs_van_de_graaf, "random_density", 2, 500),
+    (verification.suite_trace_norm, "haar_unitary", 2, 200),
+    (verification.suite_inequality_chain, "random_density", 8, 500),
+])
+def test_sampled_suites_evaluate_their_instance_counts(monkeypatch, suite, sampler,
+                                                       per_instance, instances):
+    # count the matrices each sampled suite draws: a density pair, a pair of
+    # unitaries, a family of eight densities per instance
+    drawn = []
+    orig = getattr(verification, sampler)
+
+    def counted(*args, **kwargs):
+        out = orig(*args, **kwargs)
+        drawn.append(math.prod(np.shape(getattr(out, "mat", out))[:-2]))
+        return out
+
+    monkeypatch.setattr(verification, sampler, counted)
+    assert all(check.ok for check in suite(7))
+    assert sum(drawn) >= per_instance * instances
