@@ -72,7 +72,6 @@ from .qcore import (
     haar_unitary,
     helstrom,
     herm_sqrt,
-    kron,
     partial_trace,
     trace_norm,
     uhlmann_unitary,

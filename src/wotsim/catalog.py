@@ -25,7 +25,6 @@ from .qcore import (
     RegisterLayout,
     TwoOutcomeMeasurement,
     haar_unitary,
-    kron,
 )
 
 # Cheating probabilities of the two sub-protocols: (alice, bob).
@@ -165,10 +164,10 @@ def build_leaky(theta: float) -> ProtocolSpec:
     return ProtocolSpec(
         name=f"leaky-{theta:.6g}",
         layout=layout,
-        alice_prep=tuple(kron(u, eye2) for u in base.alice_prep),
+        alice_prep=tuple(np.kron(u, eye2) for u in base.alice_prep),
         rounds=(Round(ALICE, np.eye(18, dtype=complex), send=True),
                 Round(BOB, bob.reshape(24, 24), send=True)),
-        alice_output=tuple(TwoOutcomeMeasurement(kron(m.pos, eye2), kron(m.neg, eye2))
+        alice_output=tuple(TwoOutcomeMeasurement(np.kron(m.pos, eye2), np.kron(m.neg, eye2))
                            for m in base.alice_output),
     )
 
@@ -199,7 +198,7 @@ def build_trivial() -> ProtocolSpec:
         pos_m = np.zeros((4, 4), dtype=complex)
         for m in ones:
             pos_m[m, m] = 1.0
-        pos = kron(np.eye(2), pos_m)
+        pos = np.kron(np.eye(2), pos_m)
         outputs.append(TwoOutcomeMeasurement(pos, np.eye(8) - pos))
     rounds = (
         Round(ALICE, np.eye(8, dtype=complex), send=True),
@@ -226,10 +225,10 @@ def random_complete_protocol(seed: int) -> ProtocolSpec:
     rng = np.random.default_rng(seed)
     r_alice = haar_unitary(3, rng)
     r_msg = haar_unitary(3, rng)
-    prep = tuple(kron(r_alice, np.eye(3)) @ u for u in base.alice_prep)
+    prep = tuple(np.kron(r_alice, np.eye(3)) @ u for u in base.alice_prep)
     bob_round = base.rounds[1]
-    bob_unitary = kron(r_msg, np.eye(4)) @ bob_round.unitary
-    g = kron(r_alice, r_msg)
+    bob_unitary = np.kron(r_msg, np.eye(4)) @ bob_round.unitary
+    g = np.kron(r_alice, r_msg)
     outputs = tuple(
         TwoOutcomeMeasurement(g @ m.pos @ g.conj().T, g @ m.neg @ g.conj().T)
         for m in base.alice_output

@@ -80,11 +80,15 @@ def _frame(ancillas) -> np.ndarray:
     parts are distinct basis states.
     """
     anc = np.asarray(ancillas, dtype=complex)
-    frame = np.zeros(anc.shape[:-1] + (9,), dtype=complex)
-    for c in range(3):
-        # |e_c>|c> has the entries of e_c at the joint indices 3 i + c
-        frame[..., c, c::3] = anc[..., c, :]
-    return frame
+    # |e_c>|c> has the entries of e_c at the joint indices 3 i + c
+    frame = np.where(np.eye(3, dtype=bool)[:, None, :], anc[..., None], 0)
+    return frame.reshape(anc.shape[:-1] + (9,))
+
+
+# _SIGNS[x0, x1] multiplies the weights (alpha, beta, gamma): Bob's round
+# flips the sign of |e0>|0> when x0 = 1 and of |e1>|1> when x1 = 1.
+_SIGNS = np.array([[[1.0, 1.0, 1.0], [1.0, -1.0, 1.0]],
+                   [[-1.0, 1.0, 1.0], [-1.0, -1.0, 1.0]]])
 
 
 def _post_interaction_states(alphas, betas, gammas, ancillas) -> np.ndarray:
@@ -93,17 +97,8 @@ def _post_interaction_states(alphas, betas, gammas, ancillas) -> np.ndarray:
     ``ancillas`` is one configuration for the whole batch, (3, 3), or one per
     preparation, (n, 3, 3).
     """
-    frame = _frame(ancillas)
-    alphas, betas, gammas = (np.asarray(v, dtype=float) for v in (alphas, betas, gammas))
-    n = alphas.shape[0]
-    out = np.empty((n, 2, 2, 9), dtype=complex)
-    for x0 in (0, 1):
-        for x1 in (0, 1):
-            coeff = np.stack(
-                [alphas * (-1) ** x0, betas * (-1) ** x1, gammas], axis=1
-            )
-            out[:, x0, x1, :] = np.matmul(coeff[:, None, :], frame)[:, 0]
-    return out
+    weights = np.stack([alphas, betas, gammas], axis=-1)
+    return (_SIGNS * weights[:, None, None, :]) @ _frame(ancillas)[..., None, :, :]
 
 
 def _success_batch(alphas, betas, gammas, ancillas, target: int) -> np.ndarray:
@@ -142,21 +137,15 @@ def _candidate_weights(delta: float, grid: int) -> tuple[np.ndarray, np.ndarray]
     1/2 - delta traced along a gamma grid, a coarse interior grid, and the
     honest preparation."""
     threshold = 0.5 - delta
-    alphas, gammas = [1.0 / np.sqrt(2.0)], [1.0 / np.sqrt(2.0)]
-    for j in range(1, grid + 1):
-        g = j / grid
-        a = threshold / g
-        if a <= 1.0 and a * a + g * g <= 1.0:
-            alphas.append(a)
-            gammas.append(g)
-    step = max(1, grid // 100)
-    for i in range(0, grid + 1, step):
-        for j in range(0, grid + 1, step):
-            a, g = i / grid, j / grid
-            if a * a + g * g <= 1.0 and a * g >= threshold - 1e-12:
-                alphas.append(a)
-                gammas.append(g)
-    return np.asarray(alphas), np.asarray(gammas)
+    g = np.arange(1, grid + 1) / grid
+    a = threshold / g
+    edge = (a <= 1.0) & (a * a + g * g <= 1.0)
+    coarse = np.arange(0, grid + 1, max(1, grid // 100)) / grid
+    ca, cg = np.meshgrid(coarse, coarse, indexing="ij")
+    interior = (ca * ca + cg * cg <= 1.0) & (ca * cg >= threshold - 1e-12)
+    honest = [1.0 / np.sqrt(2.0)]
+    return (np.concatenate([honest, a[edge], ca[interior]]),
+            np.concatenate([honest, g[edge], cg[interior]]))
 
 
 def cks_alice_oracle(delta: float, grid: int) -> float:

@@ -20,9 +20,8 @@ Conventions:
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -82,7 +81,8 @@ def _check_unitary(mat: CMat, dim: int, what: str) -> None:
         raise SpecError(f"{what}: shape {mat.shape}, expected ({dim}, {dim})")
     if not np.isfinite(mat).all():
         raise SpecError(f"{what}: non-finite entries")
-    if np.abs(mat.conj().T @ mat - np.eye(dim)).max() > TOL_EXACT:
+    if (np.abs(mat).max() > 1.0 + TOL_EXACT  # else the product can overflow to NaN
+            or np.abs(mat.conj().T @ mat - np.eye(dim)).max() > TOL_EXACT):
         raise SpecError(f"{what}: not unitary within tolerance")
 
 
@@ -219,11 +219,6 @@ class FinalStates:
     stack: StateVector
     alice_factors: frozenset[str]
 
-    @cached_property
-    def states(self) -> dict[tuple[int, int, int], StateVector]:
-        """The eight states keyed by (a, x0, x1)."""
-        return {key: StateVector(self.stack.layout, self.stack.amps[key]) for key in RUN_KEYS}
-
     @property
     def bob_factors(self) -> tuple[str, ...]:
         """The factors of the states that Alice does not hold at the end."""
@@ -234,29 +229,14 @@ class FinalStates:
 class ReducedFamily:
     """Alice's reduced final states as one validated density stack of shape
     ``(..., 2, 2, 2, d, d)``, indexed ``[..., a, x0, x1]``.  Leading axes,
-    if any, batch independent families.
-
-    Construct it from the stack or from a mapping of the eight
-    ``(a, x0, x1)`` keys to density operators.
-    """
+    if any, batch independent families."""
 
     states: DensityOp
 
     def __post_init__(self):
-        states = self.states
-        if isinstance(states, Mapping):
-            mats = np.stack([states[key].mat for key in RUN_KEYS], axis=-3)
-            states = DensityOp(mats.reshape(mats.shape[:-3] + (2, 2, 2) + mats.shape[-2:]))
-        if states.mat.shape[-5:-2] != (2, 2, 2):
+        if self.states.mat.shape[-5:-2] != (2, 2, 2):
             raise ShapeError(
-                f"reduced family needs shape (..., 2, 2, 2, d, d), got {states.mat.shape}")
-        object.__setattr__(self, "states", states)
-
-    @property
-    def rho(self) -> dict[tuple[int, int, int], DensityOp]:
-        """The eight members keyed by (a, x0, x1); for a batched family each
-        one is a stack over the leading axes."""
-        return {key: self.states[(..., *key)] for key in RUN_KEYS}
+                f"reduced family needs shape (..., 2, 2, 2, d, d), got {self.states.mat.shape}")
 
 
 @dataclass(frozen=True)
@@ -361,7 +341,6 @@ class _Analysis:
     """One pass over a protocol: everything the bounds, both attacks and the
     completeness check read, each computed once."""
 
-    spec: ProtocolSpec
     final: FinalStates
     reduced: ReducedFamily
     completeness: CompletenessReport
@@ -387,7 +366,7 @@ def _analyze(spec: ProtocolSpec) -> _Analysis:
     fs = FinalStates(StateVector(plan.rest, sectors / norms[..., None]),
                      frozenset(spec.alice_end_factors))
     rf = reduce_alice(fs)
-    return _Analysis(spec, fs, rf, _completeness(spec, rf))
+    return _Analysis(fs, rf, _completeness(spec, rf))
 
 
 def all_final_states(spec: ProtocolSpec) -> FinalStates:
@@ -408,22 +387,32 @@ def validate_completeness(spec: ProtocolSpec) -> CompletenessReport:
 
 # ---------------------------------------------------------------------------
 # JSON wire format.  Complex entries are [re, im] pairs; matrices are
-# row-major nested arrays.
+# row-major nested arrays.  Decoding checks JSON types instead of coercing
+# them: a value of any other type raises ValueError.
 # ---------------------------------------------------------------------------
 
 def _encode_matrix(mat: CMat) -> list:
     mat = as_cmat(mat)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
+    return np.stack([mat.real, mat.imag], -1).tolist()
 
 
 def _decode_matrix(rows) -> np.ndarray:
+    """A complex matrix from rows of ``[re, im]`` pairs of JSON numbers."""
+    entries = np.array(rows, dtype=object)
+    if (entries.ndim != 3 or entries.shape[-1] != 2
+            or not {int, float}.issuperset(map(type, entries.flat))):
+        raise ValueError("a matrix must be a list of rows of [re, im] pairs of numbers")
     try:
-        return np.array(
-            [[complex(entry[0], entry[1]) for entry in row] for row in rows],
-            dtype=complex,
-        )
-    except (TypeError, IndexError, ValueError) as exc:
-        raise ValueError(f"malformed matrix entry: {exc}") from exc
+        return entries.astype(float).view(complex)[..., 0]
+    except OverflowError as exc:
+        raise ValueError(f"matrix entry beyond float range: {exc}") from exc
+
+
+def _typed(value, kind: type, what: str):
+    """``value`` if its type is exactly ``kind`` (so a bool is no int)."""
+    if type(value) is not kind:
+        raise ValueError(f"{what} must be of type {kind.__name__}, got {type(value).__name__}")
+    return value
 
 
 def spec_to_dict(spec: ProtocolSpec) -> dict:
@@ -447,24 +436,28 @@ def spec_to_dict(spec: ProtocolSpec) -> dict:
 def spec_from_dict(data: dict) -> ProtocolSpec:
     """Build a protocol from the JSON wire structure.
 
-    Raises ``ValueError`` on malformed structure and ``SpecError`` (via the
-    constructor and, for layout problems, ``LayoutError``) when the decoded
-    protocol violates an invariant.
+    Raises ``ValueError`` on malformed structure or a value of the wrong
+    JSON type, and ``SpecError`` (via the constructor and, for layout
+    problems, ``LayoutError``) when the decoded protocol violates an
+    invariant.
     """
     try:
         factors = tuple(
-            Factor(str(f["name"]), int(f["dim"]), str(f["owner"])) for f in data["factors"]
+            Factor(_typed(f["name"], str, "factor name"), _typed(f["dim"], int, "factor dim"),
+                   _typed(f["owner"], str, "factor owner"))
+            for f in data["factors"]
         )
         prep = tuple(_decode_matrix(m) for m in data["alice_prep"])
         rounds = tuple(
-            Round(str(r["actor"]), _decode_matrix(r["matrix"]), bool(r["send"]))
+            Round(_typed(r["actor"], str, "round actor"), _decode_matrix(r["matrix"]),
+                  _typed(r["send"], bool, "round send"))
             for r in data["rounds"]
         )
         output = tuple(
-            TwoOutcomeMeasurement(_decode_matrix(pair[0]), _decode_matrix(pair[1]))
-            for pair in data["alice_output"]
+            TwoOutcomeMeasurement(_decode_matrix(pos), _decode_matrix(neg))
+            for pos, neg in data["alice_output"]
         )
-        name = str(data["name"])
+        name = _typed(data["name"], str, "name")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed protocol structure: {exc}") from exc
     if len(prep) != 2 or len(output) != 2:

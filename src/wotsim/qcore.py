@@ -211,19 +211,10 @@ class TwoOutcomeMeasurement:
         for name, p in (("pos", pos), ("neg", neg)):
             if np.abs(p - dagger(p)).max() > TOL_SPECTRAL:
                 raise ShapeError(f"{name} projector is not Hermitian")
-            if np.abs(p @ p - p).max() > TOL_SPECTRAL:
+            if np.abs(p).max() > 1.0 + TOL_SPECTRAL or np.abs(p @ p - p).max() > TOL_SPECTRAL:
                 raise ShapeError(f"{name} projector is not idempotent")
         if np.abs(pos + neg - np.eye(pos.shape[-1])).max() > TOL_EXACT:
             raise ShapeError("projectors do not sum to the identity")
-
-    @property
-    def dim(self) -> int:
-        return self.pos.shape[-1]
-
-
-def kron(a: CMat, b: CMat) -> CMat:
-    """Tensor product with the left operand's index major."""
-    return np.kron(as_cmat(a), as_cmat(b))
 
 
 def embed_operator(op: CMat, layout: RegisterLayout, names: Iterable[str]) -> CMat:
@@ -387,16 +378,14 @@ def haar_unitary(dim: int, rng: np.random.Generator, size=None) -> CMat:
     return q * (d / np.abs(d))[..., None, :]
 
 
-def random_density(dim: int, rng: np.random.Generator, rank: int | None = None,
-                   size=None) -> DensityOp:
-    """A random density operator of the given dimension (full rank unless
-    ``rank`` is given), or a stack of shape ``(*size, dim, dim)``: G G† /
-    tr(G G†) for a ``dim x rank`` complex Gaussian G, validated once as one
-    stack.  A stack of ``n`` consumes ``rng`` exactly as ``n`` sequential
-    calls do and holds the same matrices."""
-    rank = dim if rank is None else rank
+def random_density(dim: int, rng: np.random.Generator, size=None) -> DensityOp:
+    """A random full-rank density operator of the given dimension, or a
+    stack of shape ``(*size, dim, dim)``: G G† / tr(G G†) for a square
+    complex Gaussian G, validated once as one stack.  A stack of ``n``
+    consumes ``rng`` exactly as ``n`` sequential calls do and holds the same
+    matrices."""
     shape = () if size is None else tuple(np.atleast_1d(size))
-    normals = rng.standard_normal((*shape, 2, dim, rank))
+    normals = rng.standard_normal((*shape, 2, dim, dim))
     g = normals[..., 0, :, :] + 1j * normals[..., 1, :, :]
     m = g @ dagger(g)
     return DensityOp(hermitize(m / np.trace(m, axis1=-2, axis2=-1)[..., None, None]))

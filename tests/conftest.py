@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -11,13 +14,30 @@ from wotsim.qcore import (
     Factor,
     RegisterLayout,
     TwoOutcomeMeasurement,
-    kron,
 )
+from wotsim.verification import run_all
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(2013)
+
+
+# verify --seed 7 is the slowest command the tests run: one in-process run
+# and one process, each shared by the tests that read it
+@pytest.fixture(scope="session")
+def verify_seed_7():
+    """``run_all(7)`` in this process: (report lines, all passed)."""
+    return run_all(7)
+
+
+@pytest.fixture(scope="session")
+def verify_seed_7_process():
+    """``python -m wotsim verify --seed 7`` in a fresh process: (exit code,
+    stdout, stderr)."""
+    proc = subprocess.run([sys.executable, "-m", "wotsim", "verify", "--seed", "7"],
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def build_cks_with_bob_register() -> ProtocolSpec:
@@ -119,7 +139,7 @@ def build_two_register_trivial() -> ProtocolSpec:
     outputs = []
     for a in (0, 1):
         # read M0 for a=0, M1 for a=1; measurement is on (A, M0, M1)
-        pos = kron(eye2, kron(one, eye2) if a == 0 else kron(eye2, one))
+        pos = np.kron(eye2, np.kron(one, eye2) if a == 0 else np.kron(eye2, one))
         outputs.append(TwoOutcomeMeasurement(pos, np.eye(8) - pos))
     return ProtocolSpec(
         name="two-register-trivial",

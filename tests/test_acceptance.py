@@ -63,10 +63,7 @@ def test_criterion_03_lower_bound_property():
     worst_fd, worst_lhs = np.inf, np.inf
     for _ in range(500):
         dim = int(rng.integers(2, 5))
-        rf = ReducedFamily({
-            (a, x0, x1): random_density(dim, rng)
-            for a in (0, 1) for x0 in (0, 1) for x1 in (0, 1)
-        })
+        rf = ReducedFamily(random_density(dim, rng, size=(2, 2, 2)))
         worst_fd = min(worst_fd, w.f_quantity(rf) + w.delta_quantity(rf))
         worst_lhs = min(worst_lhs, 2 * w.bob_bound(rf) + w.alice_bound(rf))
     for seed in range(100):
@@ -86,12 +83,12 @@ def test_criterion_04_purified_attack_equivalence():
     worst = 0.0
     specs = [w.build_cks()] + [w.random_complete_protocol(s) for s in range(20)]
     for spec in specs:
-        rf = w.reduce_alice(w.all_final_states(spec))
+        rho = w.reduce_alice(w.all_final_states(spec)).states
         for s in (0, 1):
             if s == 0:
-                fsum = sum(w.fidelity(rf.rho[(1, 0, x)], rf.rho[(1, 1, x)]) for x in (0, 1))
+                fsum = sum(w.fidelity(rho[1, 0, x], rho[1, 1, x]) for x in (0, 1))
             else:
-                fsum = sum(w.fidelity(rf.rho[(0, x, 0)], rf.rho[(0, x, 1)]) for x in (0, 1))
+                fsum = sum(w.fidelity(rho[0, x, 0], rho[0, x, 1]) for x in (0, 1))
             worst = max(worst, abs(w.bob_purified_attack(spec, s) - (0.5 + fsum / 8)))
     cks_vals = [w.bob_purified_attack(w.build_cks(), s) for s in (0, 1)]
     ok = worst < 1e-6 and all(abs(v - 0.75) < 1e-6 for v in cks_vals)
@@ -219,8 +216,8 @@ def test_criterion_09_primitive_optimality():
     )
 
 
-def test_criterion_10_verify_determinism():
-    code1, out1 = run_cli("verify", "--seed", "7")
+def test_criterion_10_verify_determinism(verify_seed_7_process):
+    code1, out1, _ = verify_seed_7_process
     code2, out2 = run_cli("verify", "--seed", "7")
     ok = code1 == 0 and code2 == 0 and out1 == out2
     assert report(

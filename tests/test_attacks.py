@@ -29,6 +29,7 @@ from wotsim.protocol import (
 )
 from wotsim.qcore import (
     TOL_SPECTRAL,
+    DensityOp,
     StateVector,
     embed_operator,
     fidelity,
@@ -40,17 +41,12 @@ PLUS_PROJ = np.full((2, 2), 0.5, dtype=complex)
 
 
 def _family(rng, dim):
-    return ReducedFamily({
-        (a, x0, x1): random_density(dim, rng)
-        for a in (0, 1) for x0 in (0, 1) for x1 in (0, 1)
-    })
+    return ReducedFamily(random_density(dim, rng, size=(2, 2, 2)))
 
 
 def _constant_family(dim=2):
     rho = random_density(dim, np.random.default_rng(3))
-    return ReducedFamily({
-        (a, x0, x1): rho for a in (0, 1) for x0 in (0, 1) for x1 in (0, 1)
-    })
+    return ReducedFamily(DensityOp(np.broadcast_to(rho.mat, (2, 2, 2, dim, dim))))
 
 
 # --- aggregate quantities -----------------------------------------------------
@@ -103,11 +99,9 @@ def test_batched_family_equals_per_family_values(rng, dim):
         assert isinstance(value, np.ndarray) and value.shape == (6,)
     for n in range(6):
         single = ReducedFamily(stack[n])
-        keyed = ReducedFamily(single.rho)  # the eight-key mapping form
-        for rf in (single, keyed):
-            assert abs(delta[n] - delta_quantity(rf)) <= 1e-14
-            assert abs(f[n] - f_quantity(rf)) <= 1e-14
-            assert abs(hel[n] - alice_helstrom_attack(rf)) <= 1e-14
+        assert abs(delta[n] - delta_quantity(single)) <= 1e-14
+        assert abs(f[n] - f_quantity(single)) <= 1e-14
+        assert abs(hel[n] - alice_helstrom_attack(single)) <= 1e-14
 
 
 # --- the inequality chain -------------------------------------------------------
@@ -148,12 +142,12 @@ def test_purified_attack_with_bob_side_register():
 def test_purified_attack_matches_closed_form_on_random_variants():
     for seed in (1, 2, 3, 4, 5):
         spec = random_complete_protocol(seed)
-        rf = protocol._analyze(spec).reduced
+        rho = protocol._analyze(spec).reduced.states
         for s in (0, 1):
             if s == 0:
-                fsum = sum(fidelity(rf.rho[(1, 0, x)], rf.rho[(1, 1, x)]) for x in (0, 1))
+                fsum = sum(fidelity(rho[1, 0, x], rho[1, 1, x]) for x in (0, 1))
             else:
-                fsum = sum(fidelity(rf.rho[(0, x, 0)], rf.rho[(0, x, 1)]) for x in (0, 1))
+                fsum = sum(fidelity(rho[0, x, 0], rho[0, x, 1]) for x in (0, 1))
             sim = bob_purified_attack(spec, s)
             assert sim == pytest.approx(0.5 + fsum / 8.0, abs=TOL_SPECTRAL)
 
@@ -197,7 +191,7 @@ def _dense_realignment(spec, fs, s):
             if (x0, x1)[s] == 1:
                 phi_key = (1, 0, x1) if s == 0 else (0, x0, 0)
                 psi_key = (1, 1, x1) if s == 0 else (0, x0, 1)
-                phi, psi = fs.states[phi_key], fs.states[psi_key]
+                phi, psi = (StateVector(rest, fs.stack.amps[key]) for key in (phi_key, psi_key))
                 if b_rest:
                     term = embed_operator(uhlmann_unitary(phi, psi, b_rest)[0], lay, b_rest)
                 else:

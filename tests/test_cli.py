@@ -3,9 +3,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import build_incomplete_protocol
 from wotsim import cli
+from wotsim.catalog import build_cks
 from wotsim.cli import main
 from wotsim.protocol import spec_to_dict
 
@@ -48,8 +51,6 @@ def test_analyze_csv_format(capsys):
 
 
 def test_analyze_json_file(tmp_path, capsys):
-    from wotsim.catalog import build_cks
-
     path = tmp_path / "exported.json"
     path.write_text(json.dumps(spec_to_dict(build_cks())))
     code = main(["analyze", str(path)])
@@ -62,12 +63,20 @@ def test_analyze_missing_file():
     assert main(["analyze", "missing.json"]) == 2
 
 
-def test_analyze_malformed_json(tmp_path):
+def test_analyze_malformed_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert main(["analyze", str(path)]) == 2
     path.write_text(json.dumps({"name": "x", "factors": []}))
     assert main(["analyze", str(path)]) == 2
+    # an integer entry beyond float range is an input error, not a crash
+    data = spec_to_dict(build_cks())
+    data["rounds"][1]["matrix"][0][0][0] = 10**400
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
 
 
 def test_analyze_invalid_spec_exits_3(tmp_path):
@@ -84,8 +93,6 @@ def test_analyze_invalid_spec_exits_3(tmp_path):
 
 
 def test_analyze_non_finite_entry_exits_3(tmp_path):
-    from wotsim.catalog import build_cks
-
     data = spec_to_dict(build_cks())
     data["rounds"][1]["matrix"][0][0] = [float("nan"), 0.0]
     path = tmp_path / "nan.json"
@@ -94,8 +101,6 @@ def test_analyze_non_finite_entry_exits_3(tmp_path):
 
 
 def test_analyze_layout_beyond_cap_exits_3(tmp_path, capsys):
-    from wotsim.catalog import build_cks
-
     data = spec_to_dict(build_cks())
     data["factors"].append({"name": "B", "dim": 1_000_000, "owner": "Bob"})
     data["rounds"] = []
@@ -103,6 +108,60 @@ def test_analyze_layout_beyond_cap_exits_3(tmp_path, capsys):
     path.write_text(json.dumps(data))
     assert main(["analyze", str(path)]) == 3
     assert "MAX_LAYOUT_DIM" in capsys.readouterr().err
+
+
+def _node_paths(node, path=()):
+    """The path of every node of a JSON structure, the root's first."""
+    yield path
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _node_paths(child, path + (key,))
+
+
+# The cks wire structure's node paths by depth: drawing the depth first
+# reaches the matrix entries (depth 5 and 6) as often as the top-level keys.
+_CKS_TEXT = json.dumps(spec_to_dict(build_cks()))
+_PATHS_BY_DEPTH: dict[int, list] = {}
+for _path in _node_paths(json.loads(_CKS_TEXT)):
+    _PATHS_BY_DEPTH.setdefault(len(_path), []).append(_path)
+
+# Values a mutated node may take: one of every JSON type, and numbers
+# beyond float range or not finite.
+_RETYPED = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(),
+                     st.text(max_size=3), st.sampled_from([[], {}, [0.0, 0.0]]))
+_EXTREME = st.sampled_from([10**400, -10**400, 2**64, float("nan"), float("inf")])
+
+
+@st.composite
+def _mutated_cks(draw):
+    """The cks wire structure with one node mutated: its type changed, a key
+    deleted, a list truncated, or set to an extreme number."""
+    doc = {"root": json.loads(_CKS_TEXT)}
+    path = ("root",) + draw(st.sampled_from(_PATHS_BY_DEPTH[
+        draw(st.sampled_from(sorted(_PATHS_BY_DEPTH)))]))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    node = parent[path[-1]]
+    mutation = draw(st.sampled_from(["retype", "extreme", "shrink"]))
+    if mutation == "shrink" and isinstance(node, dict) and node:
+        del node[draw(st.sampled_from(sorted(node)))]
+    elif mutation == "shrink" and isinstance(node, list) and node:
+        del node[draw(st.integers(0, len(node) - 1)):]
+    else:
+        parent[path[-1]] = draw(_EXTREME if mutation == "extreme" else _RETYPED)
+    return doc["root"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=_mutated_cks())
+def test_analyze_survives_one_mutated_node(tmp_path_factory, doc):
+    # a malformed file gets an exit code of 0-3, never an uncaught exception
+    workdir = tmp_path_factory.getbasetemp()
+    path = workdir / "mutated.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path), "--out", str(workdir / "report.json")]) in (0, 1, 2, 3)
 
 
 def test_builtin_name_resolves_before_path(tmp_path, monkeypatch, capsys):
@@ -236,9 +295,10 @@ def test_unread_flags_are_usage_errors(argv):
     assert exc.value.code == 2
 
 
-def test_one_process_builds_the_parser_once(monkeypatch, capsys):
+def test_one_process_builds_the_parser_once(monkeypatch, capsys, verify_seed_7_process):
     # analyze, a usage error and verify in one process give what each gives
     # in a fresh process, from one parser
+    fresh = {("verify", "--seed", "7"): verify_seed_7_process}
     built = []
     build = cli.build_parser
     monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
@@ -250,5 +310,6 @@ def test_one_process_builds_the_parser_once(monkeypatch, capsys):
         except SystemExit as exc:
             code = exc.code
         out, err = capsys.readouterr()
-        assert (code, out, err) == run_cli(*argv), argv
+        expected = fresh[tuple(argv)] if tuple(argv) in fresh else run_cli(*argv)
+        assert (code, out, err) == expected, argv
     assert len(built) == 1

@@ -300,12 +300,14 @@ def test_helstrom_oracle_matches_per_sample_reference(dim):
             assert abs(batched - reference) <= 1e-12, (dim, seed, samples)
 
 
-def test_helstrom_oracle_finds_a_best_sample_past_the_first_chunk():
+@pytest.mark.parametrize("dim", [3, 4])
+def test_helstrom_oracle_finds_a_best_sample_past_the_first_chunk(dim):
     # pick a seed whose best sample lies beyond the first chunk: the batched
-    # oracle matches only if each chunk continues the stream where the
-    # previous one stopped
+    # oracle matches only if each chunk continues the stream, and the rank
+    # cycle, where the previous one stopped (at dim 3 the chunk size is a
+    # multiple of the cycle length dim - 1, at dim 4 it is not)
     gen = np.random.default_rng(45)
-    rho, xi = random_density(3, gen), random_density(3, gen)
+    rho, xi = random_density(dim, gen), random_density(dim, gen)
     samples = 2 * _CHUNK + 3
     for seed in range(20):
         successes = _helstrom_successes_reference(rho, xi, samples, seed)

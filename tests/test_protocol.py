@@ -74,13 +74,9 @@ def test_run_honest_rejects_bad_bits():
 def test_all_final_states_counts_and_norms():
     for spec in (build_cks(), build_trivial()):
         fs = all_final_states(spec)
-        assert len(fs.states) == 8
-        for sv in fs.states.values():
-            assert abs(np.linalg.norm(sv.amps) - 1.0) < 1e-9
-        # the keyed view is built once, over the frozen stack
-        assert fs.states is fs.states and fs.stack.amps.shape[:3] == (2, 2, 2)
+        assert fs.stack.amps.shape[:3] == (2, 2, 2)
+        assert np.abs(np.linalg.norm(fs.stack.amps, axis=-1) - 1.0).max() < 1e-9
         assert not fs.stack.amps.flags.writeable
-        assert np.array_equal(fs.states[(1, 0, 1)].amps, fs.stack.amps[1, 0, 1])
     assert all_final_states(build_cks()).alice_factors == {"A", "M"}
 
 
@@ -106,19 +102,18 @@ def test_state_after_prep_ignores_inputs():
 
 def test_reduce_alice_cks_pure():
     fs = all_final_states(build_cks())
-    rf = reduce_alice(fs)
-    for rho in rf.rho.values():
-        purity = float(np.real(np.trace(rho.mat @ rho.mat)))
-        assert purity == pytest.approx(1.0, abs=TOL_SPECTRAL)
+    rho = reduce_alice(fs).states.mat
+    purity = np.real(np.trace(rho @ rho, axis1=-2, axis2=-1))
+    assert np.abs(purity - 1.0).max() <= TOL_SPECTRAL
 
 
 def test_reduce_alice_trivial_basis_states():
-    rf = reduce_alice(all_final_states(build_trivial()))
-    for (a, x0, x1), rho in rf.rho.items():
+    rho = reduce_alice(all_final_states(build_trivial())).states.mat
+    for a, x0, x1 in protocol.RUN_KEYS:
         # |0>_A tensor |2*x0+x1>_M under (A, M) ordering
         expected = np.zeros((8, 8), dtype=complex)
         expected[2 * x0 + x1, 2 * x0 + x1] = 1.0
-        assert np.allclose(rho.mat, expected), (a, x0, x1)
+        assert np.allclose(rho[a, x0, x1], expected), (a, x0, x1)
 
 
 def test_validate_completeness_passes_for_catalog():
@@ -151,11 +146,13 @@ def test_analysis_rejects_round_entangled_with_inputs(monkeypatch):
 def test_deferred_measurement_consistency():
     for spec in (build_cks(), build_trivial()):
         end = spec.alice_end_factors
-        for (a, x0, x1), sv in all_final_states(spec).states.items():
+        fs = all_final_states(spec)
+        for a, x0, x1 in protocol.RUN_KEYS:
             xa = x0 if a == 0 else x1
             meas = spec.alice_output[a]
             proj = meas.pos if xa == 1 else meas.neg
-            p = np.real(np.vdot(sv.amps, embed_operator(proj, sv.layout, end) @ sv.amps))
+            amps = fs.stack.amps[a, x0, x1]
+            p = np.real(np.vdot(amps, embed_operator(proj, fs.stack.layout, end) @ amps))
             assert p == pytest.approx(1.0, abs=TOL_SPECTRAL)
 
 
@@ -188,7 +185,7 @@ def test_purified_run_is_uniform_superposition_of_honest_runs():
                 for x1 in (0, 1):
                     honest = run_honest(spec, a, x0, x1).amps.reshape(lay.dims).copy()
                     sector = _input_sector(lay, x0, x1)
-                    got = fs.states[(a, x0, x1)].amps
+                    got = fs.stack.amps[a, x0, x1]
                     assert np.abs(got - honest[sector].ravel()).max() < 1e-12, (spec.name, a, x0, x1)
                     honest[sector] = 0.0
                     assert np.abs(honest).max() < 1e-12, (spec.name, a, x0, x1)
@@ -207,18 +204,20 @@ def _support_projector_reference(ops):
 
 
 def _completeness_reference(spec, family):
-    """The completeness fields computed one key at a time."""
+    """The completeness fields computed one key at a time from the
+    reduced stack ``family``, indexed ``[a, x0, x1]``."""
     failures, overlaps, one_probs, min_prob = [], [], {}, 1.0
     projectors = {}
     for a in (0, 1):
         for v in (0, 1):
-            members = [family[(a, x0, x1)] for x0 in (0, 1) for x1 in (0, 1)
+            members = [family[a, x0, x1] for x0 in (0, 1) for x1 in (0, 1)
                        if (x0 if a == 0 else x1) == v]
             projectors[(a, v)] = _support_projector_reference(members)
         overlaps.append(trace_norm(projectors[(a, 0)] @ projectors[(a, 1)]))
         if overlaps[-1] > TOL_SPECTRAL:
             failures.append(f"a={a}: learned-bit supports overlap ({overlaps[-1]:.3e})")
-    for (a, x0, x1), rho in family.items():
+    for a, x0, x1 in protocol.RUN_KEYS:
+        rho = family[a, x0, x1]
         xa = x0 if a == 0 else x1
         one = float(np.real(np.trace(spec.alice_output[a].pos @ rho.mat)))
         one_probs[(a, x0, x1)] = one
@@ -235,7 +234,7 @@ def test_support_projectors_and_completeness_match_per_key_reference():
         spec = build()
         an = protocol._analyze(spec)
         projectors, overlaps, one_probs, min_prob, failures = _completeness_reference(
-            spec, an.reduced.rho)
+            spec, an.reduced.states)
         got = support_projectors(an.reduced)
         for (a, v), ref in projectors.items():
             assert np.abs(got[a, v] - ref).max() < 1e-12, (spec.name, a, v)
@@ -282,22 +281,22 @@ def test_engine_matches_dense_reference():
 def test_reduce_alice_matches_partial_trace_of_pure_density():
     for build in ENGINE_SPECS:
         fs = all_final_states(build())
-        rf = reduce_alice(fs)
-        for key, sv in fs.states.items():
-            ref = partial_trace(pure_density(sv), sv.layout, fs.alice_factors)
-            assert np.abs(rf.rho[key].mat - ref.mat).max() < 1e-12, key
+        ref = partial_trace(pure_density(fs.stack), fs.stack.layout, fs.alice_factors)
+        assert np.abs(reduce_alice(fs).states.mat - ref.mat).max() < 1e-12, build.__name__
 
 
 # --- structural validation ----------------------------------------------------
 
 def test_spec_rejects_non_unitary_round():
     base = build_cks()
-    bad = np.eye(12, dtype=complex)
-    bad[0, 0] = 2.0
-    with pytest.raises(SpecError):
-        ProtocolSpec(base.name, base.layout, base.alice_prep,
-                     (base.rounds[0], Round(BOB, bad, send=True)),
-                     base.alice_output)
+    # an entry this large makes U^dagger U NaN, which no tolerance rejects
+    for value in (2.0, 1e200 + 1e200j):
+        bad = np.eye(12, dtype=complex)
+        bad[0, 0] = value
+        with pytest.raises(SpecError):
+            ProtocolSpec(base.name, base.layout, base.alice_prep,
+                         (base.rounds[0], Round(BOB, bad, send=True)),
+                         base.alice_output)
 
 
 def test_spec_rejects_uncontrolled_bob_round():
@@ -389,6 +388,16 @@ def test_spec_json_round_trip(tmp_path):
     assert np.allclose(sv1.amps, sv2.amps)
 
 
+def _cks_dict_with(path: tuple, value) -> dict:
+    """The cks wire structure with the node at ``path`` set to ``value``."""
+    data = spec_to_dict(build_cks())
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return data
+
+
 def test_spec_from_dict_rejects_malformed():
     with pytest.raises(ValueError):
         spec_from_dict({"name": "x"})
@@ -396,6 +405,24 @@ def test_spec_from_dict_rejects_malformed():
     data["alice_prep"] = data["alice_prep"][:1]
     with pytest.raises(ValueError):
         spec_from_dict(data)
+    # a value of the wrong JSON type is rejected, not coerced
+    entry = ("rounds", 1, "matrix", 0, 0)
+    pos = data["alice_output"][0][0]
+    for path, value in ((("rounds", 0, "send"), "false"),
+                        (("rounds", 0, "send"), 0),
+                        (("factors", 0, "dim"), 3.9),
+                        (("factors", 0, "dim"), "3"),
+                        (("factors", 0, "dim"), True),
+                        (("factors", 0, "owner"), 1),
+                        (("name",), None),
+                        (entry, [1.0, 0.0, 0.0]),
+                        (entry, [1.0]),
+                        (entry, [True, 0.0]),
+                        (entry, ["1", 0.0]),
+                        (entry, [10**400, 0.0]),
+                        (("alice_output", 0), [pos, pos, pos])):
+        with pytest.raises(ValueError):
+            spec_from_dict(_cks_dict_with(path, value))
 
 
 def test_complex_encoding_round_trip():

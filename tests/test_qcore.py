@@ -21,7 +21,6 @@ from wotsim.qcore import (
     helstrom,
     herm_sqrt,
     inner,
-    kron,
     partial_trace,
     pure_density,
     random_density,
@@ -36,18 +35,6 @@ PLUS = DensityOp(np.full((2, 2), 0.5, dtype=complex))
 
 def qubit_pair_layout():
     return RegisterLayout((Factor("L", 2, ALICE), Factor("R", 2, BOB)))
-
-
-# --- kron ------------------------------------------------------------------
-
-def test_kron_identities():
-    assert np.allclose(kron(np.eye(2), np.eye(2)), np.eye(4))
-    assert np.allclose(kron(np.diag([1, -1]), np.eye(2)), np.diag([1, 1, -1, -1]))
-    e11 = np.zeros((2, 2))
-    e11[0, 0] = 1.0
-    expected = np.zeros((4, 4))
-    expected[0, 0] = 1.0
-    assert np.allclose(kron(e11, e11), expected)
 
 
 # --- constructors -----------------------------------------------------------
@@ -335,6 +322,9 @@ def test_measurement_validation():
         TwoOutcomeMeasurement(pos, pos)  # does not sum to identity
     with pytest.raises(ShapeError):
         TwoOutcomeMeasurement(0.5 * pos, np.eye(2) - 0.5 * pos)  # not idempotent
+    huge = np.array([[0.5, 1e200 + 1e200j], [1e200 - 1e200j, 0.5]])
+    with pytest.raises(ShapeError):
+        TwoOutcomeMeasurement(huge, np.eye(2) - huge)  # P @ P is NaN
 
 
 def test_haar_unitary_is_unitary_and_deterministic():

@@ -8,8 +8,8 @@ from wotsim.cli import main
 from wotsim.qcore import fidelity
 
 
-def test_run_all_green_and_deterministic():
-    lines1, ok1 = verification.run_all(7)
+def test_run_all_green_and_deterministic(verify_seed_7):
+    lines1, ok1 = verify_seed_7
     lines2, ok2 = verification.run_all(7)
     assert ok1 and ok2
     assert lines1 == lines2

@@ -1,5 +1,3 @@
-from wotsim.verification import run_all
-
 # Every suite with its check count: a rewrite that drops a check changes this.
 SEED_7_REPORT = [
     "PASS qcore.fuchs_van_de_graaf (2 checks)",
@@ -17,5 +15,5 @@ SEED_7_REPORT = [
 ]
 
 
-def test_verify_report_is_pinned():
-    assert run_all(7) == (SEED_7_REPORT, True)
+def test_verify_report_is_pinned(verify_seed_7):
+    assert verify_seed_7 == (SEED_7_REPORT, True)
