@@ -31,6 +31,9 @@ from .qcore import (
 TRIVIAL_POINT = (1.0, 0.5)
 QUTRIT_POINT = (0.5, 0.75)
 
+# The largest dyadic precision for which 2.0 ** bits is a finite float.
+MAX_DYADIC_BITS = 1023
+
 
 @dataclass(frozen=True)
 class WCFPrimitive:
@@ -49,10 +52,11 @@ class WCFPrimitive:
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
             raise RangeError(f"lam must be in [0, 1], got {self.lam}")
-        if self.epsilon < 0.0:
-            raise RangeError(f"epsilon must be >= 0, got {self.epsilon}")
-        if self.dyadic_bits < 1:
-            raise RangeError(f"dyadic_bits must be >= 1, got {self.dyadic_bits}")
+        if not 0.0 <= self.epsilon < math.inf:
+            raise RangeError(f"epsilon must be finite and >= 0, got {self.epsilon}")
+        if not 1 <= self.dyadic_bits <= MAX_DYADIC_BITS:
+            raise RangeError(
+                f"dyadic_bits must be in [1, {MAX_DYADIC_BITS}], got {self.dyadic_bits}")
         scaled = self.lam * 2.0 ** self.dyadic_bits
         if abs(scaled - round(scaled)) > 1e-9:
             raise RangeError(
@@ -246,8 +250,8 @@ def dyadic_round(lam: float, bits: int) -> float:
     """Round to the nearest integer over 2**bits; ties round down."""
     if not 0.0 <= lam <= 1.0:
         raise RangeError(f"lam must be in [0, 1], got {lam}")
-    if bits < 1:
-        raise RangeError(f"bits must be >= 1, got {bits}")
+    if not 1 <= bits <= MAX_DYADIC_BITS:
+        raise RangeError(f"bits must be in [1, {MAX_DYADIC_BITS}], got {bits}")
     scale = 2.0 ** bits
     k = math.ceil(lam * scale - 0.5)
     k = min(max(k, 0), int(scale))

@@ -27,6 +27,7 @@ from .catalog import (
     simulate_combined,
 )
 from .errors import (
+    MAX_SWEEP_SIZE,
     CompletenessError,
     ConsistencyError,
     LayoutError,
@@ -106,8 +107,8 @@ def cmd_robustness(args) -> int:
         raise RangeError(
             f"need 0 <= delta-min <= delta-max <= 1/2, got [{args.delta_min}, {args.delta_max}]"
         )
-    if args.steps < 1:
-        raise RangeError(f"steps must be >= 1, got {args.steps}")
+    if not 1 <= args.steps <= MAX_SWEEP_SIZE:
+        raise RangeError(f"steps must be in [1, {MAX_SWEEP_SIZE}], got {args.steps}")
     deltas = np.linspace(args.delta_min, args.delta_max, args.steps)
     header = ["delta", "p3", "lambda_star", "max_cheat"]
     if args.oracle_grid:

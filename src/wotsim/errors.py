@@ -1,5 +1,9 @@
 """Exception types shared across the package."""
 
+# Largest count a caller may ask for: curve points, robustness steps and the
+# oracle grid.  A larger one raises RangeError before anything is allocated.
+MAX_SWEEP_SIZE = 100_000
+
 
 class WotsimError(Exception):
     """Base class for all package errors."""

@@ -5,6 +5,11 @@ exhaustive or random search, with no reliance on the formula it checks:
 ``cks_alice_oracle`` grid-searches cheating preparations for the qutrit
 protocol, ``helstrom_oracle`` tries random projective measurements, and
 ``uhlmann_oracle`` tries random unitaries on the purifying system.
+
+The qutrit search runs on the three weights of a preparation alone: the
+frame ``|e_c>|c>`` is orthonormal whatever the ancilla vectors, so it is an
+isometry and leaves every trace norm unchanged.  ``cks_alice_success`` keeps
+the explicit 9-dim states, so that this argument is itself checked.
 """
 
 from __future__ import annotations
@@ -14,19 +19,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import RangeError
-from .qcore import (
-    DensityOp,
-    StateVector,
-    bipartition_matrix,
-    guess_prob,
-    haar_unitary,
-    hermitize,
-)
-
-# Fixed stream for the oracle's random ancilla configurations; the oracle
-# takes no seed parameter and must be deterministic.
-_ANCILLA_SEED = 20131011
+from .errors import MAX_SWEEP_SIZE, RangeError
+from .qcore import DensityOp, StateVector, bipartition_matrix, haar_unitary, trace_norm
 
 # Samples per stacked QR in the measurement and unitary oracles, so their
 # memory stays O(_CHUNK * dim^2) whatever the sample count.
@@ -44,7 +38,7 @@ class CheatState:
 
     The qutrit Alice keeps is replaced by a 3-dim ancilla carrying three
     unit vectors (not necessarily orthogonal); the joint state is
-    alpha |e0>|0> + beta |e1>|1> + gamma |e2>|2| with nonnegative weights.
+    alpha |e0>|0> + beta |e1>|1> + gamma |e2>|2> with nonnegative weights.
     """
 
     alpha: float
@@ -66,18 +60,12 @@ class CheatState:
                 raise RangeError("ancilla vectors must be unit vectors")
 
 
-def orthonormal_ancillas() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The computational-basis ancilla configuration."""
-    e = np.eye(3, dtype=complex)
-    return (e[0], e[1], e[2])
-
-
 def _frame(ancillas) -> np.ndarray:
     """The three joint vectors |e_c>|c> as rows of a (..., 3, 9) array, for
     ancillas given as rows e_c of a (3, 3) or (n, 3, 3) array.
 
     They are orthonormal for every ancilla configuration because the qutrit
-    parts are distinct basis states.
+    parts are distinct basis states, so the frame is an isometry.
     """
     anc = np.asarray(ancillas, dtype=complex)
     # |e_c>|c> has the entries of e_c at the joint indices 3 i + c
@@ -91,45 +79,32 @@ _SIGNS = np.array([[[1.0, 1.0, 1.0], [1.0, -1.0, 1.0]],
                    [[-1.0, 1.0, 1.0], [-1.0, -1.0, 1.0]]])
 
 
-def _post_interaction_states(alphas, betas, gammas, ancillas) -> np.ndarray:
-    """Stacked states psi[x0, x1] for batches of weights: shape (n, 2, 2, 9).
-
-    ``ancillas`` is one configuration for the whole batch, (3, 3), or one per
-    preparation, (n, 3, 3).
-    """
-    weights = np.stack([alphas, betas, gammas], axis=-1)
-    return (_SIGNS * weights[:, None, None, :]) @ _frame(ancillas)[..., None, :, :]
+def _coefficients(alphas, betas, gammas) -> np.ndarray:
+    """States psi[x0, x1] in the frame's coordinates, (n, 2, 2, 3); times
+    ``_frame(ancillas)`` they are the explicit 9-dim states."""
+    return _SIGNS * np.stack([alphas, betas, gammas], axis=-1)[:, None, None, :]
 
 
-def _success_batch(alphas, betas, gammas, ancillas, target: int) -> np.ndarray:
-    """Optimal guessing probability for the target bit, for a batch of
-    cheating preparations sharing one ancilla configuration (3, 3) or each
-    with its own (n, 3, 3), computed via explicit trace norms."""
-    psi = _post_interaction_states(alphas, betas, gammas, ancillas)
+def _success_batch(psi: np.ndarray, target: int) -> np.ndarray:
+    """Optimal guessing probability of the target bit for a stack of
+    post-interaction states psi[x0, x1] of shape (n, 2, 2, d)."""
     # rho_0 - rho_1, where rho_v averages the states whose target bit reads v
     subscripts = "nvyi,nvyj->vnij" if target == 0 else "nyvi,nyvj->vnij"
     diff = np.subtract(*np.einsum(subscripts, psi, psi.conj())) / 2
-    tn = np.abs(np.linalg.eigvalsh(hermitize(diff))).sum(axis=-1)
-    return 0.5 + 0.25 * tn
+    return 0.5 + 0.25 * trace_norm(diff)
 
 
 def cks_alice_success(cs: CheatState, target: int) -> float:
     """Probability that the cheating preparation guesses the target bit.
 
-    Builds the four post-interaction states explicitly, averages them into
-    the two conditional mixed states, and evaluates the optimal guessing
-    probability through the trace-norm machinery; no closed form is used.
+    Builds the four post-interaction states explicitly in the 9-dim joint
+    space and evaluates the guessing probability through the trace norm of
+    their conditional mixtures; no closed form is used.
     """
     if target not in (0, 1):
         raise RangeError(f"target must be 0 or 1, got {target}")
-    psi = _post_interaction_states(
-        np.array([cs.alpha]), np.array([cs.beta]), np.array([cs.gamma]),
-        cs.ancilla_vectors,
-    )[0]
-    # members[v]: the two states whose target bit reads v
-    members = psi if target == 0 else psi.swapaxes(0, 1)
-    rho = np.mean(members[..., :, None] * members.conj()[..., None, :], axis=1)
-    return guess_prob(DensityOp(hermitize(rho[0])), DensityOp(hermitize(rho[1])))
+    psi = _coefficients([cs.alpha], [cs.beta], [cs.gamma]) @ _frame(cs.ancilla_vectors)
+    return float(_success_batch(psi, target)[0])
 
 
 def _candidate_weights(delta: float, grid: int) -> tuple[np.ndarray, np.ndarray]:
@@ -153,33 +128,21 @@ def cks_alice_oracle(delta: float, grid: int) -> float:
 
     Maximizes the probability of guessing x1 over preparations whose
     probability of guessing x0 is at least 1 - delta, sweeping (alpha,
-    gamma) candidates with beta fixed by normalization, under both the
-    orthonormal and seeded random ancilla configurations.  All successes
-    are evaluated through the explicit trace-norm route.  The result is a
-    lower-bound estimate of the true maximum with grid error about
-    ``grid_tolerance(grid)``.
+    gamma) candidates with beta fixed by normalization.  The ancillas are
+    not searched: their frame is an isometry, so the trace norms are taken
+    in its 3-dim coordinates.  A lower-bound estimate of the true maximum
+    with grid error about ``grid_tolerance(grid)``.
     """
     if not 0.0 <= delta <= 0.5:
         raise RangeError(f"delta must be in [0, 1/2], got {delta}")
-    if grid < 50:
-        raise RangeError(f"grid must be >= 50, got {grid}")
+    if not 50 <= grid <= MAX_SWEEP_SIZE:
+        raise RangeError(f"grid must be in [50, {MAX_SWEEP_SIZE}], got {grid}")
     alphas, gammas = _candidate_weights(delta, grid)
     betas = np.sqrt(np.clip(1.0 - alphas**2 - gammas**2, 0.0, None))
-    rng = np.random.default_rng(_ANCILLA_SEED)
-    configs = [orthonormal_ancillas()]
-    for _ in range(2):
-        configs.append(haar_unitary(3, rng, size=3)[..., 0])
-    best = 0.5
-    for ancillas in configs:
-        p_x0 = _success_batch(alphas, betas, gammas, ancillas, target=0)
-        feasible = p_x0 >= 1.0 - delta - 1e-12
-        if not np.any(feasible):
-            continue
-        p_x1 = _success_batch(
-            alphas[feasible], betas[feasible], gammas[feasible], ancillas, target=1
-        )
-        best = max(best, float(p_x1.max()))
-    return best
+    psi = _coefficients(alphas, betas, gammas)
+    # never empty: the honest preparation guesses x0 with certainty
+    feasible = _success_batch(psi, target=0) >= 1.0 - delta - 1e-12
+    return float(_success_batch(psi[feasible], target=1).max())
 
 
 def helstrom_oracle(rho0: DensityOp, rho1: DensityOp, samples: int, seed: int) -> float:

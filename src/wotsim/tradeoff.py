@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .catalog import QUTRIT_POINT, TradeoffPoint, WCFPrimitive, combined_bounds, dyadic_round
-from .errors import RangeError
+from .errors import MAX_SWEEP_SIZE, RangeError
 
 
 @dataclass(frozen=True)
@@ -73,8 +73,8 @@ def tune_lambda(delta: float, epsilon: float) -> RobustnessPoint:
     larger slacked bound, Alice's.  Past ``delta_star()`` the equalizer hits
     lam = 0 and the answer is the plain qutrit protocol at 3/4.
     """
-    if epsilon < 0.0:
-        raise RangeError(f"epsilon must be >= 0, got {epsilon}")
+    if not 0.0 <= epsilon < math.inf:
+        raise RangeError(f"epsilon must be finite and >= 0, got {epsilon}")
     p3 = prop3_bound(delta)
     if p3 >= QUTRIT_POINT[1]:
         lam, equalized = 0.0, QUTRIT_POINT[1]
@@ -88,8 +88,8 @@ def tune_lambda(delta: float, epsilon: float) -> RobustnessPoint:
 def curve(epsilon: float, n_points: int, dyadic_bits: int = 20) -> list[TradeoffPoint]:
     """The tradeoff curve: combined-protocol bounds over a dyadically
     rounded mixture-weight grid from 0 to 1."""
-    if n_points < 2:
-        raise RangeError(f"n_points must be >= 2, got {n_points}")
+    if not 2 <= n_points <= MAX_SWEEP_SIZE:
+        raise RangeError(f"n_points must be in [2, {MAX_SWEEP_SIZE}], got {n_points}")
     points = []
     for i in range(n_points):
         lam = dyadic_round(i / (n_points - 1), dyadic_bits)

@@ -1,9 +1,11 @@
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import wotsim
 from wotsim.catalog import _qutrit_output, build_cks
 from wotsim.protocol import ProtocolSpec, Round
 from wotsim.qcore import (
@@ -16,6 +18,11 @@ from wotsim.qcore import (
     TwoOutcomeMeasurement,
 )
 from wotsim.verification import run_all
+
+# Tests start ``python -m wotsim`` in child processes: they import the package
+# this process imported, also when pytest's pythonpath setting found it.
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (
+    os.path.dirname(os.path.dirname(wotsim.__file__)), os.environ.get("PYTHONPATH"))))
 
 
 @pytest.fixture

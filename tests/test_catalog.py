@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from wotsim.attacks import cheat_report, delta_quantity, f_quantity
 from wotsim.catalog import (
+    MAX_DYADIC_BITS,
     HonestRunStats,
     WCFPrimitive,
     build_cks,
@@ -138,7 +141,13 @@ def test_wcf_validation():
         WCFPrimitive(0.5, -0.1)
     with pytest.raises(RangeError):
         WCFPrimitive(1 / 3, 0.0)  # not dyadic
+    for epsilon in (math.nan, math.inf):
+        with pytest.raises(RangeError):
+            WCFPrimitive(0.5, epsilon)
+    with pytest.raises(RangeError):
+        WCFPrimitive(0.5, 0.0, MAX_DYADIC_BITS + 1)  # 2.0 ** bits overflows
     WCFPrimitive(1 / 8, 0.0, 3)
+    WCFPrimitive(0.5, 0.0, MAX_DYADIC_BITS)
 
 
 # --- dyadic rounding -----------------------------------------------------------
@@ -162,6 +171,8 @@ def test_dyadic_round_range_errors():
         dyadic_round(1.2, 4)
     with pytest.raises(RangeError):
         dyadic_round(0.5, 0)
+    with pytest.raises(RangeError):
+        dyadic_round(0.5, MAX_DYADIC_BITS + 1)
 
 
 # --- honest simulation -----------------------------------------------------------

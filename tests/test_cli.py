@@ -10,6 +10,7 @@ from conftest import build_incomplete_protocol
 from wotsim import cli
 from wotsim.catalog import build_cks
 from wotsim.cli import main
+from wotsim.errors import MAX_SWEEP_SIZE
 from wotsim.protocol import spec_to_dict
 
 
@@ -190,8 +191,22 @@ def test_curve_epsilon_slack(capsys):
         assert abs(float(line.split(",")[-1]) - 2.04) < 1e-12
 
 
-def test_curve_rejects_single_point():
-    assert main(["curve", "--points", "1"]) == 2
+def test_curve_rejects_single_point(capsys):
+    # and a non-finite bias, a precision past the float range and a size past
+    # the cap, each with an error line and no traceback
+    for argv in (["--points", "1"], ["--points", "2", "--epsilon", "nan"],
+                 ["--points", "2", "--epsilon", "inf"],
+                 ["--points", "3", "--dyadic-bits", "2000"],
+                 ["--points", str(MAX_SWEEP_SIZE + 1)]):
+        assert main(["curve", *argv]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
+def test_simulate_rejects_bits_past_float_range(capsys):
+    argv = ["simulate", "--lambda", "0.5", "--trials", "3", "--dyadic-bits"]
+    assert main([*argv, "2000"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert main([*argv, "60"]) == 0
 
 
 def test_robustness_rows(capsys):
@@ -223,9 +238,13 @@ def test_robustness_oracle_column(capsys):
         assert float(vals[4]) <= float(vals[1]) + 1e-6
 
 
-def test_robustness_range_errors():
-    assert main(["robustness", "--delta-min", "0.2", "--delta-max", "0.1"]) == 2
-    assert main(["robustness", "--delta-min", "0", "--delta-max", "0.6"]) == 2
+def test_robustness_range_errors(capsys):
+    too_many = str(MAX_SWEEP_SIZE + 1)
+    for argv in (["--delta-min", "0.2", "--delta-max", "0.1"],
+                 ["--delta-min", "0", "--delta-max", "0.6"],
+                 ["--steps", too_many], ["--steps", "1", "--oracle-grid", too_many]):
+        assert main(["robustness", *argv]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 def test_simulate(capsys):

@@ -3,15 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from wotsim.errors import RangeError
+from wotsim.errors import MAX_SWEEP_SIZE, RangeError
 from wotsim.oracle import (
     _CHUNK,
     CheatState,
+    _candidate_weights,
+    _coefficients,
+    _frame,
+    _success_batch,
     cks_alice_oracle,
     cks_alice_success,
     grid_tolerance,
     helstrom_oracle,
-    orthonormal_ancillas,
     uhlmann_oracle,
 )
 from wotsim.qcore import (
@@ -42,14 +45,14 @@ def random_cheat_state(gen) -> CheatState:
 
 
 def test_honest_state_successes():
-    cs = CheatState(1 / math.sqrt(2), 0.0, 1 / math.sqrt(2), orthonormal_ancillas())
+    cs = CheatState(1 / math.sqrt(2), 0.0, 1 / math.sqrt(2), tuple(np.eye(3, dtype=complex)))
     assert cks_alice_success(cs, 0) == pytest.approx(1.0, abs=1e-9)
     assert cks_alice_success(cs, 1) == pytest.approx(0.5, abs=1e-9)
 
 
 def test_uniform_state_success():
     w = 1 / math.sqrt(3)
-    cs = CheatState(w, w, w, orthonormal_ancillas())
+    cs = CheatState(w, w, w, tuple(np.eye(3, dtype=complex)))
     assert cks_alice_success(cs, 0) == pytest.approx(5 / 6, abs=1e-9)
     assert cks_alice_success(cs, 1) == pytest.approx(5 / 6, abs=1e-9)
 
@@ -83,9 +86,9 @@ def test_closed_forms_random_phases():
 
 def test_cheat_state_validation():
     with pytest.raises(RangeError):
-        CheatState(1.0, 1.0, 1.0, orthonormal_ancillas())
+        CheatState(1.0, 1.0, 1.0, tuple(np.eye(3, dtype=complex)))
     with pytest.raises(RangeError):
-        CheatState(-0.5, 0.5, math.sqrt(0.5), orthonormal_ancillas())
+        CheatState(-0.5, 0.5, math.sqrt(0.5), tuple(np.eye(3, dtype=complex)))
     e = np.eye(3, dtype=complex)
     with pytest.raises(RangeError):
         CheatState(1.0, 0.0, 0.0, (e[0], e[1], 2 * e[2]))
@@ -116,12 +119,10 @@ def test_oracle_never_exceeds_analytic_bound():
 def test_oracle_feasible_points_respect_proof_intermediates():
     # every feasible preparation obeys beta^2 <= 2 delta and
     # (alpha - gamma)^2 <= 2 delta up to grid slack
-    from wotsim.oracle import _candidate_weights, _success_batch
-
     delta, grid = 0.02, 100
     alphas, gammas = _candidate_weights(delta, grid)
     betas = np.sqrt(np.clip(1 - alphas**2 - gammas**2, 0, None))
-    p0 = _success_batch(alphas, betas, gammas, orthonormal_ancillas(), 0)
+    p0 = _success_batch(_coefficients(alphas, betas, gammas) @ _frame(np.eye(3)), 0)
     feas = p0 >= 1 - delta - 1e-12
     slack = grid_tolerance(grid)
     assert np.all(betas[feas] ** 2 <= 2 * delta + slack)
@@ -129,18 +130,17 @@ def test_oracle_feasible_points_respect_proof_intermediates():
 
 
 def test_oracle_batch_matches_single_calls():
-    from wotsim.oracle import _success_batch
-
     gen = np.random.default_rng(11)
     raw = gen.random((5, 3))
     weights = np.sqrt(raw / raw.sum(axis=1, keepdims=True))
-    shared = np.asarray(orthonormal_ancillas())
+    shared = np.eye(3, dtype=complex)
     per_sample = haar_unitary(3, gen, size=(5, 3))[..., 0]
     # one ancilla configuration for the batch, (3, 3), or one per preparation
     for ancillas, ancillas_of in ((shared, lambda i: shared),
                                   (per_sample, lambda i: per_sample[i])):
         for target in (0, 1):
-            batch = _success_batch(weights[:, 0], weights[:, 1], weights[:, 2], ancillas, target)
+            psi = _coefficients(*weights.T) @ _frame(ancillas)[..., None, :, :]
+            batch = _success_batch(psi, target)
             for i in range(5):
                 cs = CheatState(*weights[i], tuple(ancillas_of(i)))
                 assert batch[i] == pytest.approx(cks_alice_success(cs, target), abs=1e-12)
@@ -148,8 +148,6 @@ def test_oracle_batch_matches_single_calls():
 
 def test_frame_places_each_ancilla_vector_beside_its_qutrit_state():
     # the successes do not depend on the ancillas, so check the frame itself
-    from wotsim.oracle import _frame
-
     ancillas = haar_unitary(3, np.random.default_rng(12), size=(4, 3))[..., 0]
     frames = _frame(ancillas)
     assert frames.shape == (4, 3, 9)
@@ -157,6 +155,42 @@ def test_frame_places_each_ancilla_vector_beside_its_qutrit_state():
         assert np.array_equal(frames[i], _frame(ancillas[i]))
         for c in range(3):
             assert np.array_equal(frames[i, c], np.kron(ancillas[i, c], np.eye(3)[c]))
+
+
+def _three_configuration_search(delta, grid, gen):
+    # the grid search over explicit 9-dim states under the orthonormal and
+    # two Haar-random ancilla configurations, each success from the spectrum
+    # of the difference of the two conditional mixtures
+    alphas, gammas = _candidate_weights(delta, grid)
+    betas = np.sqrt(np.clip(1 - alphas**2 - gammas**2, 0, None))
+    signs = np.array([[[(-1) ** x0, (-1) ** x1, 1] for x1 in (0, 1)] for x0 in (0, 1)])
+    weights = np.stack([alphas, betas, gammas], axis=1)[:, None, None, :] * signs
+
+    def success(psi, target):
+        outer = np.einsum("nxyi,nxyj->nxyij", psi, psi.conj())
+        rho = outer.mean(axis=2) if target == 0 else outer.mean(axis=1)
+        diff = rho[:, 0] - rho[:, 1]
+        diff = (diff + np.conj(np.swapaxes(diff, 1, 2))) / 2
+        return 0.5 + 0.25 * np.abs(np.linalg.eigvalsh(diff)).sum(axis=1)
+
+    best = 0.5
+    for ancillas in [np.eye(3)] + [haar_unitary(3, gen, size=3)[..., 0] for _ in range(2)]:
+        # entry 3 i + c of psi[x0, x1] is weight c times entry i of ancilla c
+        psi = np.einsum("nxyc,ci->nxyic", weights, ancillas).reshape(len(alphas), 2, 2, 9)
+        feasible = success(psi, 0) >= 1 - delta - 1e-12
+        if feasible.any():
+            best = max(best, float(success(psi[feasible], 1).max()))
+    return best
+
+
+@pytest.mark.parametrize("grid", [100, 400])
+def test_oracle_equals_three_configuration_search(grid):
+    # the frame is an isometry, so searching the weights alone loses nothing
+    # against the explicit states under any ancilla configuration
+    gen = np.random.default_rng(13)
+    for delta in (0.0, 0.005, 0.01, 0.0443, 0.1, 0.2):
+        reference = _three_configuration_search(delta, grid, gen)
+        assert abs(cks_alice_oracle(delta, grid) - reference) <= 1e-12, (delta, grid)
 
 
 def test_full_state_space_search_confirms_optimum():
@@ -197,6 +231,8 @@ def test_oracle_rejects_bad_arguments():
         cks_alice_oracle(0.7, 100)
     with pytest.raises(RangeError):
         cks_alice_oracle(0.01, 10)
+    with pytest.raises(RangeError):
+        cks_alice_oracle(0.01, MAX_SWEEP_SIZE + 1)
 
 
 # --- measurement and unitary oracles ---------------------------------------------

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wotsim.errors import RangeError
+from wotsim.errors import MAX_SWEEP_SIZE, RangeError
 from wotsim.tradeoff import curve, delta_star, prop3_bound, prop3_tight, tune_lambda
 
 
@@ -80,8 +80,9 @@ def test_tune_lambda_epsilon_slack():
     slacked = tune_lambda(0.01, 0.02)
     assert slacked.lambda_star == base.lambda_star
     assert slacked.max_cheat == pytest.approx(base.max_cheat + 0.01, abs=1e-12)
-    with pytest.raises(RangeError):
-        tune_lambda(0.01, -0.5)
+    for epsilon in (-0.5, math.nan, math.inf):
+        with pytest.raises(RangeError):
+            tune_lambda(0.01, epsilon)
 
 
 def test_tune_lambda_monotone_and_continuous():
@@ -139,5 +140,6 @@ def test_curve_lambda_ascending_and_dyadic():
 
 
 def test_curve_rejects_small_grid():
-    with pytest.raises(RangeError):
-        curve(0.0, 1)
+    for args in ((0.0, 1), (0.0, MAX_SWEEP_SIZE + 1), (math.nan, 2), (0.0, 3, 2000)):
+        with pytest.raises(RangeError):
+            curve(*args)

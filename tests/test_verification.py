@@ -18,22 +18,15 @@ def test_run_all_green_and_deterministic(verify_seed_7):
     assert all(line.startswith("PASS") for line in lines1[:-1])
 
 
-def test_mutation_is_caught(monkeypatch):
+def test_mutation_is_caught(monkeypatch, tmp_path):
     # squaring the fidelity breaks the trace-distance lower bound; the
-    # self-checks must notice and name the failing suite
+    # self-checks must notice, name the failing suite and exit 1
     monkeypatch.setattr(verification, "fidelity", lambda rho, xi: fidelity(rho, xi) ** 2)
-    lines, ok = verification.run_all(0)
-    assert not ok
+    out = tmp_path / "verify.txt"
+    assert main(["verify", "--seed", "0", "--out", str(out)]) == 1
+    lines = out.read_text().splitlines()
     assert any(line.startswith("FAIL qcore.fuchs_van_de_graaf") for line in lines)
     assert lines[-1] == "FAILED"
-
-
-def test_verify_exit_code_on_fault(monkeypatch, capsys):
-    monkeypatch.setattr(verification, "fidelity", lambda rho, xi: fidelity(rho, xi) ** 2)
-    code = main(["verify", "--seed", "0"])
-    out = capsys.readouterr().out
-    assert code == 1
-    assert "FAIL qcore.fuchs_van_de_graaf" in out
 
 
 def test_suites_are_seed_sensitive():
