@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RangeError
+from .errors import MAX_SWEEP_SIZE, RangeError
 from .protocol import ProtocolSpec, Round, validate_completeness
 from .qcore import (
     ALICE,
@@ -291,8 +291,8 @@ def simulate_combined(wcf: WCFPrimitive, trials: int, seed: int) -> HonestRunSta
     ``t``-th five uniforms of one ``default_rng(seed)``; the trials run in a
     loop, so memory stays constant whatever their number.
     """
-    if trials < 1:
-        raise RangeError(f"trials must be >= 1, got {trials}")
+    if not 1 <= trials <= MAX_SWEEP_SIZE:
+        raise RangeError(f"trials must be in [1, {MAX_SWEEP_SIZE}], got {trials}")
     probs = [validate_completeness(build()).one_probs for build in (build_trivial, build_cks)]
     n_by_coin = [0, 0]
     n_complete = 0

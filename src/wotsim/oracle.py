@@ -6,10 +6,11 @@ exhaustive or random search, with no reliance on the formula it checks:
 protocol, ``helstrom_oracle`` tries random projective measurements, and
 ``uhlmann_oracle`` tries random unitaries on the purifying system.
 
-The qutrit search runs on the three weights of a preparation alone: the
-frame ``|e_c>|c>`` is orthonormal whatever the ancilla vectors, so it is an
-isometry and leaves every trace norm unchanged.  ``cks_alice_success`` keeps
-the explicit 9-dim states, so that this argument is itself checked.
+The qutrit oracles hold no copy of the protocol: they run each cheating
+preparation, a state on the (A, M) factors, through ``build_cks()`` with the
+engine that analyses every protocol.  The vectors ``|e_c>|c>`` are
+orthonormal whatever the ancillas, so the search fixes the orthonormal
+ones; ``cks_alice_success`` takes any, so that this is itself checked.
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ from typing import Iterable
 
 import numpy as np
 
+from .catalog import build_cks
 from .errors import MAX_SWEEP_SIZE, RangeError
+from .protocol import _final_sectors
 from .qcore import DensityOp, StateVector, bipartition_matrix, haar_unitary, trace_norm
 
 # Samples per stacked QR in the measurement and unitary oracles, so their
@@ -60,29 +63,14 @@ class CheatState:
                 raise RangeError("ancilla vectors must be unit vectors")
 
 
-def _frame(ancillas) -> np.ndarray:
-    """The three joint vectors |e_c>|c> as rows of a (..., 3, 9) array, for
-    ancillas given as rows e_c of a (3, 3) or (n, 3, 3) array.
-
-    They are orthonormal for every ancilla configuration because the qutrit
-    parts are distinct basis states, so the frame is an isometry.
-    """
-    anc = np.asarray(ancillas, dtype=complex)
-    # |e_c>|c> has the entries of e_c at the joint indices 3 i + c
-    frame = np.where(np.eye(3, dtype=bool)[:, None, :], anc[..., None], 0)
-    return frame.reshape(anc.shape[:-1] + (9,))
-
-
-# _SIGNS[x0, x1] multiplies the weights (alpha, beta, gamma): Bob's round
-# flips the sign of |e0>|0> when x0 = 1 and of |e1>|1> when x1 = 1.
-_SIGNS = np.array([[[1.0, 1.0, 1.0], [1.0, -1.0, 1.0]],
-                   [[-1.0, 1.0, 1.0], [-1.0, -1.0, 1.0]]])
-
-
-def _coefficients(alphas, betas, gammas) -> np.ndarray:
-    """States psi[x0, x1] in the frame's coordinates, (n, 2, 2, 3); times
-    ``_frame(ancillas)`` they are the explicit 9-dim states."""
-    return _SIGNS * np.stack([alphas, betas, gammas], axis=-1)[:, None, None, :]
+def _cheat_states(weights, ancillas) -> np.ndarray:
+    """The post-interaction states psi[x0, x1], (n, 2, 2, 9), of the
+    preparations sum_c w_c |e_c>_A |c>_M for weights given as rows of an
+    (n, 3) array and ancillas as rows e_c of a (3, 3) or (n, 3, 3) array,
+    run through the qutrit protocol ``build_cks()``."""
+    # entry 3 i + c of a preparation is w_c times entry i of e_c
+    prepared = (np.asarray(weights)[..., None] * np.asarray(ancillas)).swapaxes(-1, -2)
+    return _final_sectors(build_cks(), prepared.reshape(-1, 9))
 
 
 def _success_batch(psi: np.ndarray, target: int) -> np.ndarray:
@@ -97,13 +85,14 @@ def _success_batch(psi: np.ndarray, target: int) -> np.ndarray:
 def cks_alice_success(cs: CheatState, target: int) -> float:
     """Probability that the cheating preparation guesses the target bit.
 
-    Builds the four post-interaction states explicitly in the 9-dim joint
-    space and evaluates the guessing probability through the trace norm of
-    their conditional mixtures; no closed form is used.
+    Runs the preparation through ``build_cks()`` to the four explicit
+    post-interaction states in the 9-dim joint space and takes the guessing
+    probability from the trace norm of their conditional mixtures; no
+    closed form is used.
     """
     if target not in (0, 1):
         raise RangeError(f"target must be 0 or 1, got {target}")
-    psi = _coefficients([cs.alpha], [cs.beta], [cs.gamma]) @ _frame(cs.ancilla_vectors)
+    psi = _cheat_states([[cs.alpha, cs.beta, cs.gamma]], cs.ancilla_vectors)
     return float(_success_batch(psi, target)[0])
 
 
@@ -128,10 +117,10 @@ def cks_alice_oracle(delta: float, grid: int) -> float:
 
     Maximizes the probability of guessing x1 over preparations whose
     probability of guessing x0 is at least 1 - delta, sweeping (alpha,
-    gamma) candidates with beta fixed by normalization.  The ancillas are
-    not searched: their frame is an isometry, so the trace norms are taken
-    in its 3-dim coordinates.  A lower-bound estimate of the true maximum
-    with grid error about ``grid_tolerance(grid)``.
+    gamma) candidates with beta fixed by normalization, each run through
+    ``build_cks()`` with the orthonormal ancillas; the success does not
+    depend on the ancillas.  A lower-bound estimate of the true maximum with
+    grid error about ``grid_tolerance(grid)``.
     """
     if not 0.0 <= delta <= 0.5:
         raise RangeError(f"delta must be in [0, 1/2], got {delta}")
@@ -139,7 +128,7 @@ def cks_alice_oracle(delta: float, grid: int) -> float:
         raise RangeError(f"grid must be in [50, {MAX_SWEEP_SIZE}], got {grid}")
     alphas, gammas = _candidate_weights(delta, grid)
     betas = np.sqrt(np.clip(1.0 - alphas**2 - gammas**2, 0.0, None))
-    psi = _coefficients(alphas, betas, gammas)
+    psi = _cheat_states(np.stack([alphas, betas, gammas], axis=1), np.eye(3))
     # never empty: the honest preparation guesses x0 with certainty
     feasible = _success_batch(psi, target=0) >= 1.0 - delta - 1e-12
     return float(_success_batch(psi[feasible], target=1).max())

@@ -100,27 +100,23 @@ def _check_input_controlled(op: np.ndarray, held: tuple[str, ...]) -> None:
         raise SpecError("Bob round is not controlled on his input registers")
 
 
-def _compile_step(op: np.ndarray, layout: RegisterLayout, held: tuple[str, ...],
-                  stacked: bool) -> tuple:
-    """A round, or both preparations ``stacked``, as ``(op, axes, src, dst)``:
-    ``tensordot(op, tensor, axes)`` then the output axes ``src`` moved back
-    to ``dst``, on a state tensor led by the choice-bit axis, which the
-    preparations create from the initial state."""
-    names, dims = layout.names, layout.dims
-    positions = [names.index(n) for n in held]
-    sel = tuple(dims[i] for i in positions)
-    k, lead = len(positions), int(stacked)
-    dst = [1 + p for p in positions]
-    return (op.reshape(op.shape[:lead] + sel + sel),
-            (list(range(lead + k, lead + 2 * k)), positions if stacked else dst),
-            list(range(lead, lead + k)), dst)
+def _compile_step(op: np.ndarray, layout: RegisterLayout, held: tuple[str, ...]) -> tuple:
+    """A round as ``(op, axes, src, dst)``: ``tensordot(op, tensor, axes)``
+    then the output axes ``src`` moved back to ``dst``, on a state tensor
+    led by one axis over the prepared states."""
+    positions = [layout.names.index(n) for n in held]
+    sel = tuple(layout.dims[i] for i in positions)
+    k, dst = len(sel), [1 + p for p in positions]
+    return op.reshape(sel + sel), (list(range(k, 2 * k)), dst), list(range(k)), dst
 
 
 class _Plan(NamedTuple):
-    """A protocol compiled once for execution and analysis: the compiled
-    steps, the axes of the input registers, the layout without them, and
-    Alice's two output projectors as one ``(2, d, d)`` stack."""
+    """A protocol compiled once for execution and analysis: Alice's two
+    prepared states and the axes they fill, the compiled rounds, the input
+    axes, the layout without them, and her two output projectors."""
 
+    prepared: np.ndarray
+    prep_axes: tuple[int, ...]
     steps: tuple[tuple, ...]
     input_axes: tuple[int, int]
     rest: RegisterLayout
@@ -171,21 +167,22 @@ class ProtocolSpec:
         if len(self.alice_prep) != 2 or len(self.alice_output) != 2:
             raise SpecError("alice_prep and alice_output need one entry per choice bit")
         held = held_factors(lay, ALICE, True)
-        d_prep = lay.subset_dim(held)
         for a, prep in enumerate(self.alice_prep):
-            _check_unitary(prep, d_prep, f"alice_prep[{a}]")
-        steps = [_compile_step(np.stack([as_cmat(p) for p in self.alice_prep]), lay, held, True)]
+            _check_unitary(prep, lay.subset_dim(held), f"alice_prep[{a}]")
+        # every factor starts in |0>, so a preparation is its first column
+        prepared = np.stack([as_cmat(p)[:, 0] for p in self.alice_prep])
+        prep_axes = tuple(lay.names.index(n) for n in held)
+        steps = []
         msg_with_alice = True
-        has_message = bool(lay.owned_by(MESSAGE))
         for i, rnd in enumerate(self.rounds):
             held = held_factors(lay, rnd.actor, msg_with_alice)
             d = lay.subset_dim(held)
             _check_unitary(rnd.unitary, d, f"round {i} ({rnd.actor})")
-            steps.append(_compile_step(as_cmat(rnd.unitary), lay, held, False))
+            steps.append(_compile_step(as_cmat(rnd.unitary), lay, held))
             if rnd.actor == BOB:
                 _check_input_controlled(steps[-1][0], held)
             if rnd.send:
-                if not has_message:
+                if not lay.owned_by(MESSAGE):
                     raise SpecError(f"round {i} sends but the layout has no Message factor")
                 holder_is_actor = msg_with_alice == (rnd.actor == ALICE)
                 if not holder_is_actor:
@@ -195,12 +192,11 @@ class ProtocolSpec:
         d_out = lay.subset_dim(self.alice_end_factors)
         for a, meas in enumerate(self.alice_output):
             if meas.pos.shape != (d_out, d_out):
-                raise SpecError(
-                    f"alice_output[{a}] has shape {meas.pos.shape}, Alice ends holding dim {d_out}"
-                )
+                raise SpecError(f"alice_output[{a}] has shape {meas.pos.shape}, "
+                                f"Alice ends holding dim {d_out}")
         input_axes = tuple(lay.names.index(n) for n in INPUT_NAMES)
         object.__setattr__(self, "_plan", _Plan(
-            tuple(steps), input_axes, lay.without(INPUT_NAMES),
+            prepared, prep_axes, tuple(steps), input_axes, lay.without(INPUT_NAMES),
             np.stack([m.pos for m in self.alice_output])))
 
     @property
@@ -257,14 +253,21 @@ class CompletenessReport:
     failures: tuple[str, ...]
 
 
-def _execute(spec: ProtocolSpec, input_amps: dict[str, np.ndarray]) -> np.ndarray:
-    """Both preparations of the protocol in one pass: the final amplitude
-    tensors, of shape ``(2, *layout.dims)`` indexed by the choice bit."""
-    # every factor starts in |0> except the input registers
-    tensor = reduce(np.multiply.outer,
-                    [input_amps[f.name] if f.name in input_amps else np.eye(f.dim, 1).ravel()
-                     for f in spec.layout.factors])
-    for op, axes, src, dst in spec._plan.steps:
+def _execute(spec: ProtocolSpec, input_amps: dict[str, np.ndarray],
+             prepared: np.ndarray | None = None) -> np.ndarray:
+    """The protocol run in one pass from a stack of ``n`` states Alice
+    prepares, by default her two honest ones: the final amplitude tensors,
+    of shape ``(n, *layout.dims)``."""
+    plan, dims = spec._plan, spec.layout.dims
+    prep_axes = plan.prep_axes
+    prepared = plan.prepared if prepared is None else prepared
+    # every other factor starts in |0> except the input registers
+    rest = reduce(np.multiply.outer, [input_amps.get(f.name, np.eye(f.dim, 1).ravel())
+                                      for i, f in enumerate(spec.layout.factors)
+                                      if i not in prep_axes])
+    tensor = np.multiply.outer(prepared.reshape((-1,) + tuple(dims[i] for i in prep_axes)), rest)
+    tensor = np.moveaxis(tensor, range(1, 1 + len(prep_axes)), [1 + i for i in prep_axes])
+    for op, axes, src, dst in plan.steps:
         tensor = np.moveaxis(np.tensordot(op, tensor, axes), src, dst)
     return tensor
 
@@ -346,24 +349,30 @@ class _Analysis:
     completeness: CompletenessReport
 
 
-def _analyze(spec: ProtocolSpec) -> _Analysis:
-    """The one place a protocol is executed for analysis: one pass runs
-    both purified runs.
+def _final_sectors(spec: ProtocolSpec, prepared: np.ndarray | None = None) -> np.ndarray:
+    """The honest final states from each of ``prepared`` (by default
+    Alice's two preparations), ``(n, 2, 2, D)`` indexed ``[., x0, x1]`` on
+    the layout without the input registers, read off purified runs.
 
     Bob's rounds are controlled on the input registers and Alice never
-    touches them, so sector (x0, x1) of the purified run for ``a`` is the
-    honest final state for (a, x0, x1) scaled by 1/2.  A sector of any
-    other norm means the final state is entangled with the input registers.
+    touches them, so sector (x0, x1) of a purified run is the honest final
+    state for (x0, x1) scaled by 1/2.  A sector of any other norm means the
+    final state is entangled with the input registers.
     """
-    plan = spec._plan
-    sectors = np.moveaxis(_execute(spec, _PLUS), [1 + i for i in plan.input_axes],
-                          [1, 2]).reshape(2, 2, 2, -1)
+    sectors = np.moveaxis(_execute(spec, _PLUS, prepared),
+                          [1 + i for i in spec._plan.input_axes], [1, 2])
+    sectors = sectors.reshape(sectors.shape[:3] + (-1,))
     norms = np.linalg.norm(sectors, axis=-1)
     if np.abs(norms - 0.5).max() > TOL_SPECTRAL:
         raise CompletenessError(
-            "final state is entangled with the input registers; not an honest run"
-        )
-    fs = FinalStates(StateVector(plan.rest, sectors / norms[..., None]),
+            "final state is entangled with the input registers; not an honest run")
+    return sectors / norms[..., None]
+
+
+def _analyze(spec: ProtocolSpec) -> _Analysis:
+    """The one place a protocol is analysed: one pass runs both purified
+    runs."""
+    fs = FinalStates(StateVector(spec._plan.rest, _final_sectors(spec)),
                      frozenset(spec.alice_end_factors))
     rf = reduce_alice(fs)
     return _Analysis(fs, rf, _completeness(spec, rf))

@@ -274,7 +274,7 @@ def suite_oracle(seed: int) -> list[Check]:
         weights[i] = np.sqrt(raw / raw.sum())
         ancillas[i] = haar_unitary(3, rng, size=3)[..., 0]
     a, b, g = weights.T
-    psi = oracle._coefficients(a, b, g) @ oracle._frame(ancillas)[:, None]
+    psi = oracle._cheat_states(weights, ancillas)
     worst = float(max(
         np.abs(oracle._success_batch(psi, 0) - (0.5 + a * g)).max(),
         np.abs(oracle._success_batch(psi, 1) - (0.5 + b * g)).max(),

@@ -20,7 +20,7 @@ from wotsim.attacks import (
     f_quantity,
 )
 from wotsim.catalog import build_cks, build_trivial, random_complete_protocol
-from wotsim.errors import CompletenessError, ConsistencyError
+from wotsim.errors import CompletenessError, ConsistencyError, RangeError
 from wotsim.protocol import (
     INPUT_NAMES,
     ReducedFamily,
@@ -219,6 +219,11 @@ def test_purified_attack_requires_completeness():
         bob_purified_attack(build_incomplete_protocol(), 0)
 
 
+def test_purified_attack_rejects_bad_register_choice():
+    with pytest.raises(RangeError):
+        bob_purified_attack(build_cks(), 2)
+
+
 def test_attack_invariant_under_layout_reordering():
     rep = cheat_report(build_cks_shuffled())
     assert rep.alice_bound == pytest.approx(0.5, abs=1e-9)
@@ -258,8 +263,9 @@ def test_cheat_report_random_protocols_on_curve():
 
 
 def test_cheat_report_executes_the_protocol_in_one_batched_pass(monkeypatch):
-    # one execution serves both preparations, with one contraction per
-    # preparation stack and per round; nothing runs per choice bit or per key
+    # one execution serves both preparations, which start as prepared
+    # states, with one contraction per round; nothing runs per choice bit or
+    # per key
     spec = build_cks()
     shapes, contractions = [], []
     execute, tensordot = protocol._execute, np.tensordot
@@ -279,7 +285,7 @@ def test_cheat_report_executes_the_protocol_in_one_batched_pass(monkeypatch):
         monkeypatch.setattr(protocol, name, lambda *args: pytest.fail("per-choice run"))
     cheat_report(spec)
     assert shapes == [(2,) + spec.layout.dims]
-    assert len(contractions) == 1 + len(spec.rounds)
+    assert len(contractions) == len(spec.rounds)
 
 
 def test_cheat_report_rejects_inconsistent_simulation(monkeypatch):

@@ -18,7 +18,7 @@ from wotsim.catalog import (
     random_complete_protocol,
     simulate_combined,
 )
-from wotsim.errors import RangeError
+from wotsim.errors import MAX_SWEEP_SIZE, RangeError
 from wotsim import protocol
 from wotsim.protocol import run_honest, validate_completeness
 from wotsim.qcore import TOL_SPECTRAL
@@ -196,5 +196,6 @@ def test_simulate_combined_deterministic_by_seed():
     a = simulate_combined(WCFPrimitive(0.25, 0.0), trials=500, seed=9)
     b = simulate_combined(WCFPrimitive(0.25, 0.0), trials=500, seed=9)
     assert a == b
-    with pytest.raises(RangeError):
-        simulate_combined(WCFPrimitive(0.25, 0.0), trials=0, seed=9)
+    for trials in (0, MAX_SWEEP_SIZE + 1):
+        with pytest.raises(RangeError):
+            simulate_combined(WCFPrimitive(0.25, 0.0), trials=trials, seed=9)

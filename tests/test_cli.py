@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import build_incomplete_protocol
 from wotsim import cli
-from wotsim.catalog import build_cks
+from wotsim.catalog import build_cks, build_trivial
 from wotsim.cli import main
 from wotsim.errors import MAX_SWEEP_SIZE
 from wotsim.protocol import spec_to_dict
@@ -91,6 +91,28 @@ def test_analyze_invalid_spec_exits_3(tmp_path):
     bad["rounds"][0]["matrix"][0][0] = [2.0, 0.0]
     path.write_text(json.dumps(bad))
     assert main(["analyze", str(path)]) == 3
+
+
+# A protocol file that decodes but breaks a structural invariant: the cks
+# wire structure with one node replaced, by its path
+@pytest.mark.parametrize("path, value", [
+    (("rounds", 0, "actor"), "Eve"),                 # unknown round actor
+    (("factors", 0, "owner"), "Bob"),                # no Alice-owned factor
+    (("factors", 2, "dim"), 3),                      # input register X0 of dim 3
+    (("factors", 1, "owner"), "Alice"),              # a send with no Message factor
+    (("alice_output", 0), spec_to_dict(build_trivial())["alice_output"][0]),  # dim 8, not 9
+], ids=["actor", "no-alice", "input-dim", "no-message", "output-dim"])
+def test_analyze_structurally_broken_spec_exits_3(tmp_path, capsys, path, value):
+    data = spec_to_dict(build_cks())
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    file = tmp_path / "broken.json"
+    file.write_text(json.dumps(data))
+    assert main(["analyze", str(file)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
 
 
 def test_analyze_non_finite_entry_exits_3(tmp_path):
@@ -203,9 +225,12 @@ def test_curve_rejects_single_point(capsys):
 
 
 def test_simulate_rejects_bits_past_float_range(capsys):
+    # and a trial count past the cap
     argv = ["simulate", "--lambda", "0.5", "--trials", "3", "--dyadic-bits"]
-    assert main([*argv, "2000"]) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    for bad in ([*argv, "2000"],
+                ["simulate", "--lambda", "0.5", "--trials", str(MAX_SWEEP_SIZE + 1)]):
+        assert main(bad) == 2
+        assert capsys.readouterr().err.startswith("error:")
     assert main([*argv, "60"]) == 0
 
 

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from wotsim import oracle
 from wotsim.errors import MAX_SWEEP_SIZE, RangeError
 from wotsim.oracle import (
     _CHUNK,
     CheatState,
     _candidate_weights,
-    _coefficients,
-    _frame,
+    _cheat_states,
     _success_batch,
     cks_alice_oracle,
     cks_alice_success,
@@ -122,7 +122,7 @@ def test_oracle_feasible_points_respect_proof_intermediates():
     delta, grid = 0.02, 100
     alphas, gammas = _candidate_weights(delta, grid)
     betas = np.sqrt(np.clip(1 - alphas**2 - gammas**2, 0, None))
-    p0 = _success_batch(_coefficients(alphas, betas, gammas) @ _frame(np.eye(3)), 0)
+    p0 = _success_batch(_cheat_states(np.stack([alphas, betas, gammas], 1), np.eye(3)), 0)
     feas = p0 >= 1 - delta - 1e-12
     slack = grid_tolerance(grid)
     assert np.all(betas[feas] ** 2 <= 2 * delta + slack)
@@ -139,22 +139,30 @@ def test_oracle_batch_matches_single_calls():
     for ancillas, ancillas_of in ((shared, lambda i: shared),
                                   (per_sample, lambda i: per_sample[i])):
         for target in (0, 1):
-            psi = _coefficients(*weights.T) @ _frame(ancillas)[..., None, :, :]
+            psi = _cheat_states(weights, ancillas)
             batch = _success_batch(psi, target)
             for i in range(5):
                 cs = CheatState(*weights[i], tuple(ancillas_of(i)))
                 assert batch[i] == pytest.approx(cks_alice_success(cs, target), abs=1e-12)
 
 
-def test_frame_places_each_ancilla_vector_beside_its_qutrit_state():
-    # the successes do not depend on the ancillas, so check the frame itself
-    ancillas = haar_unitary(3, np.random.default_rng(12), size=(4, 3))[..., 0]
-    frames = _frame(ancillas)
-    assert frames.shape == (4, 3, 9)
+def test_cheat_states_are_the_signed_preparations():
+    # the successes do not depend on the ancillas, so check the states
+    # themselves: Bob's round flips the sign of |e0>|0> when x0 = 1 and of
+    # |e1>|1> when x1 = 1
+    gen = np.random.default_rng(12)
+    raw = gen.random((4, 3))
+    weights = np.sqrt(raw / raw.sum(axis=1, keepdims=True))
+    ancillas = haar_unitary(3, gen, size=(4, 3))[..., 0]
+    psi = _cheat_states(weights, ancillas)
+    assert psi.shape == (4, 2, 2, 9)
     for i in range(4):
-        assert np.array_equal(frames[i], _frame(ancillas[i]))
-        for c in range(3):
-            assert np.array_equal(frames[i, c], np.kron(ancillas[i, c], np.eye(3)[c]))
+        for x0 in (0, 1):
+            for x1 in (0, 1):
+                signs = ((-1) ** x0, (-1) ** x1, 1)
+                expected = sum(signs[c] * weights[i, c] * np.kron(ancillas[i, c], np.eye(3)[c])
+                               for c in range(3))
+                assert np.abs(psi[i, x0, x1] - expected).max() <= 1e-12, (i, x0, x1)
 
 
 def _three_configuration_search(delta, grid, gen):
@@ -226,6 +234,25 @@ def test_full_state_space_search_confirms_optimum():
     assert best <= prop3_bound(delta) + 1e-9
 
 
+def test_oracle_filters_infeasible_candidates(monkeypatch):
+    # candidates the closed form calls infeasible must be dropped by the
+    # explicit check of P(x0), not only by the candidate generator
+    def with_whole_quarter_disc(delta, grid):
+        alphas, gammas = _candidate_weights(delta, grid)
+        a, g = np.meshgrid(np.arange(grid + 1) / grid, np.arange(grid + 1) / grid)
+        disc = a * a + g * g <= 1.0
+        return np.concatenate([alphas, a[disc]]), np.concatenate([gammas, g[disc]])
+
+    grid = 100
+    deltas = (0.005, 0.01, 0.02, 0.0443, 0.1)
+    unpatched = [cks_alice_oracle(delta, grid) for delta in deltas]
+    monkeypatch.setattr(oracle, "_candidate_weights", with_whole_quarter_disc)
+    for delta, expected in zip(deltas, unpatched):
+        val = cks_alice_oracle(delta, grid)
+        assert abs(val - expected) <= 1e-15, delta
+        assert val <= prop3_tight(delta) + 1e-12, delta
+
+
 def test_oracle_rejects_bad_arguments():
     with pytest.raises(RangeError):
         cks_alice_oracle(0.7, 100)
@@ -233,6 +260,20 @@ def test_oracle_rejects_bad_arguments():
         cks_alice_oracle(0.01, 10)
     with pytest.raises(RangeError):
         cks_alice_oracle(0.01, MAX_SWEEP_SIZE + 1)
+    with pytest.raises(RangeError):
+        cks_alice_success(random_cheat_state(np.random.default_rng(0)), 2)
+    rho2 = DensityOp(np.eye(2, dtype=complex) / 2)
+    with pytest.raises(RangeError):
+        helstrom_oracle(rho2, DensityOp(np.eye(3, dtype=complex) / 3), 10, seed=0)
+    with pytest.raises(RangeError):
+        helstrom_oracle(rho2, rho2, 0, seed=0)
+    lay = RegisterLayout((Factor("S", 2, ALICE), Factor("E", 2, BOB)))
+    other = RegisterLayout((Factor("S", 2, ALICE), Factor("F", 2, BOB)))
+    phi = StateVector(lay, [1, 0, 0, 0])
+    with pytest.raises(RangeError):
+        uhlmann_oracle(phi, StateVector(other, [1, 0, 0, 0]), ["E"], 10, seed=0)
+    with pytest.raises(RangeError):
+        uhlmann_oracle(phi, phi, ["E"], 0, seed=0)
 
 
 # --- measurement and unitary oracles ---------------------------------------------

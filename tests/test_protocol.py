@@ -11,10 +11,11 @@ from conftest import (
 )
 from wotsim.catalog import build_cks, build_trivial
 from wotsim import protocol
-from wotsim.errors import CompletenessError, SpecError
+from wotsim.errors import CompletenessError, ShapeError, SpecError
 from wotsim.protocol import (
     INPUT_NAMES,
     ProtocolSpec,
+    ReducedFamily,
     Round,
     all_final_states,
     held_factors,
@@ -31,8 +32,10 @@ from wotsim.qcore import (
     BOB,
     BOB_INPUT,
     TOL_SPECTRAL,
+    DensityOp,
     StateVector,
     embed_operator,
+    haar_unitary,
     hermitize,
     pure_density,
     partial_trace,
@@ -278,6 +281,25 @@ def test_engine_matches_dense_reference():
             assert np.abs(run_purified(spec, a).amps - ref).max() < 1e-12, (spec.name, a)
 
 
+def test_engine_runs_given_prepared_states_like_dense_preparations():
+    # a stack of prepared states runs like preparation unitaries with those
+    # first columns, applied as dense full-layout operators
+    gen = np.random.default_rng(21)
+    plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    inputs = [{"X0": np.eye(2)[x0], "X1": np.eye(2)[x1]} for x0 in (0, 1) for x1 in (0, 1)]
+    for build in ENGINE_SPECS:
+        spec = build()
+        lay = spec.layout
+        us = haar_unitary(lay.subset_dim(held_factors(lay, ALICE, True)), gen, size=3)
+        for amps in inputs + [{"X0": plus, "X1": plus}]:
+            got = protocol._execute(spec, amps, us[:, :, 0])
+            assert got.shape == (3,) + lay.dims
+            for u, run in zip(us, got):
+                haar = ProtocolSpec(spec.name, lay, (u, u), spec.rounds, spec.alice_output)
+                ref = _dense_run(haar, 0, amps)
+                assert np.abs(run.ravel() - ref).max() < 1e-12, spec.name
+
+
 def test_reduce_alice_matches_partial_trace_of_pure_density():
     for build in ENGINE_SPECS:
         fs = all_final_states(build())
@@ -327,6 +349,15 @@ def test_spec_rejects_wrong_dimension_round():
         ProtocolSpec(base.name, base.layout, base.alice_prep,
                      (Round(ALICE, np.eye(3, dtype=complex), send=True),),
                      base.alice_output)
+
+
+def test_constructors_reject_wrong_entry_count_and_family_shape():
+    base = build_cks()
+    with pytest.raises(SpecError):
+        ProtocolSpec(base.name, base.layout, base.alice_prep[:1], base.rounds,
+                     base.alice_output)
+    with pytest.raises(ShapeError):
+        ReducedFamily(DensityOp(np.broadcast_to(np.eye(2) / 2, (2, 2, 2, 2))))
 
 
 def test_spec_rejects_send_when_not_holding():

@@ -239,6 +239,11 @@ def test_uhlmann_rejects_bad_subsets(rng):
         uhlmann_unitary(phi, phi, [])
     with pytest.raises(LayoutError):
         uhlmann_unitary(phi, phi, ["L", "R"])
+    other = RegisterLayout((Factor("L", 2, ALICE), Factor("R", 2, ALICE)))
+    with pytest.raises(LayoutError):
+        uhlmann_unitary(phi, StateVector(other, phi.amps), ["R"])
+    with pytest.raises(ShapeError):
+        embed_operator(np.eye(4), lay, ["R"])
 
 
 @settings(max_examples=50, deadline=None)
@@ -325,6 +330,8 @@ def test_measurement_validation():
     huge = np.array([[0.5, 1e200 + 1e200j], [1e200 - 1e200j, 0.5]])
     with pytest.raises(ShapeError):
         TwoOutcomeMeasurement(huge, np.eye(2) - huge)  # P @ P is NaN
+    with pytest.raises(ShapeError):
+        TwoOutcomeMeasurement(pos, np.eye(3))  # unequal shapes
 
 
 def test_haar_unitary_is_unitary_and_deterministic():
