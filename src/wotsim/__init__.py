@@ -33,7 +33,6 @@ from .errors import (
     WotsimError,
 )
 from .oracle import (
-    CheatState,
     cks_alice_oracle,
     cks_alice_success,
     grid_tolerance,

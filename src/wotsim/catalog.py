@@ -288,26 +288,24 @@ def simulate_combined(wcf: WCFPrimitive, trials: int, seed: int) -> HonestRunSta
     Each trial samples the coin (0 with probability lam), runs the chosen
     sub-protocol honestly with uniform inputs, and records whether Alice's
     measured bit matches the data bit she chose.  Trial ``t`` reads the
-    ``t``-th five uniforms of one ``default_rng(seed)``; the trials run in a
-    loop, so memory stays constant whatever their number.
+    ``t``-th five uniforms of one ``default_rng(seed)``.  All trials are drawn
+    as one array, so memory grows with ``trials``: 40 bytes each, at most
+    4 MB under the ``MAX_SWEEP_SIZE`` cap.
     """
     if not 1 <= trials <= MAX_SWEEP_SIZE:
         raise RangeError(f"trials must be in [1, {MAX_SWEEP_SIZE}], got {trials}")
-    probs = [validate_completeness(build()).one_probs for build in (build_trivial, build_cks)]
-    n_by_coin = [0, 0]
-    n_complete = 0
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        u = rng.random(5)
-        c = 0 if u[0] < wcf.lam else 1
-        a, x0, x1 = (int(u[i] < 0.5) for i in (1, 2, 3))
-        learned = int(u[4] < probs[c][(a, x0, x1)])
-        n_by_coin[c] += 1
-        n_complete += int(learned == (x0 if a == 0 else x1))
+    probs = np.stack([validate_completeness(build()).one_probs
+                      for build in (build_trivial, build_cks)])
+    u = np.random.default_rng(seed).random((trials, 5))
+    c = (u[:, 0] >= wcf.lam).astype(int)  # coin 0 with probability lam
+    a, x0, x1 = (u[:, 1:4] < 0.5).astype(int).T
+    learned = u[:, 4] < probs[c, a, x0, x1]
+    n_qutrit = int(c.sum())
+    n_complete = np.count_nonzero(learned == np.where(a == 0, x0, x1))
     return HonestRunStats(
         lam=wcf.lam,
         trials=trials,
-        n_trivial=n_by_coin[0],
-        n_qutrit=n_by_coin[1],
-        completeness_rate=n_complete / trials,
+        n_trivial=trials - n_qutrit,
+        n_qutrit=n_qutrit,
+        completeness_rate=int(n_complete) / trials,
     )

@@ -6,23 +6,24 @@ exhaustive or random search, with no reliance on the formula it checks:
 protocol, ``helstrom_oracle`` tries random projective measurements, and
 ``uhlmann_oracle`` tries random unitaries on the purifying system.
 
-The qutrit oracles hold no copy of the protocol: they run each cheating
-preparation, a state on the (A, M) factors, through ``build_cks()`` with the
-engine that analyses every protocol.  The vectors ``|e_c>|c>`` are
+The qutrit oracles hold no copy of the protocol: ``cks_alice_success``, the
+one success function of the grid search, verify and the tests, runs a stack
+of cheating preparations on the (A, M) factors through one ``build_cks()``
+with the engine that analyses every protocol.  The vectors ``|e_c>|c>`` are
 orthonormal whatever the ancillas, so the search fixes the orthonormal
 ones; ``cks_alice_success`` takes any, so that this is itself checked.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
 from typing import Iterable
 
 import numpy as np
 
 from .catalog import build_cks
-from .errors import MAX_SWEEP_SIZE, RangeError
-from .protocol import _final_sectors
+from .errors import MAX_SWEEP_SIZE, RangeError, ShapeError
+from .protocol import ProtocolSpec, _final_sectors
 from .qcore import DensityOp, StateVector, bipartition_matrix, haar_unitary, trace_norm
 
 # Samples per stacked QR in the measurement and unitary oracles, so their
@@ -35,65 +36,53 @@ def grid_tolerance(grid: int) -> float:
     return 2.0 / grid
 
 
-@dataclass(frozen=True, eq=False)
-class CheatState:
-    """A cheating preparation for the qutrit protocol.
-
-    The qutrit Alice keeps is replaced by a 3-dim ancilla carrying three
-    unit vectors (not necessarily orthogonal); the joint state is
-    alpha |e0>|0> + beta |e1>|1> + gamma |e2>|2> with nonnegative weights.
-    """
-
-    alpha: float
-    beta: float
-    gamma: float
-    ancilla_vectors: tuple[np.ndarray, np.ndarray, np.ndarray]
-
-    def __post_init__(self):
-        vecs = tuple(np.asarray(v, dtype=complex).reshape(3) for v in self.ancilla_vectors)
-        object.__setattr__(self, "ancilla_vectors", vecs)
-        for w in (self.alpha, self.beta, self.gamma):
-            if w < 0:
-                raise RangeError(f"weights must be nonnegative, got {w}")
-        norm2 = self.alpha**2 + self.beta**2 + self.gamma**2
-        if abs(norm2 - 1.0) > 1e-9:
-            raise RangeError(f"weights have squared norm {norm2}, need 1")
-        for v in vecs:
-            if abs(np.linalg.norm(v) - 1.0) > 1e-9:
-                raise RangeError("ancilla vectors must be unit vectors")
+@functools.cache
+def _cks() -> ProtocolSpec:
+    """The qutrit protocol, built and validated once per process."""
+    return build_cks()
 
 
 def _cheat_states(weights, ancillas) -> np.ndarray:
     """The post-interaction states psi[x0, x1], (n, 2, 2, 9), of the
-    preparations sum_c w_c |e_c>_A |c>_M for weights given as rows of an
-    (n, 3) array and ancillas as rows e_c of a (3, 3) or (n, 3, 3) array,
-    run through the qutrit protocol ``build_cks()``."""
+    preparations of ``cks_alice_success``, run through ``build_cks()``."""
     # entry 3 i + c of a preparation is w_c times entry i of e_c
     prepared = (np.asarray(weights)[..., None] * np.asarray(ancillas)).swapaxes(-1, -2)
-    return _final_sectors(build_cks(), prepared.reshape(-1, 9))
+    return _final_sectors(_cks(), prepared.reshape(-1, 9))
 
 
-def _success_batch(psi: np.ndarray, target: int) -> np.ndarray:
-    """Optimal guessing probability of the target bit for a stack of
-    post-interaction states psi[x0, x1] of shape (n, 2, 2, d)."""
-    # rho_0 - rho_1, where rho_v averages the states whose target bit reads v
-    subscripts = "nvyi,nvyj->vnij" if target == 0 else "nyvi,nyvj->vnij"
-    diff = np.subtract(*np.einsum(subscripts, psi, psi.conj())) / 2
-    return 0.5 + 0.25 * trace_norm(diff)
+def cks_alice_success(weights, ancillas) -> np.ndarray:
+    """``[P(x0), P(x1)]``, an (n, 2) array: how well each cheating
+    preparation sum_c w_c |e_c>_A |c>_M guesses x0 and x1, for nonnegative
+    unit weights as rows of an (n, 3) array and unit ancillas e_c as rows of
+    a (3, 3) array, shared by every preparation, or of an (n, 3, 3) array.
 
-
-def cks_alice_success(cs: CheatState, target: int) -> float:
-    """Probability that the cheating preparation guesses the target bit.
-
-    Runs the preparation through ``build_cks()`` to the four explicit
-    post-interaction states in the 9-dim joint space and takes the guessing
-    probability from the trace norm of their conditional mixtures; no
-    closed form is used.
+    Each probability comes from the trace norm of the difference of two
+    conditional mixtures of the explicit 9-dim states; no closed form is
+    used.
     """
-    if target not in (0, 1):
-        raise RangeError(f"target must be 0 or 1, got {target}")
-    psi = _cheat_states([[cs.alpha, cs.beta, cs.gamma]], cs.ancilla_vectors)
-    return float(_success_batch(psi, target)[0])
+    weights = np.asarray(weights, dtype=float)
+    ancillas = np.asarray(ancillas, dtype=complex)
+    if (weights.ndim != 2 or weights.shape[1] != 3
+            or ancillas.shape not in ((3, 3), (len(weights), 3, 3))):
+        raise ShapeError(f"need weights (n, 3) and ancillas (3, 3) or (n, 3, 3), "
+                         f"got {weights.shape} and {ancillas.shape}")
+    # written so that NaN fails each check
+    if not np.all(weights >= 0):
+        raise RangeError("weights must be nonnegative")
+    if not np.all(np.abs(np.sum(weights**2, axis=1) - 1.0) <= 1e-9):
+        raise RangeError("weights must have squared norm 1")
+    if not np.all(np.abs(np.linalg.norm(ancillas, axis=-1) - 1.0) <= 1e-9):
+        raise RangeError("ancilla vectors must be unit vectors")
+    psi = _cheat_states(weights, ancillas)
+    # rho_0 - rho_1 for each target t, where rho_v averages the states whose
+    # target bit reads v; formed in place, so that no more than one extra
+    # (n, 9, 9) stack is alive at once
+    diff = np.empty((len(psi), 2, 9, 9), dtype=complex)
+    for t, by_bit in enumerate((psi, psi.swapaxes(1, 2))):
+        np.einsum("nyi,nyj->nij", by_bit[:, 0], by_bit[:, 0].conj(), out=diff[:, t])
+        diff[:, t] -= np.einsum("nyi,nyj->nij", by_bit[:, 1], by_bit[:, 1].conj())
+    diff /= 2
+    return 0.5 + 0.25 * trace_norm(diff)
 
 
 def _candidate_weights(delta: float, grid: int) -> tuple[np.ndarray, np.ndarray]:
@@ -128,10 +117,10 @@ def cks_alice_oracle(delta: float, grid: int) -> float:
         raise RangeError(f"grid must be in [50, {MAX_SWEEP_SIZE}], got {grid}")
     alphas, gammas = _candidate_weights(delta, grid)
     betas = np.sqrt(np.clip(1.0 - alphas**2 - gammas**2, 0.0, None))
-    psi = _cheat_states(np.stack([alphas, betas, gammas], axis=1), np.eye(3))
+    success = cks_alice_success(np.stack([alphas, betas, gammas], axis=1), np.eye(3))
     # never empty: the honest preparation guesses x0 with certainty
-    feasible = _success_batch(psi, target=0) >= 1.0 - delta - 1e-12
-    return float(_success_batch(psi[feasible], target=1).max())
+    feasible = success[:, 0] >= 1.0 - delta - 1e-12
+    return float(success[feasible, 1].max())
 
 
 def helstrom_oracle(rho0: DensityOp, rho1: DensityOp, samples: int, seed: int) -> float:

@@ -235,20 +235,20 @@ class ReducedFamily:
                 f"reduced family needs shape (..., 2, 2, 2, d, d), got {self.states.mat.shape}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompletenessReport:
     """Result of the completeness check.
 
     ``support_overlap[a]`` is the trace norm of the product of the two
     support projectors spanned by Alice's states with the learned bit 0
-    vs 1; ``one_probs[(a, x0, x1)]`` is the probability that Alice's output
+    vs 1; ``one_probs[a, x0, x1]`` is the probability that Alice's output
     measurement reports bit 1 on that honest run; ``min_output_prob`` is the
     worst-case probability that it reports the correct bit over the 8 runs.
     """
 
     passed: bool
     support_overlap: tuple[float, float]
-    one_probs: dict[tuple[int, int, int], float]
+    one_probs: np.ndarray
     min_output_prob: float
     failures: tuple[str, ...]
 
@@ -333,7 +333,7 @@ def _completeness(spec: ProtocolSpec, rf: ReducedFamily) -> CompletenessReport:
     return CompletenessReport(
         passed=not failures,
         support_overlap=(float(overlaps[0]), float(overlaps[1])),
-        one_probs={key: float(one[key]) for key in RUN_KEYS},
+        one_probs=one,
         min_output_prob=min(1.0, float(correct.min())),
         failures=tuple(failures),
     )

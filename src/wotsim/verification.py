@@ -273,12 +273,8 @@ def suite_oracle(seed: int) -> list[Check]:
         raw = rng.random(3)
         weights[i] = np.sqrt(raw / raw.sum())
         ancillas[i] = haar_unitary(3, rng, size=3)[..., 0]
-    a, b, g = weights.T
-    psi = oracle._cheat_states(weights, ancillas)
-    worst = float(max(
-        np.abs(oracle._success_batch(psi, 0) - (0.5 + a * g)).max(),
-        np.abs(oracle._success_batch(psi, 1) - (0.5 + b * g)).max(),
-    ))
+    closed = 0.5 + weights[:, :2] * weights[:, 2:]  # [alpha gamma, beta gamma]
+    worst = float(np.abs(oracle.cks_alice_success(weights, ancillas) - closed).max())
     checks.append(Check("closed_forms", worst <= TOL_SPECTRAL, f"{worst:.2e}"))
 
     grid = 100
@@ -332,18 +328,16 @@ SUITES: tuple[tuple[str, Callable[[int], list[Check]]], ...] = (
 
 
 def run_all(seed: int) -> tuple[list[str], bool]:
-    """Run every suite; returns the report lines and the overall verdict."""
+    """Run every suite; returns the report lines, one ``FAIL`` line per
+    failing check, and the overall verdict."""
     lines = []
     all_ok = True
     for name, fn in SUITES:
         checks = fn(seed)
         bad = [c for c in checks if not c.ok]
-        if bad:
-            all_ok = False
-            first = bad[0]
-            detail = f": {first.name}" + (f" ({first.detail})" if first.detail else "")
-            lines.append(f"FAIL {name}{detail}")
-        else:
+        all_ok &= not bad
+        lines += [f"FAIL {name}: {c.name}" + (f" ({c.detail})" if c.detail else "") for c in bad]
+        if not bad:
             lines.append(f"PASS {name} ({len(checks)} checks)")
     lines.append("OK" if all_ok else "FAILED")
     return lines, all_ok

@@ -19,7 +19,7 @@ from wotsim.attacks import (
     delta_quantity,
     f_quantity,
 )
-from wotsim.catalog import build_cks, build_trivial, random_complete_protocol
+from wotsim.catalog import build_cks, build_leaky, build_trivial, random_complete_protocol
 from wotsim.errors import CompletenessError, ConsistencyError, RangeError
 from wotsim.protocol import (
     INPUT_NAMES,
@@ -212,6 +212,25 @@ def test_sector_realignment_matches_dense_reference():
         for s in (0, 1):
             assert np.abs(_realignment_matrix(spec, fs, s)
                           - _dense_realignment(spec, fs, s)).max() < 1e-12, (spec.name, s)
+
+
+def test_purified_success_matches_dense_realignment():
+    # cheat_report reads Bob's success from _purified_success, which never
+    # calls controlled_realignment: check it against the dense realignment
+    # applied to both purified runs, with X_s projected on |+>
+    for spec in (build_cks(), build_trivial(), build_cks_with_bob_register(),
+                 build_cks_shuffled(), build_two_register_trivial(), build_leaky(0.3),
+                 random_complete_protocol(4)):
+        fs = all_final_states(spec)
+        sims = attacks._purified_success(protocol._analyze(spec))
+        for s in (0, 1):
+            cont = _dense_realignment(spec, fs, s)
+            plus = embed_operator(PLUS_PROJ, spec.layout, [INPUT_NAMES[s]])
+            attacked = [cont @ run_purified(spec, a).amps for a in (0, 1)]
+            p_plus = [float(np.real(np.vdot(v, plus @ v))) for v in attacked]
+            # '-' means guess a = s, '+' means guess a = 1 - s
+            success = 0.5 * sum(1.0 - p if a == s else p for a, p in enumerate(p_plus))
+            assert abs(success - sims[s]) <= 1e-12, (spec.name, s)
 
 
 def test_purified_attack_requires_completeness():

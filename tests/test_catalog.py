@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from wotsim.catalog import (
     simulate_combined,
 )
 from wotsim.errors import MAX_SWEEP_SIZE, RangeError
-from wotsim import protocol
+from wotsim import catalog, protocol
 from wotsim.protocol import run_honest, validate_completeness
 from wotsim.qcore import TOL_SPECTRAL
 
@@ -199,3 +200,38 @@ def test_simulate_combined_deterministic_by_seed():
     for trials in (0, MAX_SWEEP_SIZE + 1):
         with pytest.raises(RangeError):
             simulate_combined(WCFPrimitive(0.25, 0.0), trials=trials, seed=9)
+
+
+def _simulate_reference(lam, probs, trials, seed):
+    """The Monte Carlo as one loop iteration per trial: trial t reads the
+    t-th five uniforms of one stream, and probs[c][a, x0, x1] is the chance
+    that sub-protocol c (0 trivial, 1 cks) reports bit 1."""
+    n_by_coin, n_complete = [0, 0], 0
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        u = rng.random(5)
+        c = 0 if u[0] < lam else 1
+        a, x0, x1 = (int(u[i] < 0.5) for i in (1, 2, 3))
+        learned = int(u[4] < probs[c][a, x0, x1])
+        n_by_coin[c] += 1
+        n_complete += int(learned == (x0 if a == 0 else x1))
+    return n_by_coin[0], n_by_coin[1], n_complete / trials
+
+
+@pytest.mark.parametrize("skewed", [False, True])
+def test_simulate_combined_matches_per_trial_loop(monkeypatch, skewed):
+    # the honest output probabilities are 0 or 1, so the rate reads 1 and
+    # only the coin counts are pinned; skewed tables pin the rate and the
+    # [a, x0, x1] indexing too
+    probs = [validate_completeness(build()).one_probs for build in (build_trivial, build_cks)]
+    if skewed:
+        probs = [np.random.default_rng(c).random((2, 2, 2)) for c in (0, 1)]
+        by_name = dict(zip(("trivial", "cks"), probs))
+        monkeypatch.setattr(catalog, "validate_completeness",
+                            lambda spec: SimpleNamespace(one_probs=by_name[spec.name]))
+    for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
+        for seed in (0, 3, 7):
+            for trials in (1, 10, 1000):
+                stats = simulate_combined(WCFPrimitive(lam, 0.0), trials=trials, seed=seed)
+                got = (stats.n_trivial, stats.n_qutrit, stats.completeness_rate)
+                assert got == _simulate_reference(lam, probs, trials, seed), (lam, seed, trials)

@@ -3,14 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from wotsim import oracle
-from wotsim.errors import MAX_SWEEP_SIZE, RangeError
+from wotsim import oracle, protocol
+from wotsim.errors import MAX_SWEEP_SIZE, RangeError, ShapeError
 from wotsim.oracle import (
     _CHUNK,
-    CheatState,
     _candidate_weights,
     _cheat_states,
-    _success_batch,
     cks_alice_oracle,
     cks_alice_success,
     grid_tolerance,
@@ -37,61 +35,80 @@ from wotsim.qcore import (
 from wotsim.tradeoff import prop3_bound, prop3_tight
 
 
-def random_cheat_state(gen) -> CheatState:
+def random_preparation(gen):
     raw = gen.random(3)
-    a, b, g = np.sqrt(raw / raw.sum())
-    ancillas = tuple(haar_unitary(3, gen)[:, 0] for _ in range(3))
-    return CheatState(a, b, g, ancillas)
+    weights = np.sqrt(raw / raw.sum())
+    ancillas = np.stack([haar_unitary(3, gen)[:, 0] for _ in range(3)])
+    return weights, ancillas
 
 
 def test_honest_state_successes():
-    cs = CheatState(1 / math.sqrt(2), 0.0, 1 / math.sqrt(2), tuple(np.eye(3, dtype=complex)))
-    assert cks_alice_success(cs, 0) == pytest.approx(1.0, abs=1e-9)
-    assert cks_alice_success(cs, 1) == pytest.approx(0.5, abs=1e-9)
+    success = cks_alice_success([[1 / math.sqrt(2), 0.0, 1 / math.sqrt(2)]], np.eye(3))
+    assert success.shape == (1, 2)
+    assert success[0] == pytest.approx([1.0, 0.5], abs=1e-9)
 
 
 def test_uniform_state_success():
     w = 1 / math.sqrt(3)
-    cs = CheatState(w, w, w, tuple(np.eye(3, dtype=complex)))
-    assert cks_alice_success(cs, 0) == pytest.approx(5 / 6, abs=1e-9)
-    assert cks_alice_success(cs, 1) == pytest.approx(5 / 6, abs=1e-9)
+    assert cks_alice_success([[w, w, w]], np.eye(3))[0] == pytest.approx([5 / 6, 5 / 6], abs=1e-9)
 
 
 def test_closed_forms_random_sweep():
     gen = np.random.default_rng(7)
-    for _ in range(300):
-        cs = random_cheat_state(gen)
-        assert cks_alice_success(cs, 0) == pytest.approx(
-            0.5 + cs.alpha * cs.gamma, abs=TOL_SPECTRAL
-        )
-        assert cks_alice_success(cs, 1) == pytest.approx(
-            0.5 + cs.beta * cs.gamma, abs=TOL_SPECTRAL
-        )
+    weights, ancillas = (np.stack(parts) for parts in
+                         zip(*(random_preparation(gen) for _ in range(300))))
+    a, b, g = weights.T
+    success = cks_alice_success(weights, ancillas)
+    assert np.abs(success[:, 0] - (0.5 + a * g)).max() <= TOL_SPECTRAL
+    assert np.abs(success[:, 1] - (0.5 + b * g)).max() <= TOL_SPECTRAL
 
 
 def test_closed_forms_random_phases():
     # phases on the weights are absorbed into the ancilla vectors
     gen = np.random.default_rng(8)
-    for _ in range(100):
+    weights, ancillas = np.empty((100, 3)), np.empty((100, 3, 3), dtype=complex)
+    for i in range(100):
         raw = gen.random(3)
-        a, b, g = np.sqrt(raw / raw.sum())
-        phased = tuple(
-            np.exp(1j * gen.uniform(0, 2 * np.pi)) * haar_unitary(3, gen)[:, 0]
-            for _ in range(3)
-        )
-        cs = CheatState(a, b, g, phased)
-        assert cks_alice_success(cs, 0) == pytest.approx(0.5 + a * g, abs=TOL_SPECTRAL)
-        assert cks_alice_success(cs, 1) == pytest.approx(0.5 + b * g, abs=TOL_SPECTRAL)
+        weights[i] = np.sqrt(raw / raw.sum())
+        ancillas[i] = [np.exp(1j * gen.uniform(0, 2 * np.pi)) * haar_unitary(3, gen)[:, 0]
+                       for _ in range(3)]
+    a, b, g = weights.T
+    success = cks_alice_success(weights, ancillas)
+    assert np.abs(success[:, 0] - (0.5 + a * g)).max() <= TOL_SPECTRAL
+    assert np.abs(success[:, 1] - (0.5 + b * g)).max() <= TOL_SPECTRAL
 
 
 def test_cheat_state_validation():
-    with pytest.raises(RangeError):
-        CheatState(1.0, 1.0, 1.0, tuple(np.eye(3, dtype=complex)))
-    with pytest.raises(RangeError):
-        CheatState(-0.5, 0.5, math.sqrt(0.5), tuple(np.eye(3, dtype=complex)))
     e = np.eye(3, dtype=complex)
+    honest = [1 / math.sqrt(2), 0.0, 1 / math.sqrt(2)]
     with pytest.raises(RangeError):
-        CheatState(1.0, 0.0, 0.0, (e[0], e[1], 2 * e[2]))
+        cks_alice_success([honest, [1.0, 1.0, 1.0]], e)
+    with pytest.raises(RangeError):
+        cks_alice_success([[-0.5, 0.5, math.sqrt(0.5)]], e)
+    with pytest.raises(RangeError):
+        cks_alice_success([[1.0, 0.0, 0.0]], np.stack([e[0], e[1], 2 * e[2]]))
+    with pytest.raises(RangeError):
+        cks_alice_success([[math.nan, 0.0, 1.0]], e)
+    with pytest.raises(RangeError):
+        cks_alice_success([honest, honest], np.stack([e, np.stack([e[0], e[1], 2 * e[2]])]))
+    with pytest.raises(ShapeError):
+        cks_alice_success(honest, e)
+    with pytest.raises(ShapeError):
+        cks_alice_success([honest], np.stack([e, e]))
+
+
+def test_success_builds_the_spec_once(monkeypatch):
+    # the qutrit protocol is built and validated once per process, not once
+    # per call
+    built = []
+    original = protocol.ProtocolSpec.__post_init__
+    monkeypatch.setattr(protocol.ProtocolSpec, "__post_init__",
+                        lambda spec: (built.append(spec.name), original(spec)))
+    oracle._cks.cache_clear()
+    cks_alice_oracle(0.01, 100)
+    cks_alice_oracle(0.02, 100)
+    cks_alice_success([[1 / math.sqrt(2), 0.0, 1 / math.sqrt(2)]], np.eye(3))
+    assert built == ["cks"]
 
 
 # --- the grid search -----------------------------------------------------------
@@ -122,7 +139,7 @@ def test_oracle_feasible_points_respect_proof_intermediates():
     delta, grid = 0.02, 100
     alphas, gammas = _candidate_weights(delta, grid)
     betas = np.sqrt(np.clip(1 - alphas**2 - gammas**2, 0, None))
-    p0 = _success_batch(_cheat_states(np.stack([alphas, betas, gammas], 1), np.eye(3)), 0)
+    p0 = cks_alice_success(np.stack([alphas, betas, gammas], 1), np.eye(3))[:, 0]
     feas = p0 >= 1 - delta - 1e-12
     slack = grid_tolerance(grid)
     assert np.all(betas[feas] ** 2 <= 2 * delta + slack)
@@ -138,12 +155,10 @@ def test_oracle_batch_matches_single_calls():
     # one ancilla configuration for the batch, (3, 3), or one per preparation
     for ancillas, ancillas_of in ((shared, lambda i: shared),
                                   (per_sample, lambda i: per_sample[i])):
-        for target in (0, 1):
-            psi = _cheat_states(weights, ancillas)
-            batch = _success_batch(psi, target)
-            for i in range(5):
-                cs = CheatState(*weights[i], tuple(ancillas_of(i)))
-                assert batch[i] == pytest.approx(cks_alice_success(cs, target), abs=1e-12)
+        batch = cks_alice_success(weights, ancillas)
+        for i in range(5):
+            row = cks_alice_success(weights[i:i + 1], ancillas_of(i))
+            assert np.abs(batch[i] - row[0]).max() <= 1e-12
 
 
 def test_cheat_states_are_the_signed_preparations():
@@ -260,8 +275,6 @@ def test_oracle_rejects_bad_arguments():
         cks_alice_oracle(0.01, 10)
     with pytest.raises(RangeError):
         cks_alice_oracle(0.01, MAX_SWEEP_SIZE + 1)
-    with pytest.raises(RangeError):
-        cks_alice_success(random_cheat_state(np.random.default_rng(0)), 2)
     rho2 = DensityOp(np.eye(2, dtype=complex) / 2)
     with pytest.raises(RangeError):
         helstrom_oracle(rho2, DensityOp(np.eye(3, dtype=complex) / 3), 10, seed=0)

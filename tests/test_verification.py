@@ -29,6 +29,26 @@ def test_mutation_is_caught(monkeypatch, tmp_path):
     assert lines[-1] == "FAILED"
 
 
+def test_every_failing_check_is_named(monkeypatch):
+    def failing(seed):
+        return [verification.Check("first", False, "slack -1"),
+                verification.Check("holds", True),
+                verification.Check("second", False)]
+
+    monkeypatch.setattr(verification, "SUITES", (
+        ("qcore.partial_trace", verification.suite_partial_trace),
+        ("stub.failing", failing),
+    ))
+    lines, ok = verification.run_all(7)
+    assert not ok
+    assert lines == [
+        "PASS qcore.partial_trace (3 checks)",
+        "FAIL stub.failing: first (slack -1)",
+        "FAIL stub.failing: second",
+        "FAILED",
+    ]
+
+
 def test_suites_are_seed_sensitive():
     # different seeds draw different instances yet still pass
     _, ok_a = verification.run_all(1)
