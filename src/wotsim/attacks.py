@@ -41,7 +41,8 @@ from .qcore import (
 
 @dataclass(frozen=True)
 class CheatReport:
-    """Per-protocol cheating summary.
+    """Per-protocol cheating summary; on a family spec every numeric field
+    is an ``(F,)`` array, one value per member.
 
     ``delta`` and ``f`` are the trace-norm and fidelity aggregates of the
     four relevant reduced-state pairs; ``alice_bound = 1/2 + delta/8`` and
@@ -123,12 +124,12 @@ def _by_register(mats: np.ndarray) -> np.ndarray:
 
 
 def _realignment_blocks(t: np.ndarray) -> CMat:
-    """Bob's realignment unitaries ``[s, x_other]``, from one batched SVD of
+    """Bob's realignment unitaries ``[..., s, x_other]``, from one batched SVD of
     the honest amplitude matrices ``t`` by register: the Uhlmann unitary on
     his non-input factors taking the ``a = 1 - s`` honest state with
     ``X_s = 1`` toward the one with ``X_s = 0`` (a 1x1 phase when he holds
     nothing else)."""
-    u, _ = uhlmann_blocks(t[(1, 0), (0, 1), 0], t[(1, 0), (0, 1), 1])
+    u, _ = uhlmann_blocks(t[..., (1, 0), (0, 1), 0, :, :, :], t[..., (1, 0), (0, 1), 1, :, :, :])
     return u
 
 
@@ -146,7 +147,8 @@ def controlled_realignment(spec: ProtocolSpec, fs: FinalStates, s: int,
     k, bob = len(names), [names.index(n) for n in fs.bob_factors]
     d_b, new = lay.subset_dim(fs.bob_factors), list(range(len(names), len(names) + len(bob)))
     # block [x_s, x_other] of the unitary, on Bob's non-input factors
-    realign = _realignment_blocks(_by_register(bipartition_matrix(fs.stack, fs.bob_factors)))[s]
+    t = _by_register(bipartition_matrix(fs.stack, fs.bob_factors))
+    realign = _realignment_blocks(t)[..., s, :, :, :]
     blocks = np.stack([np.broadcast_to(np.eye(d_b), (2, d_b, d_b)), realign])
     ops = blocks.reshape((2, 2) + tuple(lay.dims[i] for i in bob) * 2)
     x = [names.index(n) for n in (INPUT_NAMES[s], INPUT_NAMES[1 - s])]
@@ -157,21 +159,22 @@ def controlled_realignment(spec: ProtocolSpec, fs: FinalStates, s: int,
 
 
 def _purified_success(an: _Analysis) -> np.ndarray:
-    """Bob's success probabilities for register choice s = 0 and s = 1, from
-    the purified runs of both preparations as one stack.  Sector
+    """Bob's success probabilities ``[..., s]`` for register choice s = 0
+    and s = 1, from the purified runs of both preparations as one stack.  Sector
     ``(x0, x1)`` of a purified run is the honest state scaled by 1/2, so
     the honest amplitude matrices serve for both."""
-    if not an.completeness.passed:
+    if not np.all(an.completeness.passed):
         raise CompletenessError(
             "purified attack needs a complete protocol: " + "; ".join(an.completeness.failures)
         )
     t = _by_register(bipartition_matrix(an.final.stack, an.final.bob_factors))
-    # [a, s, x_s, x_other, alice, bob]: the x_s = 1 sectors realigned, then
-    # projected with the x_s = 0 ones on |+>, a factor 2**-0.5 on top of 1/2
-    plus = (t[:, :, 0] + t[:, :, 1] @ _realignment_blocks(t).swapaxes(-1, -2)) / np.sqrt(8.0)
-    p_plus = np.sum(np.abs(plus) ** 2, axis=(-3, -2, -1))  # [a, s]
+    # [..., a, s, x_s, x_other, alice, bob]: the x_s = 1 sectors realigned,
+    # then projected with the x_s = 0 ones on |+>, a factor 2**-0.5 on top of 1/2
+    blocks = _realignment_blocks(t)[..., None, :, :, :, :].swapaxes(-1, -2)
+    plus = (t[..., 0, :, :, :] + t[..., 1, :, :, :] @ blocks) / np.sqrt(8.0)
+    p_plus = np.sum(np.abs(plus) ** 2, axis=(-3, -2, -1))  # [..., a, s]
     # '-' means guess a = s, '+' means guess a = 1 - s
-    return 0.5 * np.where(np.eye(2, dtype=bool), 1.0 - p_plus, p_plus).sum(axis=0)
+    return 0.5 * np.where(np.eye(2, dtype=bool), 1.0 - p_plus, p_plus).sum(axis=-2)
 
 
 def bob_purified_attack(spec: ProtocolSpec, s: int) -> float:
@@ -189,7 +192,7 @@ def bob_purified_attack(spec: ProtocolSpec, s: int) -> float:
     """
     if s not in (0, 1):
         raise RangeError(f"register choice must be 0 or 1, got {s}")
-    return float(_purified_success(_analyze(spec))[s])
+    return float_or_array(_purified_success(_analyze(spec))[..., s])
 
 
 def cheat_report(spec: ProtocolSpec) -> CheatReport:
@@ -198,13 +201,13 @@ def cheat_report(spec: ProtocolSpec) -> CheatReport:
     Computes the aggregate quantities, both bounds, and the two simulated
     purified attacks from one pass over the protocol, and raises
     ``ConsistencyError`` unless the simulated attack averaged over the
-    register choice reproduces Bob's bound.
+    register choice reproduces Bob's bound, on a family for every member.
     """
     an = _analyze(spec)
     delta, f = delta_quantity(an.reduced), f_quantity(an.reduced)
     a_bound, b_bound = _alice_bound_of(delta), _bob_bound_of(f)
-    sim0, sim1 = (float(p) for p in _purified_success(an))
-    if abs((sim0 + sim1) / 2.0 - b_bound) > TOL_SPECTRAL:
+    sim0, sim1 = (float_or_array(p) for p in _purified_success(an).T)
+    if np.any(np.abs((sim0 + sim1) / 2.0 - b_bound) > TOL_SPECTRAL):
         raise ConsistencyError(
             f"simulated purified attack {(sim0 + sim1) / 2} disagrees with bound {b_bound}"
         )

@@ -9,6 +9,7 @@ endpoints; ``combined_bounds`` evaluates the resulting cheating bounds.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -24,6 +25,7 @@ from .qcore import (
     Factor,
     RegisterLayout,
     TwoOutcomeMeasurement,
+    dagger,
     haar_unitary,
 )
 
@@ -148,6 +150,12 @@ def build_cks() -> ProtocolSpec:
     )
 
 
+@functools.cache
+def _cks() -> ProtocolSpec:
+    """The qutrit protocol, built and validated once per process."""
+    return build_cks()
+
+
 def build_leaky(theta: float) -> ProtocolSpec:
     """The qutrit protocol plus a Message qubit ``E`` that Bob rotates by
     R(theta)^(x0 + x1) before he sends it back.  Alice's output measures
@@ -217,28 +225,29 @@ def build_trivial() -> ProtocolSpec:
     )
 
 
-def random_complete_protocol(seed: int) -> ProtocolSpec:
+def random_complete_protocol(seed) -> ProtocolSpec:
     """The qutrit protocol dressed with seeded local rotations.
 
     A rotation on Alice's qutrit is folded into her preparation and an
     input-independent rotation on the message qutrit into Bob's round;
     the output measurements are conjugated to match, so completeness is
-    preserved by construction and (delta, f) are unchanged.
+    preserved by construction and (delta, f) are unchanged.  A 1-D array
+    of seeds gives the family spec of those protocols; each member draws
+    its two rotations from its own ``default_rng(seed)``.
     """
-    base = build_cks()
-    rng = np.random.default_rng(seed)
-    r_alice = haar_unitary(3, rng)
-    r_msg = haar_unitary(3, rng)
+    base, seeds = _cks(), np.asarray(seed)
+    rots = np.stack([haar_unitary(3, np.random.default_rng(s), 2) for s in seeds.ravel()])
+    r_alice, r_msg = np.moveaxis(rots.reshape(seeds.shape + (2, 3, 3)), -3, 0)
+    # np.kron of a stack and a matrix is the stack of products; g pairs members
     prep = tuple(np.kron(r_alice, np.eye(3)) @ u for u in base.alice_prep)
-    bob_round = base.rounds[1]
-    bob_unitary = np.kron(r_msg, np.eye(4)) @ bob_round.unitary
-    g = np.kron(r_alice, r_msg)
+    bob_unitary = np.kron(r_msg, np.eye(4)) @ base.rounds[1].unitary
+    g = (r_alice[..., :, None, :, None] * r_msg[..., None, :, None, :]).reshape(*seeds.shape, 9, 9)
     outputs = tuple(
-        TwoOutcomeMeasurement(g @ m.pos @ g.conj().T, g @ m.neg @ g.conj().T)
+        TwoOutcomeMeasurement(g @ m.pos @ dagger(g), g @ m.neg @ dagger(g))
         for m in base.alice_output
     )
     return ProtocolSpec(
-        name=f"cks-rotated-{seed}",
+        name="cks-rotated-" + "-".join(str(s) for s in seeds.ravel()),
         layout=base.layout,
         alice_prep=prep,
         rounds=(base.rounds[0], Round(BOB, bob_unitary, send=True)),

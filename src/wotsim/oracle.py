@@ -16,14 +16,13 @@ ones; ``cks_alice_success`` takes any, so that this is itself checked.
 
 from __future__ import annotations
 
-import functools
 from typing import Iterable
 
 import numpy as np
 
-from .catalog import build_cks
+from .catalog import _cks
 from .errors import MAX_SWEEP_SIZE, RangeError, ShapeError
-from .protocol import ProtocolSpec, _final_sectors
+from .protocol import _final_sectors
 from .qcore import DensityOp, StateVector, bipartition_matrix, haar_unitary, trace_norm
 
 # Samples per stacked QR in the measurement and unitary oracles, so their
@@ -34,12 +33,6 @@ _CHUNK = 512
 def grid_tolerance(grid: int) -> float:
     """Honest error bar for a grid-search maximum: 2 / grid."""
     return 2.0 / grid
-
-
-@functools.cache
-def _cks() -> ProtocolSpec:
-    """The qutrit protocol, built and validated once per process."""
-    return build_cks()
 
 
 def _cheat_states(weights, ancillas) -> np.ndarray:

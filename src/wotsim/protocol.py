@@ -43,6 +43,7 @@ from .qcore import (
     as_cmat,
     bipartition_matrix,
     dagger,
+    float_or_array,
     hermitize,
     trace_norm,
 )
@@ -77,18 +78,19 @@ def held_factors(layout: RegisterLayout, actor: str, message_with_alice: bool) -
 
 def _check_unitary(mat: CMat, dim: int, what: str) -> None:
     mat = as_cmat(mat)
-    if mat.shape != (dim, dim):
+    if mat.shape[-2:] != (dim, dim):
         raise SpecError(f"{what}: shape {mat.shape}, expected ({dim}, {dim})")
     if not np.isfinite(mat).all():
         raise SpecError(f"{what}: non-finite entries")
     if (np.abs(mat).max() > 1.0 + TOL_EXACT  # else the product can overflow to NaN
-            or np.abs(mat.conj().T @ mat - np.eye(dim)).max() > TOL_EXACT):
+            or np.abs(dagger(mat) @ mat - np.eye(dim)).max() > TOL_EXACT):
         raise SpecError(f"{what}: not unitary within tolerance")
 
 
 def _check_input_controlled(op: np.ndarray, held: tuple[str, ...]) -> None:
-    """Verify a Bob unitary, reshaped to the dims of his held factors as
-    output then input axes, is block-diagonal over the X0 (x) X1 basis."""
+    """Verify a Bob unitary, or each member of a family, reshaped to the
+    dims of his held factors as output then input axes, is block-diagonal
+    over the X0 (x) X1 basis."""
     k = len(held)
     diagonal = np.ones((1,) * 2 * k, dtype=bool)
     for j, name in enumerate(held):
@@ -100,20 +102,11 @@ def _check_input_controlled(op: np.ndarray, held: tuple[str, ...]) -> None:
         raise SpecError("Bob round is not controlled on his input registers")
 
 
-def _compile_step(op: np.ndarray, layout: RegisterLayout, held: tuple[str, ...]) -> tuple:
-    """A round as ``(op, axes, src, dst)``: ``tensordot(op, tensor, axes)``
-    then the output axes ``src`` moved back to ``dst``, on a state tensor
-    led by one axis over the prepared states."""
-    positions = [layout.names.index(n) for n in held]
-    sel = tuple(layout.dims[i] for i in positions)
-    k, dst = len(sel), [1 + p for p in positions]
-    return op.reshape(sel + sel), (list(range(k, 2 * k)), dst), list(range(k)), dst
-
-
 class _Plan(NamedTuple):
     """A protocol compiled once for execution and analysis: Alice's two
-    prepared states and the axes they fill, the compiled rounds, the input
-    axes, the layout without them, and her two output projectors."""
+    prepared states ``(F?, 2, D)`` and the axes they fill, the rounds as
+    ``(op (F?, d, d), front, back)``, the input axes, the layout without
+    them, and her output projectors ``(F?, 2, d, d)``.  Axes count from the end."""
 
     prepared: np.ndarray
     prep_axes: tuple[int, ...]
@@ -140,6 +133,10 @@ class ProtocolSpec:
     ``alice_prep[a]`` acts on Alice-owned plus Message factors before any
     round; ``rounds`` run in order; ``alice_output[a]`` measures Alice's
     end-of-protocol factors (``pos`` outcome = bit value 1).
+
+    A family of ``F`` protocols on one layout and round schedule is one
+    spec: each preparation, round unitary and output projector is one
+    matrix, shared by every member, or a stack ``(F, d, d)``, one per member.
     """
 
     name: str
@@ -166,21 +163,31 @@ class ProtocolSpec:
                 raise SpecError(f"input register {name} must have dim 2")
         if len(self.alice_prep) != 2 or len(self.alice_output) != 2:
             raise SpecError("alice_prep and alice_output need one entry per choice bit")
+        leads = {np.shape(m)[:-2] for m in (*self.alice_prep, *(r.unitary for r in self.rounds),
+                                            *(m.pos for m in self.alice_output))} - {()}
+        if len(leads) > 1 or any(len(lead) != 1 for lead in leads):
+            raise SpecError(f"matrices may share one leading family axis, got {sorted(leads)}")
+        lead, k = (leads.pop() if leads else ()), len(lay.dims)
         held = held_factors(lay, ALICE, True)
+        d_prep = lay.subset_dim(held)
+        prepared = np.empty(lead + (2, d_prep), dtype=complex)
         for a, prep in enumerate(self.alice_prep):
-            _check_unitary(prep, lay.subset_dim(held), f"alice_prep[{a}]")
-        # every factor starts in |0>, so a preparation is its first column
-        prepared = np.stack([as_cmat(p)[:, 0] for p in self.alice_prep])
+            _check_unitary(prep, d_prep, f"alice_prep[{a}]")
+            # every factor starts in |0>, so a preparation is its first column
+            prepared[..., a, :] = as_cmat(prep)[..., 0]
         prep_axes = tuple(lay.names.index(n) for n in held)
         steps = []
         msg_with_alice = True
         for i, rnd in enumerate(self.rounds):
             held = held_factors(lay, rnd.actor, msg_with_alice)
-            d = lay.subset_dim(held)
-            _check_unitary(rnd.unitary, d, f"round {i} ({rnd.actor})")
-            steps.append(_compile_step(as_cmat(rnd.unitary), lay, held))
+            op, axes = as_cmat(rnd.unitary), [lay.names.index(n) for n in held]
+            _check_unitary(op, lay.subset_dim(held), f"round {i} ({rnd.actor})")
             if rnd.actor == BOB:
-                _check_input_controlled(steps[-1][0], held)
+                sel = tuple(lay.dims[j] for j in axes)
+                _check_input_controlled(op.reshape(op.shape[:-2] + sel + sel), held)
+            # the axes (prepared states, *factors) with the held ones moved first, and back
+            front = [j - k for j in axes] + [-k - 1] + [j - k for j in range(k) if j not in axes]
+            steps.append((op, front, [front.index(j) - k - 1 for j in range(-k - 1, 0)]))
             if rnd.send:
                 if not lay.owned_by(MESSAGE):
                     raise SpecError(f"round {i} sends but the layout has no Message factor")
@@ -190,14 +197,15 @@ class ProtocolSpec:
                 msg_with_alice = not msg_with_alice
         object.__setattr__(self, "_msg_with_alice_at_end", msg_with_alice)
         d_out = lay.subset_dim(self.alice_end_factors)
+        out_pos = np.empty(lead + (2, d_out, d_out), dtype=complex)
         for a, meas in enumerate(self.alice_output):
-            if meas.pos.shape != (d_out, d_out):
+            if meas.pos.shape[-2:] != (d_out, d_out):
                 raise SpecError(f"alice_output[{a}] has shape {meas.pos.shape}, "
                                 f"Alice ends holding dim {d_out}")
-        input_axes = tuple(lay.names.index(n) for n in INPUT_NAMES)
+            out_pos[..., a, :, :] = meas.pos
+        input_axes = tuple(lay.names.index(n) - k for n in INPUT_NAMES)
         object.__setattr__(self, "_plan", _Plan(
-            prepared, prep_axes, tuple(steps), input_axes, lay.without(INPUT_NAMES),
-            np.stack([m.pos for m in self.alice_output])))
+            prepared, prep_axes, tuple(steps), input_axes, lay.without(INPUT_NAMES), out_pos))
 
     @property
     def alice_end_factors(self) -> tuple[str, ...]:
@@ -208,8 +216,8 @@ class ProtocolSpec:
 @dataclass(frozen=True, eq=False)
 class FinalStates:
     """The eight deferred-measurement final states of a protocol as one
-    state stack of shape ``(2, 2, 2, D)`` indexed ``[a, x0, x1]``, plus the
-    factors Alice holds at the end.  An honest run leaves the input
+    state stack of shape ``(F?, 2, 2, 2, D)`` indexed ``[..., a, x0, x1]``,
+    plus the factors Alice holds at the end.  An honest run leaves the input
     registers in ``|x0 x1>``, so the states omit them."""
 
     stack: StateVector
@@ -239,36 +247,43 @@ class ReducedFamily:
 class CompletenessReport:
     """Result of the completeness check.
 
-    ``support_overlap[a]`` is the trace norm of the product of the two
-    support projectors spanned by Alice's states with the learned bit 0
-    vs 1; ``one_probs[a, x0, x1]`` is the probability that Alice's output
-    measurement reports bit 1 on that honest run; ``min_output_prob`` is the
-    worst-case probability that it reports the correct bit over the 8 runs.
+    ``support_overlap[..., a]`` is the trace norm of the product of the
+    two support projectors spanned by Alice's states with the learned bit 0
+    vs 1; ``one_probs[..., a, x0, x1]`` is the probability that Alice's
+    output measurement reports bit 1 on that honest run;
+    ``min_output_prob`` is the worst-case probability that it reports the
+    correct bit over the 8 runs.  On a family spec each field is per member
+    and each failure names its member.
     """
 
-    passed: bool
-    support_overlap: tuple[float, float]
+    passed: bool | np.ndarray
+    support_overlap: np.ndarray
     one_probs: np.ndarray
-    min_output_prob: float
+    min_output_prob: float | np.ndarray
     failures: tuple[str, ...]
 
 
 def _execute(spec: ProtocolSpec, input_amps: dict[str, np.ndarray],
              prepared: np.ndarray | None = None) -> np.ndarray:
-    """The protocol run in one pass from a stack of ``n`` states Alice
-    prepares, by default her two honest ones: the final amplitude tensors,
-    of shape ``(n, *layout.dims)``."""
+    """The protocol run in one pass from a stack ``(F?, n, D_prep)`` of
+    states Alice prepares, by default her two honest ones: the final
+    amplitude tensors, of shape ``(F?, n, *layout.dims)``.  A round is one
+    ``matmul`` per member on the tensor with its held axes moved first."""
     plan, dims = spec._plan, spec.layout.dims
-    prep_axes = plan.prep_axes
+    k, prep_axes = len(dims), plan.prep_axes
     prepared = plan.prepared if prepared is None else prepared
     # every other factor starts in |0> except the input registers
     rest = reduce(np.multiply.outer, [input_amps.get(f.name, np.eye(f.dim, 1).ravel())
                                       for i, f in enumerate(spec.layout.factors)
                                       if i not in prep_axes])
-    tensor = np.multiply.outer(prepared.reshape((-1,) + tuple(dims[i] for i in prep_axes)), rest)
-    tensor = np.moveaxis(tensor, range(1, 1 + len(prep_axes)), [1 + i for i in prep_axes])
-    for op, axes, src, dst in plan.steps:
-        tensor = np.moveaxis(np.tensordot(op, tensor, axes), src, dst)
+    tensor = np.multiply.outer(
+        prepared.reshape(prepared.shape[:-1] + tuple(dims[i] for i in prep_axes)), rest)
+    tensor = np.moveaxis(tensor, range(-k, len(prep_axes) - k), [i - k for i in prep_axes])
+    for op, front, back in plan.steps:
+        moved = tensor.transpose(*range(tensor.ndim - k - 1), *front)
+        out = np.matmul(op, moved.reshape(moved.shape[:-k - 1] + (op.shape[-1], -1)))
+        out = out.reshape(out.shape[:-2] + moved.shape[-k - 1:])
+        tensor = out.transpose(*range(out.ndim - k - 1), *back)
     return tensor
 
 
@@ -284,7 +299,8 @@ def run_honest(spec: ProtocolSpec, a: int, x0: int, x1: int) -> StateVector:
         if bit not in (0, 1):
             raise SpecError(f"input bits must be 0 or 1, got {bit}")
     basis = np.eye(2, dtype=complex)
-    return StateVector(spec.layout, _execute(spec, {"X0": basis[x0], "X1": basis[x1]})[a])
+    final = _execute(spec, {"X0": basis[x0], "X1": basis[x1]})
+    return StateVector(spec.layout, np.take(final, a, -1 - len(spec.layout.dims)))
 
 
 _PLUS = {name: np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0) for name in INPUT_NAMES}
@@ -293,7 +309,7 @@ _PLUS = {name: np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0) for name in IN
 def run_purified(spec: ProtocolSpec, a: int) -> StateVector:
     """The final pure state when both input registers start in the uniform
     superposition (Bob running all his honest strategies coherently)."""
-    return StateVector(spec.layout, _execute(spec, _PLUS)[a])
+    return StateVector(spec.layout, np.take(_execute(spec, _PLUS), a, -1 - len(spec.layout.dims)))
 
 
 def reduce_alice(fs: FinalStates) -> ReducedFamily:
@@ -311,30 +327,35 @@ def support_projectors(rf: ReducedFamily) -> np.ndarray:
     unchanged, so one batched ``eigh`` and one batched SVD give all four."""
     w, v = np.linalg.eigh(hermitize(rf.states.mat))
     kept = v * (w > TOL_SPECTRAL)[..., None, :]
-    # [a, x0, x1] -> [a, v, other bit]
-    grouped = np.stack([kept[0], kept[1].swapaxes(0, 1)])
-    q, s, _ = np.linalg.svd(np.concatenate([grouped[:, :, 0], grouped[:, :, 1]], axis=-1),
-                            full_matrices=False)
+    # [..., a, x0, x1] -> [..., a, v, other bit]
+    grouped = np.stack([kept[..., 0, :, :, :, :], kept[..., 1, :, :, :, :].swapaxes(-3, -4)],
+                       axis=-5)
+    q, s, _ = np.linalg.svd(np.concatenate([grouped[..., 0, :, :], grouped[..., 1, :, :]],
+                                           axis=-1), full_matrices=False)
     basis = q * (s > TOL_SPECTRAL)[..., None, :]
     return basis @ dagger(basis)
 
 
 def _completeness(spec: ProtocolSpec, rf: ReducedFamily) -> CompletenessReport:
     proj = support_projectors(rf)
-    overlaps = trace_norm(proj[:, 0] @ proj[:, 1])
-    failures = [f"a={a}: learned-bit supports overlap ({overlap:.3e})"
-                for a, overlap in enumerate(overlaps) if overlap > TOL_SPECTRAL]
-    one = np.real(np.trace(spec._plan.out_pos[:, None, None] @ rf.states.mat, axis1=-2, axis2=-1))
+    overlaps = trace_norm(proj[..., 0, :, :] @ proj[..., 1, :, :])
+    one = np.real(np.trace(spec._plan.out_pos[..., None, None, :, :] @ rf.states.mat,
+                           axis1=-2, axis2=-1))
     correct = np.where(LEARNED == 1, one, 1.0 - one)
-    for key in RUN_KEYS:
-        if correct[key] < 1.0 - TOL_SPECTRAL:
-            failures.append(f"output measurement misses x_{key[0]}={LEARNED[key]} at "
-                            f"(a,x0,x1)=({key[0]},{key[1]},{key[2]}): p={correct[key]:.6f}")
+    bad_overlap, bad_output = overlaps > TOL_SPECTRAL, correct < 1.0 - TOL_SPECTRAL
+    # a member prefix on a family; nonzero keeps the (a, x0, x1) order
+    failures = [f"{''.join(f'member {m}: ' for m in lead)}a={a}: learned-bit supports "
+                f"overlap ({overlaps[(*lead, a)]:.3e})" for *lead, a in zip(*bad_overlap.nonzero())]
+    failures += [f"{''.join(f'member {m}: ' for m in lead)}output measurement misses "
+                 f"x_{a}={LEARNED[a, x0, x1]} at (a,x0,x1)=({a},{x0},{x1}): "
+                 f"p={correct[(*lead, a, x0, x1)]:.6f}"
+                 for *lead, a, x0, x1 in zip(*bad_output.nonzero())]
+    passed = ~(bad_overlap.any(axis=-1) | bad_output.any(axis=(-3, -2, -1)))
     return CompletenessReport(
-        passed=not failures,
-        support_overlap=(float(overlaps[0]), float(overlaps[1])),
+        passed=passed if passed.ndim else bool(passed),
+        support_overlap=overlaps,
         one_probs=one,
-        min_output_prob=min(1.0, float(correct.min())),
+        min_output_prob=float_or_array(np.minimum(1.0, correct.min(axis=(-3, -2, -1)))),
         failures=tuple(failures),
     )
 
@@ -350,8 +371,8 @@ class _Analysis:
 
 
 def _final_sectors(spec: ProtocolSpec, prepared: np.ndarray | None = None) -> np.ndarray:
-    """The honest final states from each of ``prepared`` (by default
-    Alice's two preparations), ``(n, 2, 2, D)`` indexed ``[., x0, x1]`` on
+    """The honest final states from each of ``prepared`` (by default Alice's
+    two preparations), ``(F?, n, 2, 2, D)`` indexed ``[..., x0, x1]`` on
     the layout without the input registers, read off purified runs.
 
     Bob's rounds are controlled on the input registers and Alice never
@@ -359,9 +380,9 @@ def _final_sectors(spec: ProtocolSpec, prepared: np.ndarray | None = None) -> np
     state for (x0, x1) scaled by 1/2.  A sector of any other norm means the
     final state is entangled with the input registers.
     """
-    sectors = np.moveaxis(_execute(spec, _PLUS, prepared),
-                          [1 + i for i in spec._plan.input_axes], [1, 2])
-    sectors = sectors.reshape(sectors.shape[:3] + (-1,))
+    k = len(spec.layout.dims)
+    sectors = np.moveaxis(_execute(spec, _PLUS, prepared), spec._plan.input_axes, [-k, 1 - k])
+    sectors = sectors.reshape(sectors.shape[:2 - k] + (-1,))
     norms = np.linalg.norm(sectors, axis=-1)
     if np.abs(norms - 0.5).max() > TOL_SPECTRAL:
         raise CompletenessError(
@@ -425,7 +446,9 @@ def _typed(value, kind: type, what: str):
 
 
 def spec_to_dict(spec: ProtocolSpec) -> dict:
-    """Serialize a protocol to the JSON wire structure."""
+    """Serialize one protocol to the JSON wire structure; a family raises ``SpecError``."""
+    if spec._plan.prepared.ndim > 2:
+        raise SpecError(f"{spec.name}: the wire format holds one protocol, not a family")
     return {
         "name": spec.name,
         "factors": [

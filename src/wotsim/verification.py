@@ -177,10 +177,12 @@ def suite_inequality_chain(seed: int) -> list[Check]:
     ]
     worst_lhs, worst_df = 2.0, 0.0
     base_seeds = rng.integers(0, 2**31 - 1, size=100)
-    for s in base_seeds:
-        rep = attacks.cheat_report(catalog.random_complete_protocol(int(s)))
-        worst_lhs = min(worst_lhs, rep.theorem1_lhs)
-        worst_df = max(worst_df, abs(rep.delta), abs(rep.f - 4.0))
+    # ten family specs of ten: one family of 100 would raise verify's peak
+    # memory by about 8 MB, ten of ten stay below suite_oracle's peak
+    for seeds in np.split(base_seeds, 10):
+        rep = attacks.cheat_report(catalog.random_complete_protocol(seeds))
+        worst_lhs = min(worst_lhs, float(np.min(rep.theorem1_lhs)))
+        worst_df = max(worst_df, float(np.max(np.abs(rep.delta))), float(np.max(np.abs(rep.f - 4))))
     checks.append(Check("random_protocols_on_curve", worst_lhs >= 2.0 - TOL_SPECTRAL,
                         f"min {worst_lhs:.8f}"))
     checks.append(Check("local_rotations_preserve_quantities", worst_df <= TOL_SPECTRAL,

@@ -16,6 +16,7 @@ from wotsim.qcore import (
     Factor,
     RegisterLayout,
     TwoOutcomeMeasurement,
+    haar_unitary,
 )
 from wotsim.verification import run_all
 
@@ -82,6 +83,59 @@ def build_cks_with_bob_register() -> ProtocolSpec:
         rounds=(Round(ALICE, np.eye(9, dtype=complex), send=True),
                 Round(BOB, u, send=True)),
         alice_output=(_qutrit_output(0), _qutrit_output(1)),
+    )
+
+
+def build_cks_with_complex_register(seed: int = 0) -> ProtocolSpec:
+    """The qutrit protocol with a Bob-held qubit that Bob rotates by a
+    seeded complex SU(2) matrix ``V[x0, x1]`` controlled on his inputs.
+
+    Alice's view is that of the plain qutrit protocol, but the Uhlmann
+    blocks of the purified attack have imaginary parts, so a conjugation
+    slip in the realignment changes Bob's success.
+    """
+    layout = RegisterLayout((
+        Factor("A", 3, ALICE),
+        Factor("M", 3, MESSAGE),
+        Factor("B", 2, BOB),
+        Factor("X0", 2, BOB_INPUT),
+        Factor("X1", 2, BOB_INPUT),
+    ))
+    base = build_cks()
+    rots = haar_unitary(2, np.random.default_rng(seed), (2, 2))
+    rots = rots / np.sqrt(np.linalg.det(rots))[..., None, None]
+    phases = np.diagonal(base.rounds[1].unitary).reshape(3, 2, 2)
+    eye2 = np.eye(2)
+    # Bob holds (M, B, X0, X1): the cks phases on M and V[x0, x1] on B
+    bob = np.einsum("mab,abef,mn,ac,bd->meabnfcd", phases, rots, np.eye(3), eye2, eye2)
+    return ProtocolSpec(
+        name=f"cks-with-complex-register-{seed}",
+        layout=layout,
+        alice_prep=base.alice_prep,
+        rounds=(Round(ALICE, np.eye(9, dtype=complex), send=True),
+                Round(BOB, bob.reshape(24, 24), send=True)),
+        alice_output=base.alice_output,
+    )
+
+
+def family_of(specs, name: str = "family") -> ProtocolSpec:
+    """One family spec from specs with one layout and round schedule: a
+    matrix equal in every member is shared, any other is stacked."""
+    def merged(mats):
+        mats = [np.asarray(m) for m in mats]
+        return mats[0] if all(np.array_equal(m, mats[0]) for m in mats) else np.stack(mats)
+
+    first = specs[0]
+    return ProtocolSpec(
+        name=name,
+        layout=first.layout,
+        alice_prep=tuple(merged([s.alice_prep[a] for s in specs]) for a in (0, 1)),
+        rounds=tuple(Round(r.actor, merged([s.rounds[i].unitary for s in specs]), r.send)
+                     for i, r in enumerate(first.rounds)),
+        alice_output=tuple(
+            TwoOutcomeMeasurement(merged([s.alice_output[a].pos for s in specs]),
+                                  merged([s.alice_output[a].neg for s in specs]))
+            for a in (0, 1)),
     )
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,8 +8,10 @@ from hypothesis import strategies as st
 from conftest import (
     build_cks_shuffled,
     build_cks_with_bob_register,
+    build_cks_with_complex_register,
     build_incomplete_protocol,
     build_two_register_trivial,
+    family_of,
 )
 from wotsim import attacks, cli, protocol
 from wotsim.attacks import (
@@ -26,6 +30,7 @@ from wotsim.protocol import (
     ReducedFamily,
     all_final_states,
     run_purified,
+    validate_completeness,
 )
 from wotsim.qcore import (
     TOL_SPECTRAL,
@@ -207,7 +212,8 @@ def _dense_realignment(spec, fs, s):
 
 def test_sector_realignment_matches_dense_reference():
     for spec in (build_cks(), build_trivial(), build_cks_with_bob_register(),
-                 build_cks_shuffled(), build_two_register_trivial()):
+                 build_cks_shuffled(), build_two_register_trivial(),
+                 build_cks_with_complex_register()):
         fs = all_final_states(spec)
         for s in (0, 1):
             assert np.abs(_realignment_matrix(spec, fs, s)
@@ -217,10 +223,11 @@ def test_sector_realignment_matches_dense_reference():
 def test_purified_success_matches_dense_realignment():
     # cheat_report reads Bob's success from _purified_success, which never
     # calls controlled_realignment: check it against the dense realignment
-    # applied to both purified runs, with X_s projected on |+>
+    # applied to both purified runs, with X_s projected on |+>; the complex
+    # register gives Uhlmann blocks with imaginary parts
     for spec in (build_cks(), build_trivial(), build_cks_with_bob_register(),
                  build_cks_shuffled(), build_two_register_trivial(), build_leaky(0.3),
-                 random_complete_protocol(4)):
+                 random_complete_protocol(4), build_cks_with_complex_register()):
         fs = all_final_states(spec)
         sims = attacks._purified_success(protocol._analyze(spec))
         for s in (0, 1):
@@ -283,28 +290,80 @@ def test_cheat_report_random_protocols_on_curve():
 
 def test_cheat_report_executes_the_protocol_in_one_batched_pass(monkeypatch):
     # one execution serves both preparations, which start as prepared
-    # states, with one contraction per round; nothing runs per choice bit or
-    # per key
-    spec = build_cks()
+    # states, and on a family spec every member, with one contraction per
+    # round; nothing runs per choice bit, per key or per member
+    specs = ((build_cks(), ()), (random_complete_protocol(np.arange(3)), (3,)))
     shapes, contractions = [], []
-    execute, tensordot = protocol._execute, np.tensordot
+    execute, matmul = protocol._execute, np.matmul
 
     def counted_execute(*args):
         out = execute(*args)
         shapes.append(out.shape)
         return out
 
-    def counted_tensordot(*args, **kwargs):
+    def counted_matmul(*args, **kwargs):
         contractions.append(1)
-        return tensordot(*args, **kwargs)
+        return matmul(*args, **kwargs)
 
     monkeypatch.setattr(protocol, "_execute", counted_execute)
-    monkeypatch.setattr(np, "tensordot", counted_tensordot)
+    monkeypatch.setattr(np, "matmul", counted_matmul)
     for name in ("run_purified", "run_honest"):
         monkeypatch.setattr(protocol, name, lambda *args: pytest.fail("per-choice run"))
-    cheat_report(spec)
-    assert shapes == [(2,) + spec.layout.dims]
-    assert len(contractions) == len(spec.rounds)
+    for spec, lead in specs:
+        shapes.clear()
+        contractions.clear()
+        cheat_report(spec)
+        assert shapes == [lead + (2,) + spec.layout.dims]
+        assert len(contractions) == len(spec.rounds)
+
+
+def _fields(report) -> dict:
+    return {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+
+
+def test_family_report_matches_per_member_reports():
+    # a family spec gives each member's report and completeness as (F,)
+    # arrays: rotated cks, the leaky family (only Bob's round per member)
+    # and complex-register specs (imaginary Uhlmann blocks)
+    seeds = np.random.default_rng(14).integers(0, 2**31 - 1, 12)
+    cases = [
+        (random_complete_protocol(seeds), [random_complete_protocol(int(s)) for s in seeds]),
+        [build_leaky(t) for t in np.linspace(0.0, np.pi / 2, 7)],
+        [build_cks_with_complex_register(seed) for seed in range(5)],
+    ]
+    for case in cases:
+        family, members = case if isinstance(case, tuple) else (family_of(case), case)
+        rep, comp = cheat_report(family), validate_completeness(family)
+        for i, member in enumerate(members):
+            for name, value in _fields(cheat_report(member)).items():
+                if name != "spec_name":
+                    assert np.shape(getattr(rep, name)) == (len(members),), name
+                    assert abs(getattr(rep, name)[i] - value) <= 1e-12, (member.name, name)
+            for s in (0, 1):
+                assert bob_purified_attack(family, s)[i] == getattr(rep, f"bob_sim_s{s}")[i]
+            single = validate_completeness(member)
+            assert comp.passed[i] == single.passed
+            for name in ("support_overlap", "one_probs", "min_output_prob"):
+                gap = np.abs(getattr(comp, name)[i] - getattr(single, name)).max()
+                assert gap <= 1e-12, (member.name, name)
+
+
+def test_random_complete_family_holds_the_per_seed_matrices():
+    # each member draws from its own default_rng(seed): bitwise the matrices
+    # of the single-seed protocol
+    seeds = np.array([0, 7, 2**31 - 2, 12345])
+    family = random_complete_protocol(seeds)
+    assert family.name == "cks-rotated-0-7-2147483646-12345"
+
+    def matrices(spec):
+        return (*spec.alice_prep, *(r.unitary for r in spec.rounds),
+                *(mat for m in spec.alice_output for mat in (m.pos, m.neg)))
+
+    for i, seed in enumerate(seeds):
+        single = random_complete_protocol(int(seed))
+        for fam, mat in zip(matrices(family), matrices(single), strict=True):
+            member = np.broadcast_to(fam, (len(seeds),) + mat.shape)[i]
+            assert np.ascontiguousarray(member).tobytes() == np.asarray(mat).tobytes()
 
 
 def test_cheat_report_rejects_inconsistent_simulation(monkeypatch):

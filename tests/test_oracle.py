@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wotsim import oracle, protocol
+from wotsim import catalog, oracle, protocol
 from wotsim.errors import MAX_SWEEP_SIZE, RangeError, ShapeError
 from wotsim.oracle import (
     _CHUNK,
@@ -99,16 +99,17 @@ def test_cheat_state_validation():
 
 def test_success_builds_the_spec_once(monkeypatch):
     # the qutrit protocol is built and validated once per process, not once
-    # per call
+    # per call, and the rotated protocols start from the same one
     built = []
     original = protocol.ProtocolSpec.__post_init__
     monkeypatch.setattr(protocol.ProtocolSpec, "__post_init__",
                         lambda spec: (built.append(spec.name), original(spec)))
-    oracle._cks.cache_clear()
+    catalog._cks.cache_clear()
     cks_alice_oracle(0.01, 100)
     cks_alice_oracle(0.02, 100)
     cks_alice_success([[1 / math.sqrt(2), 0.0, 1 / math.sqrt(2)]], np.eye(3))
-    assert built == ["cks"]
+    catalog.random_complete_protocol(np.arange(2))
+    assert built == ["cks", "cks-rotated-0-1"]
 
 
 # --- the grid search -----------------------------------------------------------

@@ -8,7 +8,9 @@ from conftest import (
     build_cks_with_bob_register,
     build_incomplete_protocol,
     build_two_register_trivial,
+    family_of,
 )
+from wotsim.attacks import cheat_report
 from wotsim.catalog import build_cks, build_trivial
 from wotsim import protocol
 from wotsim.errors import CompletenessError, ShapeError, SpecError
@@ -333,6 +335,44 @@ def test_spec_rejects_uncontrolled_bob_round():
         ProtocolSpec(base.name, base.layout, base.alice_prep,
                      (base.rounds[0], Round(BOB, perm, send=True)),
                      base.alice_output)
+
+
+def _with_matrices(base, prep=None, bob=None):
+    return ProtocolSpec(base.name, base.layout, base.alice_prep if prep is None else prep,
+                        (base.rounds[0], Round(BOB, base.rounds[1].unitary if bob is None else bob,
+                                               send=True)),
+                        base.alice_output)
+
+
+def test_family_spec_boundaries(monkeypatch):
+    base = build_cks()
+    prep, bob = base.alice_prep, base.rounds[1].unitary
+    with monkeypatch.context() as m:
+        # the family shapes are checked before any matrix is
+        m.setattr(protocol, "_check_unitary", lambda *args: pytest.fail("checked a matrix"))
+        for bad in (dict(prep=tuple(np.stack([p] * 3) for p in prep), bob=np.stack([bob] * 4)),
+                    dict(prep=(prep[0], np.broadcast_to(prep[1], (2, 2, 9, 9))))):
+            with pytest.raises(SpecError, match="family axis"):
+                _with_matrices(base, **bad)
+    with pytest.raises(SpecError, match="not unitary"):
+        _with_matrices(base, prep=(np.stack([prep[0], 0.5 * prep[0]]), prep[1]))
+    uncontrolled = np.kron(np.eye(3), np.kron([[0, 1], [1, 0]], np.eye(2))) @ bob
+    with pytest.raises(SpecError, match="not controlled"):
+        _with_matrices(base, bob=np.stack([bob, bob, uncontrolled]))
+    family = _with_matrices(base, bob=np.stack([bob, bob]))
+    assert validate_completeness(family).passed.tolist() == [True, True]
+    with pytest.raises(SpecError, match="one protocol"):
+        spec_to_dict(family)
+
+
+def test_family_completeness_names_the_failing_member():
+    family = family_of([build_cks(), build_incomplete_protocol(), build_cks()])
+    report = validate_completeness(family)
+    single = validate_completeness(build_incomplete_protocol())
+    assert report.passed.tolist() == [True, False, True]
+    assert report.failures == tuple(f"member 1: {f}" for f in single.failures)
+    with pytest.raises(CompletenessError):
+        cheat_report(family)
 
 
 def test_spec_from_dict_rejects_non_finite_entry():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -76,3 +77,21 @@ def test_sampled_suites_evaluate_their_instance_counts(monkeypatch, suite, sampl
     monkeypatch.setattr(verification, sampler, counted)
     assert all(check.ok for check in suite(7))
     assert sum(drawn) >= per_instance * instances
+
+
+def _peak_bytes(suite, seed: int) -> int:
+    tracemalloc.start()
+    try:
+        suite(seed)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_inequality_chain_peaks_below_the_oracle_suite():
+    # the chain analyses its 100 rotated protocols as ten family specs of
+    # ten; one family of all 100 would peak several times higher
+    verification.suite_inequality_chain(7)  # builds the cached base protocol
+    chain = _peak_bytes(verification.suite_inequality_chain, 7)
+    oracle = _peak_bytes(verification.suite_oracle, 7)
+    assert chain <= oracle, (chain, oracle)
