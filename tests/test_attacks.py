@@ -317,34 +317,28 @@ def test_cheat_report_executes_the_protocol_in_one_batched_pass(monkeypatch):
         assert len(contractions) == len(spec.rounds)
 
 
-def _fields(report) -> dict:
-    return {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
-
-
 def test_family_report_matches_per_member_reports():
     # a family spec gives each member's report and completeness as (F,)
     # arrays: rotated cks, the leaky family (only Bob's round per member)
     # and complex-register specs (imaginary Uhlmann blocks)
     seeds = np.random.default_rng(14).integers(0, 2**31 - 1, 12)
-    cases = [
-        (random_complete_protocol(seeds), [random_complete_protocol(int(s)) for s in seeds]),
-        [build_leaky(t) for t in np.linspace(0.0, np.pi / 2, 7)],
-        [build_cks_with_complex_register(seed) for seed in range(5)],
-    ]
-    for case in cases:
-        family, members = case if isinstance(case, tuple) else (family_of(case), case)
+    leaky = [build_leaky(t) for t in np.linspace(0.0, np.pi / 2, 7)]
+    complex_register = [build_cks_with_complex_register(seed) for seed in range(5)]
+    for family, members in (
+            (random_complete_protocol(seeds), [random_complete_protocol(int(s)) for s in seeds]),
+            (family_of(leaky), leaky), (family_of(complex_register), complex_register)):
         rep, comp = cheat_report(family), validate_completeness(family)
         for i, member in enumerate(members):
-            for name, value in _fields(cheat_report(member)).items():
-                if name != "spec_name":
-                    assert np.shape(getattr(rep, name)) == (len(members),), name
-                    assert abs(getattr(rep, name)[i] - value) <= 1e-12, (member.name, name)
+            single, single_comp = cheat_report(member), validate_completeness(member)
+            for field in dataclasses.fields(rep)[1:]:  # all but spec_name
+                value = getattr(rep, field.name)
+                assert np.shape(value) == (len(members),), field.name
+                assert abs(value[i] - getattr(single, field.name)) <= 1e-12, (member.name, field)
             for s in (0, 1):
                 assert bob_purified_attack(family, s)[i] == getattr(rep, f"bob_sim_s{s}")[i]
-            single = validate_completeness(member)
-            assert comp.passed[i] == single.passed
+            assert comp.passed[i] == single_comp.passed
             for name in ("support_overlap", "one_probs", "min_output_prob"):
-                gap = np.abs(getattr(comp, name)[i] - getattr(single, name)).max()
+                gap = np.abs(getattr(comp, name)[i] - getattr(single_comp, name)).max()
                 assert gap <= 1e-12, (member.name, name)
 
 
