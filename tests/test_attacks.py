@@ -367,3 +367,8 @@ def test_cheat_report_rejects_inconsistent_simulation(monkeypatch):
     with pytest.raises(ConsistencyError):
         cheat_report(build_cks())
     assert cli.main(["analyze", "cks"]) == 1
+    # on a family, one member off is enough
+    offset = np.array([[0.0, 0.0], [1e-3, 1e-3]])
+    monkeypatch.setattr(attacks, "_purified_success", lambda an: exact(an) + offset)
+    with pytest.raises(ConsistencyError):
+        cheat_report(random_complete_protocol(np.arange(2)))
