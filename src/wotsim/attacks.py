@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CompletenessError, ConsistencyError, RangeError
+from .errors import CompletenessError, ConsistencyError, RangeError, SpecError
 from .protocol import (
     INPUT_NAMES,
     FinalStates,
@@ -39,7 +39,7 @@ from .qcore import (
     uhlmann_blocks,
 )
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CheatReport:
     """Per-protocol cheating summary; on a family spec every numeric field
     is an ``(F,)`` array, one value per member.
@@ -141,8 +141,12 @@ def controlled_realignment(spec: ProtocolSpec, fs: FinalStates, s: int,
     registers: identity everywhere except the sectors where register ``X_s``
     reads 1, which carry the Uhlmann realignment toward the matching 0
     sector on Bob's non-input factors.  Identity on Alice's factors
-    throughout.  All states are realigned as one stack.
+    throughout.  All states are realigned as one stack.  It takes one
+    protocol; the final states of a family raise ``SpecError``.
     """
+    if fs.stack.amps.ndim != 4:
+        raise SpecError(f"controlled_realignment takes one protocol, not a family "
+                        f"{fs.stack.amps.shape[:-4]}")
     lay, names = spec.layout, spec.layout.names
     k, bob = len(names), [names.index(n) for n in fs.bob_factors]
     d_b, new = lay.subset_dim(fs.bob_factors), list(range(len(names), len(names) + len(bob)))

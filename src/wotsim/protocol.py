@@ -324,8 +324,8 @@ def support_projectors(rf: ReducedFamily) -> np.ndarray:
     """Projectors onto the span of the supports of Alice's two states with
     x_a = v, indexed ``[a, v]``.  Eigenvectors with eigenvalue at most
     ``TOL_SPECTRAL`` are zeroed, not dropped, which leaves each span
-    unchanged, so one batched ``eigh`` and one batched SVD give all four."""
-    w, v = np.linalg.eigh(hermitize(rf.states.mat))
+    unchanged, so the stack's stored ``eig`` and one batched SVD give all four."""
+    w, v = rf.states.eig
     kept = v * (w > TOL_SPECTRAL)[..., None, :]
     # [..., a, x0, x1] -> [..., a, v, other bit]
     grouped = np.stack([kept[..., 0, :, :, :, :], kept[..., 1, :, :, :, :].swapaxes(-3, -4)],

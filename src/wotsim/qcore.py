@@ -7,9 +7,9 @@ digit, so ``amps.reshape(layout.dims)`` recovers the tensor form.
 
 Density matrices, measurements and the functionals of them take stacks:
 an array of shape ``(..., d, d)`` is a batch of ``d x d`` matrices over its
-leading axes, and every check and decomposition runs once over the whole
-batch.  A single matrix is the ``n = 1`` case of the same code; functionals
-return a Python float for it and an array over the leading axes for a stack.
+leading axes.  Every check runs once over the whole batch, and a density
+stack is decomposed once, when it is validated.  A single matrix is the
+``n = 1`` case; functionals return a Python float for it, an array for a stack.
 
 Two tolerances are used throughout: ``TOL_EXACT`` for algebraic identities on
 exactly representable constructions, and ``TOL_SPECTRAL`` for anything that
@@ -19,7 +19,7 @@ passed through an eigendecomposition or SVD.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -161,9 +161,11 @@ class StateVector:
 class DensityOp:
     """A density operator, or a stack of them of shape ``(..., d, d)``:
     Hermitian, PSD up to roundoff, unit trace.  Each check runs once over
-    the whole stack and fails if any member fails it."""
+    the whole stack and fails if any member fails it.  ``eig`` keeps the
+    read-only ``(w, v)`` of the one ``eigh`` that the PSD check runs."""
 
     mat: np.ndarray
+    eig: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         mat = _frozen(np.atleast_2d(np.asarray(self.mat)), "density operator")
@@ -175,9 +177,11 @@ class DensityOp:
         off = np.abs(tr - 1.0)
         if off.max() > TOL_EXACT:
             raise ShapeError(f"density operator trace {tr.flat[off.argmax()]} deviates from 1")
-        wmin = np.linalg.eigvalsh(hermitize(mat)).min()
-        if wmin < -TOL_SPECTRAL:
-            raise NotPSDError(f"density operator has eigenvalue {wmin}")
+        w, v = np.linalg.eigh(hermitize(mat))
+        if w.min() < -TOL_SPECTRAL:
+            raise NotPSDError(f"density operator has eigenvalue {w.min()}")
+        w.flags.writeable = v.flags.writeable = False
+        object.__setattr__(self, "eig", (w, v))
 
     @property
     def dim(self) -> int:
@@ -185,11 +189,13 @@ class DensityOp:
 
     def __getitem__(self, index) -> "DensityOp":
         """The members at ``index``, which indexes the leading axes only (the
-        two matrix axes are kept whole).  They passed the checks as part of
-        this stack, so they are not checked again."""
+        two matrix axes are kept whole), with their part of ``eig``: they were
+        checked and decomposed as part of this stack, not again."""
         member = object.__new__(DensityOp)
-        index = (*np.index_exp[index], slice(None), slice(None))
-        object.__setattr__(member, "mat", self.mat[index])
+        w, v = self.eig
+        index = (*np.index_exp[index], slice(None))
+        object.__setattr__(member, "mat", self.mat[index + (slice(None),)])
+        object.__setattr__(member, "eig", (w[index], v[index + (slice(None),)]))
         return member
 
 
@@ -295,17 +301,11 @@ def helstrom(rho: DensityOp, xi: DensityOp) -> tuple[TwoOutcomeMeasurement, floa
 
 def herm_sqrt(rho: DensityOp) -> CMat:
     """Hermitian PSD square root of a density operator, or of each member
-    of a stack.
-
-    Eigenvalues at or below ``d * eps`` times a member's largest one are
-    set to zero: they are roundoff, and their square roots (about 1e-8)
-    would otherwise reach the fidelity of rank-deficient states.  An
-    eigenvalue below -TOL_SPECTRAL raises, since that is no longer
-    partial-trace roundoff.
-    """
-    w, v = np.linalg.eigh(hermitize(rho.mat))
-    if w.min() < -TOL_SPECTRAL:
-        raise NotPSDError(f"eigenvalue {w.min()} below -{TOL_SPECTRAL}")
+    of a stack, from its stored ``eig``.  Eigenvalues at or below ``d * eps``
+    times a member's largest one are set to zero: they are roundoff, and
+    their square roots (about 1e-8) would otherwise reach the fidelity of
+    rank-deficient states."""
+    w, v = rho.eig
     w = np.where(w > w.shape[-1] * np.finfo(float).eps * w[..., -1:], w, 0.0)
     return (v * np.sqrt(w)[..., None, :]) @ dagger(v)
 

@@ -24,7 +24,7 @@ from wotsim.attacks import (
     f_quantity,
 )
 from wotsim.catalog import build_cks, build_leaky, build_trivial, random_complete_protocol
-from wotsim.errors import CompletenessError, ConsistencyError, RangeError
+from wotsim.errors import CompletenessError, ConsistencyError, RangeError, SpecError
 from wotsim.protocol import (
     INPUT_NAMES,
     ReducedFamily,
@@ -315,6 +315,43 @@ def test_cheat_report_executes_the_protocol_in_one_batched_pass(monkeypatch):
         cheat_report(spec)
         assert shapes == [lead + (2,) + spec.layout.dims]
         assert len(contractions) == len(spec.rounds)
+
+
+def test_cheat_report_decomposes_the_reduced_states_once(monkeypatch):
+    # Alice's eight reduced states are decomposed once, when they are
+    # validated; the support projectors and every fidelity read that
+    # spectrum, on one spec and on a family alike
+    specs = (build_cks(), random_complete_protocol(np.arange(3)))
+    members = random_density(3, np.random.default_rng(0), size=2)
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        def counted(*args, _orig=getattr(np.linalg, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    for spec in specs:
+        calls.update(eigh=0, eigvalsh=0)
+        cheat_report(spec)
+        assert calls == {"eigh": 1, "eigvalsh": 0}
+    calls.update(eigh=0, eigvalsh=0)
+    fidelity(members[0], members[1])
+    assert calls == {"eigh": 0, "eigvalsh": 0}
+
+
+def test_family_report_compares_and_hashes():
+    # a report holding (F,) arrays compares by identity, as every other
+    # array-holding dataclass of the package does
+    rep = cheat_report(random_complete_protocol(np.arange(2)))
+    assert rep == rep and rep != cheat_report(random_complete_protocol(np.arange(2)))
+    assert hash(rep) == hash(rep)
+    assert list(dataclasses.asdict(rep)) == [f.name for f in dataclasses.fields(rep)]
+
+
+def test_controlled_realignment_rejects_a_family():
+    spec = random_complete_protocol(np.arange(2))
+    fs = all_final_states(spec)
+    with pytest.raises(SpecError, match="one protocol"):
+        attacks.controlled_realignment(spec, fs, 0, ())
 
 
 def test_family_report_matches_per_member_reports():

@@ -416,6 +416,8 @@ def test_stacked_primitives_equal_per_matrix_calls(dim):
         assert np.abs(meas.pos[i] - m.pos).max() <= 1e-15
         assert np.abs(meas.neg[i] - m.neg).max() <= 1e-15
         assert np.abs(root[i] - herm_sqrt(r)).max() <= 1e-15
+        for part, own in zip(r.eig, DensityOp(rho.mat[i]).eig):
+            assert part.tobytes() == own.tobytes()
 
 
 def _bad_members():
