@@ -11,16 +11,15 @@ from .attacks import (
     f_quantity,
 )
 from .catalog import (
-    HonestRunStats,
     TradeoffPoint,
     WCFPrimitive,
     build_cks,
     build_leaky,
+    build_mixture,
     build_trivial,
     combined_bounds,
     dyadic_round,
     random_complete_protocol,
-    simulate_combined,
 )
 from .errors import (
     CompletenessError,

@@ -3,8 +3,11 @@
 Two extreme protocols are provided: ``build_cks`` (the qutrit protocol in
 which Alice cannot cheat at all but Bob reaches 3/4) and ``build_trivial``
 (Bob announces both bits; he cannot cheat, Alice cheats perfectly).  Mixing
-them via an ideal unbalanced weak coin flip interpolates between the two
-endpoints; ``combined_bounds`` evaluates the resulting cheating bounds.
+them via an unbalanced weak coin flip interpolates between the two
+endpoints.  ``build_mixture`` is that mixture as one protocol, with an ideal
+coin, that the engine analyses like any other; ``combined_bounds`` is the
+arithmetic of the same mixture, in which a cheater may bias the coin by
+epsilon.
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MAX_SWEEP_SIZE, RangeError
-from .protocol import ProtocolSpec, Round, validate_completeness
+from .errors import RangeError
+from .protocol import ProtocolSpec, Round
 from .qcore import (
     ALICE,
     BOB,
@@ -75,17 +78,6 @@ class TradeoffPoint:
     a_bound: float
     b_bound: float
     combined: float
-
-
-@dataclass(frozen=True)
-class HonestRunStats:
-    """Empirical summary of honest Monte Carlo runs of the combined protocol."""
-
-    lam: float
-    trials: int
-    n_trivial: int
-    n_qutrit: int
-    completeness_rate: float
 
 
 def _qutrit_prep(a: int) -> np.ndarray:
@@ -225,6 +217,47 @@ def build_trivial() -> ProtocolSpec:
     )
 
 
+def build_mixture(lam) -> ProtocolSpec:
+    """The coin-flip mixture of ``build_trivial`` (amplitude ``sqrt(lam)``) and
+    ``build_cks`` (``sqrt(1 - lam)``) as one protocol on direct sums: ``A`` is
+    2 (+) 3, ``M`` is 4 (+) 3, and each branch's preparation, round and output
+    sit in its own block.  Bob's round also flips his ``C`` on the qutrit
+    branch, which decoheres the coin in Alice's view, so both bounds are those
+    of ``combined_bounds`` at epsilon = 0.  The coin is ideal; its bias epsilon
+    stays in that arithmetic.  A 1-D array of ``lam`` gives the family spec.
+    """
+    lams = np.asarray(lam, dtype=float)
+    if lams.ndim > 1 or not np.all((lams >= 0.0) & (lams <= 1.0)):  # NaN fails too
+        raise RangeError(f"lam must be a number or a 1-D array in [0, 1], got {lam}")
+    trivial, cks = build_trivial(), _cks()
+    # the (A, M) indices of the trivial block (A < 2, M < 4) and of the qutrit block
+    blocks = [np.add.outer(7 * np.arange(2), np.arange(4)).ravel(),
+              np.add.outer(7 * np.arange(2, 5), np.arange(4, 7)).ravel()]
+    # per choice bit, the Householder reflection I - w w^T (|w|^2 = 2) that
+    # takes |0> to sqrt(lam) |0> + sqrt(1 - lam) |qutrit preparation>
+    root = np.sqrt(lams)[..., None, None]
+    w = np.zeros(lams.shape + (2, 35))
+    w[..., :1] = np.sqrt(1.0 - root)
+    w[..., blocks[1]] = -np.sqrt(1.0 + root) * np.stack([u[:, 0].real for u in cks.alice_prep])
+    prep = np.eye(35) - w[..., :, None] * w[..., None, :]
+    # Bob holds (M, X0, X1, C): the trivial round, or the qutrit round and a flip of C
+    bob = np.zeros((56, 56), dtype=complex)
+    bob[:32, :32] = np.kron(trivial.rounds[1].unitary, np.eye(2))
+    bob[32:, 32:] = np.kron(cks.rounds[1].unitary, [[0, 1], [1, 0]])
+    pos = np.zeros((2, 35, 35), dtype=complex)
+    for block, spec in zip(blocks, (trivial, cks)):
+        pos[:, block[:, None], block] = [m.pos for m in spec.alice_output]
+    return ProtocolSpec(
+        name="mixture-" + "-".join(f"{x:.6g}" for x in lams.ravel()),
+        layout=RegisterLayout((Factor("A", 5, ALICE), Factor("M", 7, MESSAGE),
+                               Factor("X0", 2, BOB_INPUT), Factor("X1", 2, BOB_INPUT),
+                               Factor("C", 2, BOB))),
+        alice_prep=(prep[..., 0, :, :], prep[..., 1, :, :]),
+        rounds=(Round(ALICE, np.eye(35, dtype=complex), send=True), Round(BOB, bob, send=True)),
+        alice_output=tuple(TwoOutcomeMeasurement(p, np.eye(35) - p) for p in pos),
+    )
+
+
 def random_complete_protocol(seed) -> ProtocolSpec:
     """The qutrit protocol dressed with seeded local rotations.
 
@@ -290,31 +323,3 @@ def combined_bounds(wcf: WCFPrimitive) -> TradeoffPoint:
         combined=2.0 * b_bound + a_bound,
     )
 
-
-def simulate_combined(wcf: WCFPrimitive, trials: int, seed: int) -> HonestRunStats:
-    """Monte Carlo honest execution of the combined protocol.
-
-    Each trial samples the coin (0 with probability lam), runs the chosen
-    sub-protocol honestly with uniform inputs, and records whether Alice's
-    measured bit matches the data bit she chose.  Trial ``t`` reads the
-    ``t``-th five uniforms of one ``default_rng(seed)``.  All trials are drawn
-    as one array, so memory grows with ``trials``: 40 bytes each, at most
-    4 MB under the ``MAX_SWEEP_SIZE`` cap.
-    """
-    if not 1 <= trials <= MAX_SWEEP_SIZE:
-        raise RangeError(f"trials must be in [1, {MAX_SWEEP_SIZE}], got {trials}")
-    probs = np.stack([validate_completeness(build()).one_probs
-                      for build in (build_trivial, build_cks)])
-    u = np.random.default_rng(seed).random((trials, 5))
-    c = (u[:, 0] >= wcf.lam).astype(int)  # coin 0 with probability lam
-    a, x0, x1 = (u[:, 1:4] < 0.5).astype(int).T
-    learned = u[:, 4] < probs[c, a, x0, x1]
-    n_qutrit = int(c.sum())
-    n_complete = np.count_nonzero(learned == np.where(a == 0, x0, x1))
-    return HonestRunStats(
-        lam=wcf.lam,
-        trials=trials,
-        n_trivial=trials - n_qutrit,
-        n_qutrit=n_qutrit,
-        completeness_rate=int(n_complete) / trials,
-    )

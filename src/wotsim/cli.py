@@ -1,5 +1,5 @@
 """Command-line surface: analyze protocols, sweep the tradeoff curve and the
-robustness grid, run honest simulations, and run the verification suites.
+robustness grid, and run the verification suites.
 
 Exit codes: 0 success / all checks pass, 1 verification failure (including a
 ``ConsistencyError``: a simulated attack that disagrees with its closed-form
@@ -19,13 +19,7 @@ import numpy as np
 
 from . import verification
 from .attacks import cheat_report
-from .catalog import (
-    WCFPrimitive,
-    build_cks,
-    build_trivial,
-    dyadic_round,
-    simulate_combined,
-)
+from .catalog import build_cks, build_trivial
 from .errors import (
     MAX_SWEEP_SIZE,
     CompletenessError,
@@ -78,7 +72,7 @@ def _resolve_protocol(name_or_path: str):
             data = json.load(fh)
     except OSError as exc:
         raise ValueError(f"unknown protocol and unreadable path: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nesting too deep
         raise ValueError(f"malformed protocol JSON: {exc}") from exc
     return spec_from_dict(data)
 
@@ -124,14 +118,6 @@ def cmd_robustness(args) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
-    lam = dyadic_round(args.lam, args.dyadic_bits)
-    wcf = WCFPrimitive(lam, 0.0, args.dyadic_bits)
-    stats = simulate_combined(wcf, args.trials, args.seed)
-    _emit(_json_text(dataclasses.asdict(stats)), args.out)
-    return 0
-
-
 def cmd_verify(args) -> int:
     lines, all_ok = verification.run_all(args.seed)
     _emit("\n".join(lines) + "\n", args.out)
@@ -145,11 +131,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, *, seed=False, default_fmt=None):
-        """The flags a verb reads: ``--out`` always, ``--seed`` for the seeded
-        verbs and ``--format`` for those with a choice of output format."""
-        if seed:
-            p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    def common(p, *, default_fmt=None):
+        """The flags a verb reads: ``--out`` always and ``--format`` for those
+        with a choice of output format."""
         p.add_argument("--out", default=None, help="output path (default stdout)")
         if default_fmt:
             p.add_argument("--format", choices=("json", "csv"), default=default_fmt)
@@ -175,16 +159,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, default_fmt="csv")
     p.set_defaults(func=cmd_robustness)
 
-    p = sub.add_parser("simulate", help="honest Monte Carlo of the combined protocol")
-    p.add_argument("--lambda", dest="lam", type=float, required=True,
-                   help="probability of the trivial branch (dyadically rounded)")
-    p.add_argument("--trials", type=int, default=10000)
-    p.add_argument("--dyadic-bits", type=int, default=20)
-    common(p, seed=True)
-    p.set_defaults(func=cmd_simulate)
-
     p = sub.add_parser("verify", help="run the seeded self-check suites")
-    common(p, seed=True)
+    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    common(p)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -1,8 +1,8 @@
 """Exception types shared across the package."""
 
-# Largest count a caller may ask for: curve points, robustness steps, the
-# oracle grid and the simulated trials.  A larger one raises RangeError
-# before anything is allocated or run.
+# Largest count a caller may ask for: curve points, robustness steps and the
+# oracle grid.  A larger one raises RangeError before anything is allocated
+# or run.
 MAX_SWEEP_SIZE = 100_000
 
 

@@ -239,6 +239,14 @@ def suite_catalog(seed: int) -> list[Check]:
             ok_range &= 0.5 <= pt.b_bound <= 0.75 + eps / 4 + 1e-12
     checks.append(Check("combined_on_line", worst_line <= 1e-9, f"{worst_line:.2e}"))
     checks.append(Check("bounds_in_range", ok_range))
+    # the engine on the coin-flip mixture: on the line, at combined_bounds
+    devs = []
+    for lam in (catalog.dyadic_round(u, 20) for u in _rng(seed, 9).random(2)):
+        rep = attacks.cheat_report(catalog.build_mixture(lam))
+        pt = catalog.combined_bounds(catalog.WCFPrimitive(lam, 0.0, 20))
+        devs += [rep.theorem1_lhs - 2.0, rep.alice_bound - pt.a_bound, rep.bob_bound - pt.b_bound]
+    worst_mix = np.max(np.abs(devs))  # NaN-propagating, unlike Python's max
+    checks.append(Check("mixture_on_line", bool(worst_mix <= 1e-12), f"max dev {worst_mix:.2e}"))
     return checks
 
 
@@ -267,6 +275,12 @@ def suite_tradeoff(seed: int) -> list[Check]:
     return checks
 
 
+def _bracket_check(name: str, short: list[float]) -> Check:
+    """A lower-bound oracle lands at most 0.05 below the exact value, never above."""
+    return Check(name, bool(-TOL_SPECTRAL <= np.min(short) and np.max(short) <= 0.05),
+                 f"worst shortfall {np.max(short):.4f}")
+
+
 def suite_oracle(seed: int) -> list[Check]:
     rng = _rng(seed, 8)
     checks = []
@@ -279,26 +293,21 @@ def suite_oracle(seed: int) -> list[Check]:
     worst = float(np.abs(oracle.cks_alice_success(weights, ancillas) - closed).max())
     checks.append(Check("closed_forms", worst <= TOL_SPECTRAL, f"{worst:.2e}"))
 
-    grid = 100
-    ok_sound = True
-    worst_excess = -1.0
-    for d in np.linspace(0.0, 0.05, 6):
-        val = oracle.cks_alice_oracle(float(d), grid)
-        excess = val - tradeoff.prop3_bound(float(d))
-        worst_excess = max(worst_excess, excess)
-        ok_sound &= excess <= TOL_SPECTRAL
-    checks.append(Check("grid_search_below_analytic_bound", ok_sound, f"max excess {worst_excess:.2e}"))
+    excess = [oracle.cks_alice_oracle(d, 100) - tradeoff.prop3_bound(d)
+              for d in np.linspace(0.0, 0.05, 6).tolist()]
+    checks.append(Check("grid_search_below_analytic_bound", bool(np.max(excess) <= TOL_SPECTRAL),
+                        f"max excess {np.max(excess):.2e}"))
 
-    ok_hel = True
+    short = []  # how far each oracle value falls below the exact one
     for _ in range(20):
         rho, xi = random_density(2, rng), random_density(2, rng)
-        gp = guess_prob(rho, xi)
         val = oracle.helstrom_oracle(rho, xi, 500, int(rng.integers(2**31)))
-        ok_hel &= gp - 0.05 <= val <= gp + TOL_SPECTRAL
-    checks.append(Check("helstrom_oracle_brackets", ok_hel))
+        short.append(guess_prob(rho, xi) - val)
+    checks.append(_bracket_check("helstrom_oracle_brackets", short))
 
     lay = RegisterLayout((Factor("S", 2, "Alice"), Factor("E", 2, "Bob")))
-    ok_uhl = True
+    short = []
+    # the best of 500 unitaries fell 0.054 short on 2 of 4650 seeds; of 1000, at most 0.031
     for _ in range(20):
         amps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         phi = StateVector(lay, amps / np.linalg.norm(amps))
@@ -308,9 +317,8 @@ def suite_oracle(seed: int) -> list[Check]:
             partial_trace(pure_density(phi), lay, ["S"]),
             partial_trace(pure_density(psi), lay, ["S"]),
         )
-        val = oracle.uhlmann_oracle(phi, psi, ["E"], 500, int(rng.integers(2**31)))
-        ok_uhl &= f - 0.05 <= val <= f + TOL_SPECTRAL
-    checks.append(Check("uhlmann_oracle_brackets", ok_uhl))
+        short.append(f - oracle.uhlmann_oracle(phi, psi, ["E"], 1000, int(rng.integers(2**31))))
+    checks.append(_bracket_check("uhlmann_oracle_brackets", short))
     return checks
 
 

@@ -100,9 +100,12 @@ def test_criterion_04_purified_attack_equivalence():
 
 
 def test_criterion_05_upper_bound_curve():
-    # float64 1/3 is an integer over 2**54, so the coin weight is exact
+    # float64 1/3 is an integer over 2**54, so the coin weight is exact; the
+    # engine on the mixture protocol gives the same point
     pt = w.combined_bounds(w.WCFPrimitive(1 / 3, 0.0, 54))
-    ok = abs(pt.a_bound - 2 / 3) < 1e-12 and abs(pt.b_bound - 2 / 3) < 1e-12
+    mix = w.cheat_report(w.build_mixture(1 / 3))
+    ok = all(abs(b - 2 / 3) < 1e-12
+             for b in (pt.a_bound, pt.b_bound, mix.alice_bound, mix.bob_bound))
     worst_line = 0.0
     for eps in (0.0, 0.04):
         for p in w.curve(eps, 33):
@@ -114,6 +117,7 @@ def test_criterion_05_upper_bound_curve():
     assert report(
         5, ok,
         f"combined_bounds(1/3) = ({pt.a_bound:.12f}, {pt.b_bound:.12f}); "
+        f"mixture on the engine ({mix.alice_bound:.12f}, {mix.bob_bound:.12f}); "
         f"max |2b+a-(2+eps)| = {worst_line:.2e}; endpoints exact",
     )
 

@@ -23,7 +23,13 @@ from wotsim.attacks import (
     delta_quantity,
     f_quantity,
 )
-from wotsim.catalog import build_cks, build_leaky, build_trivial, random_complete_protocol
+from wotsim.catalog import (
+    build_cks,
+    build_leaky,
+    build_mixture,
+    build_trivial,
+    random_complete_protocol,
+)
 from wotsim.errors import CompletenessError, ConsistencyError, RangeError, SpecError
 from wotsim.protocol import (
     INPUT_NAMES,
@@ -356,21 +362,27 @@ def test_controlled_realignment_rejects_a_family():
 
 def test_family_report_matches_per_member_reports():
     # a family spec gives each member's report and completeness as (F,)
-    # arrays: rotated cks, the leaky family (only Bob's round per member)
-    # and complex-register specs (imaginary Uhlmann blocks)
+    # arrays: rotated cks, the leaky family (only Bob's round per member),
+    # complex-register specs (imaginary Uhlmann blocks) and the coin-flip
+    # mixture (only the preparations per member), whose rows are bitwise
+    # those of its members
     seeds = np.random.default_rng(14).integers(0, 2**31 - 1, 12)
     leaky = [build_leaky(t) for t in np.linspace(0.0, np.pi / 2, 7)]
     complex_register = [build_cks_with_complex_register(seed) for seed in range(5)]
+    lams = np.array([0.0, 0.125, 0.25, 0.5, 0.625, 0.75, 0.875, 1.0])
     for family, members in (
             (random_complete_protocol(seeds), [random_complete_protocol(int(s)) for s in seeds]),
-            (family_of(leaky), leaky), (family_of(complex_register), complex_register)):
+            (family_of(leaky), leaky), (family_of(complex_register), complex_register),
+            (build_mixture(lams), [build_mixture(lam) for lam in lams])):
         rep, comp = cheat_report(family), validate_completeness(family)
+        bitwise = family.name.startswith("mixture")
         for i, member in enumerate(members):
             single, single_comp = cheat_report(member), validate_completeness(member)
             for field in dataclasses.fields(rep)[1:]:  # all but spec_name
                 value = getattr(rep, field.name)
                 assert np.shape(value) == (len(members),), field.name
                 assert abs(value[i] - getattr(single, field.name)) <= 1e-12, (member.name, field)
+                assert not bitwise or value[i] == getattr(single, field.name), (member.name, field)
             for s in (0, 1):
                 assert bob_purified_attack(family, s)[i] == getattr(rep, f"bob_sim_s{s}")[i]
             assert comp.passed[i] == single_comp.passed

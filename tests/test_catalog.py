@@ -1,5 +1,5 @@
+import dataclasses
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,18 +9,19 @@ from hypothesis import strategies as st
 from wotsim.attacks import cheat_report, delta_quantity, f_quantity
 from wotsim.catalog import (
     MAX_DYADIC_BITS,
-    HonestRunStats,
+    QUTRIT_POINT,
+    TRIVIAL_POINT,
     WCFPrimitive,
     build_cks,
     build_leaky,
+    build_mixture,
     build_trivial,
     combined_bounds,
     dyadic_round,
     random_complete_protocol,
-    simulate_combined,
 )
-from wotsim.errors import MAX_SWEEP_SIZE, RangeError
-from wotsim import catalog, protocol
+from wotsim.errors import RangeError
+from wotsim import protocol
 from wotsim.protocol import run_honest, validate_completeness
 from wotsim.qcore import TOL_SPECTRAL
 
@@ -40,13 +41,16 @@ def test_cks_displayed_states_all_inputs():
 
 
 def test_cks_report_endpoint():
+    # the constant that combined_bounds mixes is the engine's report of cks
     rep = cheat_report(build_cks())
-    assert (rep.alice_bound, rep.bob_bound) == pytest.approx((0.5, 0.75), abs=TOL_SPECTRAL)
+    assert QUTRIT_POINT == (0.5, 0.75)
+    assert (rep.alice_bound, rep.bob_bound) == pytest.approx(QUTRIT_POINT, abs=1e-12)
 
 
 def test_trivial_report_endpoint():
     rep = cheat_report(build_trivial())
-    assert (rep.alice_bound, rep.bob_bound) == pytest.approx((1.0, 0.5), abs=TOL_SPECTRAL)
+    assert TRIVIAL_POINT == (1.0, 0.5)
+    assert (rep.alice_bound, rep.bob_bound) == pytest.approx(TRIVIAL_POINT, abs=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -176,62 +180,42 @@ def test_dyadic_round_range_errors():
         dyadic_round(0.5, MAX_DYADIC_BITS + 1)
 
 
-# --- honest simulation -----------------------------------------------------------
+# --- the coin-flip mixture on the engine ------------------------------------------
 
-def test_simulate_combined_complete():
-    stats = simulate_combined(WCFPrimitive(0.5, 0.0), trials=2000, seed=1)
-    assert isinstance(stats, HonestRunStats)
-    assert stats.completeness_rate == 1.0
-    assert stats.n_trivial + stats.n_qutrit == 2000
-    assert stats.n_trivial > 0 and stats.n_qutrit > 0
-
-
-def test_simulate_combined_extreme_weights():
-    stats = simulate_combined(WCFPrimitive(0.0, 0.0), trials=100, seed=2)
-    assert stats.n_qutrit == 100 and stats.n_trivial == 0
-    stats = simulate_combined(WCFPrimitive(1.0, 0.0), trials=100, seed=2)
-    assert stats.n_trivial == 100 and stats.n_qutrit == 0
-
-
-def test_simulate_combined_deterministic_by_seed():
-    a = simulate_combined(WCFPrimitive(0.25, 0.0), trials=500, seed=9)
-    b = simulate_combined(WCFPrimitive(0.25, 0.0), trials=500, seed=9)
-    assert a == b
-    for trials in (0, MAX_SWEEP_SIZE + 1):
-        with pytest.raises(RangeError):
-            simulate_combined(WCFPrimitive(0.25, 0.0), trials=trials, seed=9)
+@settings(max_examples=30, deadline=None)
+@given(k=st.integers(0, 2**20))
+@example(k=0)
+@example(k=2**20)
+def test_mixture_is_on_the_line_at_combined_bounds(k):
+    lam = k / 2**20
+    rep = cheat_report(build_mixture(lam))
+    pt = combined_bounds(WCFPrimitive(lam, 0.0, 20))
+    assert abs(rep.delta - 4.0 * lam) <= 1e-12
+    assert abs(rep.f - 4.0 * (1.0 - lam)) <= 1e-12
+    assert abs(rep.theorem1_lhs - 2.0) <= 1e-12
+    assert abs(rep.alice_bound - pt.a_bound) <= 1e-12
+    assert abs(rep.bob_bound - pt.b_bound) <= 1e-12
+    # complete: exactly what a Monte Carlo over sampled coins would estimate
+    report = validate_completeness(build_mixture(lam))
+    assert report.passed and not report.failures
+    assert abs(report.min_output_prob - 1.0) <= 1e-12
 
 
-def _simulate_reference(lam, probs, trials, seed):
-    """The Monte Carlo as one loop iteration per trial: trial t reads the
-    t-th five uniforms of one stream, and probs[c][a, x0, x1] is the chance
-    that sub-protocol c (0 trivial, 1 cks) reports bit 1."""
-    n_by_coin, n_complete = [0, 0], 0
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        u = rng.random(5)
-        c = 0 if u[0] < lam else 1
-        a, x0, x1 = (int(u[i] < 0.5) for i in (1, 2, 3))
-        learned = int(u[4] < probs[c][a, x0, x1])
-        n_by_coin[c] += 1
-        n_complete += int(learned == (x0 if a == 0 else x1))
-    return n_by_coin[0], n_by_coin[1], n_complete / trials
+def test_mixture_extreme_weights_are_the_endpoints():
+    for lam, build in ((0.0, build_cks), (1.0, build_trivial)):
+        mix, end = cheat_report(build_mixture(lam)), cheat_report(build())
+        for field in dataclasses.fields(mix)[1:]:  # all but spec_name
+            assert abs(getattr(mix, field.name) - getattr(end, field.name)) <= 1e-12, field.name
 
 
-@pytest.mark.parametrize("skewed", [False, True])
-def test_simulate_combined_matches_per_trial_loop(monkeypatch, skewed):
-    # the honest output probabilities are 0 or 1, so the rate reads 1 and
-    # only the coin counts are pinned; skewed tables pin the rate and the
-    # [a, x0, x1] indexing too
-    probs = [validate_completeness(build()).one_probs for build in (build_trivial, build_cks)]
-    if skewed:
-        probs = [np.random.default_rng(c).random((2, 2, 2)) for c in (0, 1)]
-        by_name = dict(zip(("trivial", "cks"), probs))
-        monkeypatch.setattr(catalog, "validate_completeness",
-                            lambda spec: SimpleNamespace(one_probs=by_name[spec.name]))
-    for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
-        for seed in (0, 3, 7):
-            for trials in (1, 10, 1000):
-                stats = simulate_combined(WCFPrimitive(lam, 0.0), trials=trials, seed=seed)
-                got = (stats.n_trivial, stats.n_qutrit, stats.completeness_rate)
-                assert got == _simulate_reference(lam, probs, trials, seed), (lam, seed, trials)
+def test_mixture_layout_is_direct_sums():
+    # A = 2 (+) 3, M = 4 (+) 3, then X0, X1 and Bob's coin copy C: dim 280
+    assert build_mixture(0.25).layout.dims == (5, 7, 2, 2, 2)
+    assert build_mixture(np.array([0.0, 0.5, 1.0])).name == "mixture-0-0.5-1"
+
+
+@pytest.mark.parametrize("lam", [-0.25, 1.5, math.nan, math.inf, [0.5, math.nan],
+                                 np.full((2, 2), 0.5)])
+def test_mixture_rejects_weights_outside_the_unit_interval(lam):
+    with pytest.raises(RangeError):
+        build_mixture(lam)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import build_incomplete_protocol
 from wotsim import cli
-from wotsim.catalog import build_cks, build_trivial
+from wotsim.catalog import build_cks, build_mixture, build_trivial
 from wotsim.cli import main
 from wotsim.errors import MAX_SWEEP_SIZE
 from wotsim.protocol import spec_to_dict
@@ -60,6 +60,17 @@ def test_analyze_json_file(tmp_path, capsys):
     assert payload["bob_bound"] == pytest.approx(0.75, abs=1e-6)
 
 
+def test_analyze_mixture_file(tmp_path, capsys):
+    # the coin-flip mixture at lam = 1/4 lands on combined_bounds
+    path = tmp_path / "mixture.json"
+    path.write_text(json.dumps(spec_to_dict(build_mixture(0.25))))
+    code = main(["analyze", str(path)])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert (payload["alice_bound"], payload["bob_bound"]) == pytest.approx((0.625, 0.6875),
+                                                                           abs=1e-12)
+
+
 def test_analyze_missing_file():
     assert main(["analyze", "missing.json"]) == 2
 
@@ -78,6 +89,13 @@ def test_analyze_malformed_json(tmp_path, capsys):
     assert main(["analyze", str(path)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+    # nesting past the decoder's recursion limit, at the top and in one matrix
+    data["rounds"][1]["matrix"] = "deep"
+    for text in ("[" * 100_000, json.dumps(data).replace('"deep"', "[" * 100_000)):
+        path.write_text(text)
+        assert main(["analyze", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: malformed protocol JSON")
 
 
 def test_analyze_invalid_spec_exits_3(tmp_path):
@@ -224,16 +242,6 @@ def test_curve_rejects_single_point(capsys):
         assert capsys.readouterr().err.startswith("error:")
 
 
-def test_simulate_rejects_bits_past_float_range(capsys):
-    # and a trial count past the cap
-    argv = ["simulate", "--lambda", "0.5", "--trials", "3", "--dyadic-bits"]
-    for bad in ([*argv, "2000"],
-                ["simulate", "--lambda", "0.5", "--trials", str(MAX_SWEEP_SIZE + 1)]):
-        assert main(bad) == 2
-        assert capsys.readouterr().err.startswith("error:")
-    assert main([*argv, "60"]) == 0
-
-
 def test_robustness_rows(capsys):
     code = main(["robustness", "--delta-min", "0", "--delta-max", "0.05", "--steps", "6"])
     out = capsys.readouterr().out.splitlines()
@@ -272,14 +280,6 @@ def test_robustness_range_errors(capsys):
         assert capsys.readouterr().err.startswith("error:")
 
 
-def test_simulate(capsys):
-    code = main(["simulate", "--lambda", "0.5", "--trials", "500", "--seed", "3"])
-    payload = json.loads(capsys.readouterr().out)
-    assert code == 0
-    assert payload["completeness_rate"] == 1.0
-    assert payload["trials"] == 500
-
-
 def test_output_file(tmp_path, capsys):
     out = tmp_path / "curve.csv"
     code = main(["curve", "--points", "3", "--out", str(out)])
@@ -298,6 +298,10 @@ def test_output_determinism(tmp_path):
 def test_unknown_verb_exits_2():
     code, _, _ = run_cli("frobnicate")
     assert code == 2
+    # the Monte Carlo verb is gone: build_mixture gives its completeness exactly
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--lambda", "0.5", "--trials", "500"])
+    assert exc.value.code == 2
 
 
 def test_curve_json_format(capsys):
@@ -331,7 +335,6 @@ def test_verify_rejects_format_flag():
     ["analyze", "cks", "--seed", "1"],
     ["curve", "--seed", "1"],
     ["robustness", "--seed", "1"],
-    ["simulate", "--lambda", "0.5", "--format", "csv"],
 ])
 def test_unread_flags_are_usage_errors(argv):
     with pytest.raises(SystemExit) as exc:

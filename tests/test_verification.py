@@ -90,8 +90,19 @@ def _peak_bytes(suite, seed: int) -> int:
 
 def test_inequality_chain_peaks_below_the_oracle_suite():
     # the chain analyses its 100 rotated protocols as ten family specs of
-    # ten; one family of all 100 would peak several times higher
+    # ten; one family of all 100 would peak several times higher.  The
+    # catalog suite builds each of its mixtures as its own spec for the same
+    # reason
     verification.suite_inequality_chain(7)  # builds the cached base protocol
-    chain = _peak_bytes(verification.suite_inequality_chain, 7)
     oracle = _peak_bytes(verification.suite_oracle, 7)
-    assert chain <= oracle, (chain, oracle)
+    for suite in (verification.suite_inequality_chain, verification.suite_catalog):
+        peak = _peak_bytes(suite, 7)
+        assert peak <= oracle, (suite.__name__, peak, oracle)
+
+
+@pytest.mark.parametrize("seed", [1000137, 28000163])
+def test_oracle_suite_passes_where_500_unitaries_fell_short(seed):
+    # the best of 500 Haar unitaries fell 0.054 and 0.053 short of the
+    # fidelity at these seeds, past the bracket's 0.05
+    checks = verification.suite_oracle(seed)
+    assert all(c.ok for c in checks), [(c.name, c.detail) for c in checks if not c.ok]

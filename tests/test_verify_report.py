@@ -8,7 +8,7 @@ SEED_7_REPORT = [
     "PASS protocol.honest_runs (6 checks)",
     "PASS attacks.inequality_chain (4 checks)",
     "PASS attacks.purified_attack (2 checks)",
-    "PASS catalog.protocols (3 checks)",
+    "PASS catalog.protocols (4 checks)",
     "PASS tradeoff.curve_robustness (5 checks)",
     "PASS oracle.soundness (4 checks)",
     "OK",
