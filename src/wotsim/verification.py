@@ -3,6 +3,11 @@
 Each suite re-derives a family of invariants from scratch with a seeded RNG
 and reports one named check per assertion.  The suites avoid anything known
 to be unattainable; they are meant to be a fast, deterministic green wall.
+
+Every check but completeness gets its verdict from ``_check``: it passes
+iff all its measured values lie in its bounds, and a NaN fails it.  A failing
+check prints as ``FAIL <suite>: <check> (range [min, max])``, the range of
+the values it measured.
 """
 
 from __future__ import annotations
@@ -40,32 +45,37 @@ class Check:
     detail: str = ""
 
 
+def _check(name: str, values, lo: float = -np.inf, hi: float = np.inf) -> Check:
+    """Passes iff every value in ``values`` (a list of scalars and arrays)
+    lies in ``[lo, hi]``; ``np.min`` and ``np.max`` propagate NaN, so a NaN
+    fails."""
+    flat = np.concatenate([np.ravel(v) for v in values])
+    vmin, vmax = np.min(flat), np.max(flat)
+    return Check(name, bool(lo <= vmin and vmax <= hi), f"range [{vmin:.3e}, {vmax:.3e}]")
+
+
 def _rng(seed: int, lane: int) -> np.random.Generator:
     return np.random.default_rng([seed, lane])
 
 
 def suite_fuchs_van_de_graaf(seed: int) -> list[Check]:
     rng = _rng(seed, 1)
-    checks = []
-    worst_lo, worst_hi = 0.0, 0.0
+    lower, upper = [], []  # how far each inequality is broken, <= 0 where it holds
     # five rounds of 34 pairs per dimension: larger calls raise the peak memory
     for dim in (2, 3, 4) * 5:
         pairs = random_density(dim, rng, size=(34, 2))
         rho, xi = pairs[:, 0], pairs[:, 1]
         tn = trace_norm(rho.mat - xi.mat)
         f = fidelity(rho, xi)
-        worst_lo = max(worst_lo, float(np.max((1.0 - tn / 2.0) - f)))
-        upper = np.sqrt(np.maximum(0.0, 1.0 - tn**2 / 4.0))
-        worst_hi = max(worst_hi, float(np.max(f - upper)))
-    checks.append(Check("lower_inequality", worst_lo <= TOL_SPECTRAL, f"excess {worst_lo:.2e}"))
-    checks.append(Check("upper_inequality", worst_hi <= TOL_SPECTRAL, f"excess {worst_hi:.2e}"))
-    return checks
+        lower.append((1.0 - tn / 2.0) - f)
+        upper.append(f - np.sqrt(np.maximum(0.0, 1.0 - tn**2 / 4.0)))
+    return [_check("lower_inequality", lower, hi=TOL_SPECTRAL),
+            _check("upper_inequality", upper, hi=TOL_SPECTRAL)]
 
 
 def suite_trace_norm(seed: int) -> list[Check]:
     rng = _rng(seed, 2)
-    checks = []
-    ok_nonneg = ok_triangle = ok_unitary = True
+    norms, triangle, unitary = [], [], []
     # two rounds of 34 instances per dimension, each matrices a and b and
     # unitaries u and v
     for dim in (2, 3, 4) * 2:
@@ -73,35 +83,32 @@ def suite_trace_norm(seed: int) -> list[Check]:
         a, b = z[0] + 1j * z[1]
         u, v = haar_unitary(dim, rng, size=(2, 34))
         tn_a = trace_norm(a)
-        ok_nonneg &= bool(np.all(tn_a >= 0.0))
-        ok_triangle &= bool(np.all(trace_norm(a + b) <= tn_a + trace_norm(b) + TOL_SPECTRAL))
-        ok_unitary &= bool(np.all(np.abs(trace_norm(u @ a @ v) - tn_a) <= TOL_SPECTRAL))
-    checks.append(Check("nonnegative", ok_nonneg))
-    checks.append(Check("triangle", ok_triangle))
-    checks.append(Check("unitarily_invariant", ok_unitary))
-    return checks
+        norms.append(tn_a)
+        triangle.append(trace_norm(a + b) - (tn_a + trace_norm(b)))
+        unitary.append(np.abs(trace_norm(u @ a @ v) - tn_a))
+    return [_check("nonnegative", norms, lo=0.0),
+            _check("triangle", triangle, hi=TOL_SPECTRAL),
+            _check("unitarily_invariant", unitary, hi=TOL_SPECTRAL)]
 
 
 def suite_helstrom(seed: int) -> list[Check]:
     rng = _rng(seed, 3)
-    worst = 0.0
+    gaps = []
     for dim in (2, 3, 4):
         pairs = random_density(dim, rng, size=(100, 2))
         rho, xi = pairs[:, 0], pairs[:, 1]
         _, success = helstrom(rho, xi)
-        worst = max(worst, float(np.max(np.abs(success - guess_prob(rho, xi)))))
-    return [Check("matches_guess_prob", worst <= TOL_SPECTRAL, f"worst gap {worst:.2e}")]
+        gaps.append(np.abs(success - guess_prob(rho, xi)))
+    return [_check("matches_guess_prob", gaps, hi=TOL_SPECTRAL)]
 
 
 def suite_fidelity_and_uhlmann(seed: int) -> list[Check]:
     rng = _rng(seed, 4)
-    checks = []
     # per draw: two Haar unitaries, whose first columns are phi and psi
     u = haar_unitary(3, rng, size=(200, 2))[..., 0]
     pure = pure_density(StateVector(RegisterLayout((Factor("Q", 3, "Alice"),)), u))
     f = fidelity(pure[:, 0], pure[:, 1])
-    worst = float(np.max(np.abs(f - np.abs(inner(u[:, 0], u[:, 1])))))
-    checks.append(Check("pure_fidelity_inner_product", worst <= TOL_SPECTRAL, f"{worst:.2e}"))
+    inner_gap = np.abs(f - np.abs(inner(u[:, 0], u[:, 1])))
 
     lay = RegisterLayout((Factor("S", 2, "Alice"), Factor("E", 3, "Bob")))
     # per draw: phi's real and imaginary amplitudes, then psi's
@@ -110,30 +117,29 @@ def suite_fidelity_and_uhlmann(seed: int) -> list[Check]:
     states = StateVector(lay, amps / np.linalg.norm(amps, axis=-1, keepdims=True))
     mats = bipartition_matrix(states, ["E"])
     u, overlap = uhlmann_blocks(mats[:, 0], mats[:, 1])
-    worst_unitary = float(np.abs(dagger(u) @ u - np.eye(3)).max())
     reduced = partial_trace(pure_density(states), lay, ["S"])
-    worst_overlap = float(np.max(np.abs(overlap - fidelity(reduced[:, 0], reduced[:, 1]))))
-    checks.append(Check("uhlmann_unitary_is_unitary", worst_unitary <= 1e-9, f"{worst_unitary:.2e}"))
-    checks.append(Check("uhlmann_attains_fidelity", worst_overlap <= TOL_SPECTRAL, f"{worst_overlap:.2e}"))
-    return checks
+    return [
+        _check("pure_fidelity_inner_product", [inner_gap], hi=TOL_SPECTRAL),
+        _check("uhlmann_unitary_is_unitary", [np.abs(dagger(u) @ u - np.eye(3))], hi=1e-9),
+        _check("uhlmann_attains_fidelity",
+               [np.abs(overlap - fidelity(reduced[:, 0], reduced[:, 1]))], hi=TOL_SPECTRAL),
+    ]
 
 
 def suite_partial_trace(seed: int) -> list[Check]:
     rng = _rng(seed, 5)
     lay = RegisterLayout((Factor("L", 2, "Alice"), Factor("R", 3, "Bob")))
-    red = partial_trace(random_density(6, rng, size=100), lay, ["L"])
-    ok_trace = bool(np.all(np.abs(np.trace(red.mat, axis1=-2, axis2=-1) - 1.0) <= TOL_SPECTRAL))
-    ok_psd = bool(np.linalg.eigvalsh(red.mat).min() >= -TOL_SPECTRAL)
+    red = partial_trace(random_density(6, rng, size=100), lay, ["L"]).mat
     bell = StateVector(
         RegisterLayout((Factor("a", 2, "Alice"), Factor("b", 2, "Bob"))),
         np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2),
     )
-    red = partial_trace(pure_density(bell), bell.layout, ["a"])
-    ok_bell = np.abs(red.mat - np.eye(2) / 2).max() <= 1e-9
+    bell_red = partial_trace(pure_density(bell), bell.layout, ["a"]).mat
     return [
-        Check("preserves_trace", ok_trace),
-        Check("preserves_psd", ok_psd),
-        Check("bell_reduces_to_maximally_mixed", ok_bell),
+        _check("preserves_trace", [np.abs(np.trace(red, axis1=-2, axis2=-1) - 1.0)],
+               hi=TOL_SPECTRAL),
+        _check("preserves_psd", [np.linalg.eigvalsh(red)], lo=-TOL_SPECTRAL),
+        _check("bell_reduces_to_maximally_mixed", [np.abs(bell_red - np.eye(2) / 2)], hi=1e-9),
     ]
 
 
@@ -141,11 +147,9 @@ def suite_protocol_honest(seed: int) -> list[Check]:
     checks = []
     for spec in (catalog.build_cks(), catalog.build_trivial()):
         # the analysed states are normalised by construction; single runs are not
-        norm_ok = all(
-            abs(np.linalg.norm(protocol.run_honest(spec, *key).amps) - 1.0) <= 1e-9
-            for key in protocol.RUN_KEYS
-        )
-        checks.append(Check(f"{spec.name}_norms", norm_ok))
+        norms = [np.linalg.norm(protocol.run_honest(spec, *key).amps) - 1.0
+                 for key in protocol.RUN_KEYS]
+        checks.append(_check(f"{spec.name}_norms", [np.abs(norms)], hi=1e-9))
         an = protocol._analyze(spec)
         report = an.completeness
         checks.append(Check(f"{spec.name}_complete", report.passed, "; ".join(report.failures)))
@@ -153,48 +157,43 @@ def suite_protocol_honest(seed: int) -> list[Check]:
         # other input fixed
         rho = an.reduced.states
         gaps = [guess_prob(rho[0, 0], rho[0, 1]), guess_prob(rho[1, :, 0], rho[1, :, 1])]
-        worst = float(np.max(np.abs(np.subtract(gaps, 1.0))))
-        checks.append(Check(f"{spec.name}_learned_bit_distinguishable", worst <= TOL_SPECTRAL,
-                            f"{worst:.2e}"))
+        checks.append(_check(f"{spec.name}_learned_bit_distinguishable",
+                             [np.abs(np.subtract(gaps, 1.0))], hi=TOL_SPECTRAL))
     return checks
 
 
 def suite_inequality_chain(seed: int) -> list[Check]:
     rng = _rng(seed, 6)
-    worst_fd, worst_t1 = 4.0, 2.0
+    fd, t1 = [], []
     # six rounds of 28 families per dimension, each family eight densities
     # keyed (a, x0, x1): one call over all of them raises verify's peak memory
     for dim in (2, 3, 4) * 6:
         rf = protocol.ReducedFamily(random_density(dim, rng, size=(28, 2, 2, 2)))
         f = attacks.f_quantity(rf)
         d = attacks.delta_quantity(rf)
-        worst_fd = min(worst_fd, float(np.min(f + d)))
-        worst_t1 = min(worst_t1, float(np.min(
-            2.0 * attacks._bob_bound_of(f) + attacks._alice_bound_of(d))))
-    checks = [
-        Check("f_plus_delta_at_least_4", worst_fd >= 4.0 - TOL_SPECTRAL, f"min {worst_fd:.8f}"),
-        Check("tradeoff_at_least_2", worst_t1 >= 2.0 - TOL_SPECTRAL, f"min {worst_t1:.8f}"),
-    ]
-    worst_lhs, worst_df = 2.0, 0.0
+        fd.append(f + d)
+        t1.append(2.0 * attacks._bob_bound_of(f) + attacks._alice_bound_of(d))
+    lhs, devs = [], []
     base_seeds = rng.integers(0, 2**31 - 1, size=100)
     # ten family specs of ten: one family of 100 would raise verify's peak
     # memory by about 8 MB, ten of ten stay below suite_oracle's peak
     for seeds in np.split(base_seeds, 10):
         rep = attacks.cheat_report(catalog.random_complete_protocol(seeds))
-        worst_lhs = min(worst_lhs, float(np.min(rep.theorem1_lhs)))
-        worst_df = max(worst_df, float(np.max(np.abs(rep.delta))), float(np.max(np.abs(rep.f - 4))))
-    checks.append(Check("random_protocols_on_curve", worst_lhs >= 2.0 - TOL_SPECTRAL,
-                        f"min {worst_lhs:.8f}"))
-    checks.append(Check("local_rotations_preserve_quantities", worst_df <= TOL_SPECTRAL,
-                        f"max dev {worst_df:.2e}"))
-    return checks
+        lhs.append(rep.theorem1_lhs)
+        devs += [np.abs(rep.delta), np.abs(rep.f - 4)]
+    return [
+        _check("f_plus_delta_at_least_4", fd, lo=4.0 - TOL_SPECTRAL),
+        _check("tradeoff_at_least_2", t1, lo=2.0 - TOL_SPECTRAL),
+        _check("random_protocols_on_curve", lhs, lo=2.0 - TOL_SPECTRAL),
+        _check("local_rotations_preserve_quantities", devs, hi=TOL_SPECTRAL),
+    ]
 
 
 def suite_purified_attack(seed: int) -> list[Check]:
     rng = _rng(seed, 7)
     specs = [catalog.build_cks(), catalog.build_trivial()]
     specs += [catalog.random_complete_protocol(int(s)) for s in rng.integers(0, 2**31 - 1, 3)]
-    worst_closed, worst_alice = 0.0, 0.0
+    closed, alice = [], []
     for spec in specs:
         an = protocol._analyze(spec)
         rf, rho = an.reduced, an.reduced.states
@@ -203,82 +202,57 @@ def suite_purified_attack(seed: int) -> list[Check]:
         fsum = np.array([np.sum(fidelity(rho[1, 0], rho[1, 1])),
                          np.sum(fidelity(rho[0, :, 0], rho[0, :, 1]))])
         sims = attacks._purified_success(an)
-        worst_closed = max(worst_closed, float(np.max(np.abs(sims - (0.5 + fsum / 8.0)))))
-        worst_alice = max(
-            worst_alice, abs(attacks.alice_helstrom_attack(rf) - attacks.alice_bound(rf))
-        )
-    return [
-        Check("simulation_matches_closed_form", worst_closed <= TOL_SPECTRAL, f"{worst_closed:.2e}"),
-        Check("helstrom_attack_achieves_bound", worst_alice <= TOL_SPECTRAL, f"{worst_alice:.2e}"),
-    ]
+        closed.append(np.abs(sims - (0.5 + fsum / 8.0)))
+        alice.append(abs(attacks.alice_helstrom_attack(rf) - attacks.alice_bound(rf)))
+    return [_check("simulation_matches_closed_form", closed, hi=TOL_SPECTRAL),
+            _check("helstrom_attack_achieves_bound", alice, hi=TOL_SPECTRAL)]
 
 
 def suite_catalog(seed: int) -> list[Check]:
-    checks = []
-    spec = catalog.build_cks()
-    worst = 0.0
-    for a, x0, x1 in protocol.RUN_KEYS:
-        sv = protocol.run_honest(spec, a, x0, x1)
-        expected = np.zeros(36, dtype=complex)
-        xa = x0 if a == 0 else x1
-        base = x0 * 2 + x1
-        aa = 4 * a  # |aa| index within the 9-dim qutrit pair
-        expected[aa * 4 + base] = (-1.0) ** xa / np.sqrt(2)
-        expected[8 * 4 + base] = 1.0 / np.sqrt(2)
-        worst = max(worst, np.abs(sv.amps - expected).max())
-    checks.append(Check("qutrit_states_exact", worst <= 1e-9, f"{worst:.2e}"))
-    worst_line = 0.0
-    ok_range = True
+    # (|aa> (-1)^(learned bit) + |22>) / sqrt(2) on the qutrit pair, |aa> at 0 and 4
+    expected = np.zeros((2, 2, 2, 9))
+    expected[[0, 1], :, :, [0, 4]] = (-1.0) ** protocol.LEARNED / np.sqrt(2)
+    expected[..., 8] = 1.0 / np.sqrt(2)
+    final = protocol.all_final_states(catalog.build_cks()).stack.amps
+    line, margins = [], []
     for eps in (0.0, 0.01):
         for k in range(17):
             pt = catalog.combined_bounds(catalog.WCFPrimitive(k / 16.0, eps, 4))
-            worst_line = max(worst_line, abs(pt.combined - (2.0 + eps)))
+            line.append(abs(pt.combined - (2.0 + eps)))
             # within the epsilon-slack envelope; clipping to [1/2,1]x[1/2,3/4]
             # recovers the attainable ranges
-            ok_range &= 0.5 <= pt.a_bound <= 1.0 + eps / 2 + 1e-12
-            ok_range &= 0.5 <= pt.b_bound <= 0.75 + eps / 4 + 1e-12
-    checks.append(Check("combined_on_line", worst_line <= 1e-9, f"{worst_line:.2e}"))
-    checks.append(Check("bounds_in_range", ok_range))
+            margins += [pt.a_bound - 0.5, 1.0 + eps / 2 + 1e-12 - pt.a_bound,
+                        pt.b_bound - 0.5, 0.75 + eps / 4 + 1e-12 - pt.b_bound]
     # the engine on the coin-flip mixture: on the line, at combined_bounds
     devs = []
     for lam in (catalog.dyadic_round(u, 20) for u in _rng(seed, 9).random(2)):
         rep = attacks.cheat_report(catalog.build_mixture(lam))
         pt = catalog.combined_bounds(catalog.WCFPrimitive(lam, 0.0, 20))
         devs += [rep.theorem1_lhs - 2.0, rep.alice_bound - pt.a_bound, rep.bob_bound - pt.b_bound]
-    worst_mix = np.max(np.abs(devs))  # NaN-propagating, unlike Python's max
-    checks.append(Check("mixture_on_line", bool(worst_mix <= 1e-12), f"max dev {worst_mix:.2e}"))
-    return checks
+    return [
+        _check("qutrit_states_exact", [np.abs(final - expected)], hi=1e-9),
+        _check("combined_on_line", line, hi=1e-9),
+        _check("bounds_in_range", margins, lo=0.0),
+        _check("mixture_on_line", [np.abs(devs)], hi=1e-12),
+    ]
 
 
 def suite_tradeoff(seed: int) -> list[Check]:
-    checks = []
-    grid = np.linspace(0.0, 0.5, 1000)
-    vals = [tradeoff.prop3_bound(d) for d in grid]
-    checks.append(Check("p3_monotone", all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))))
+    vals = [tradeoff.prop3_bound(d) for d in np.linspace(0.0, 0.5, 1000)]
     pts = tradeoff.curve(0.0, 9)
-    worst = max(abs(p.combined - 2.0) for p in pts)
-    checks.append(Check("curve_on_line", worst <= 1e-9, f"{worst:.2e}"))
-    end_ok = (
-        abs(pts[0].b_bound - 0.75) <= 1e-12 and abs(pts[0].a_bound - 0.5) <= 1e-12
-        and abs(pts[-1].b_bound - 0.5) <= 1e-12 and abs(pts[-1].a_bound - 1.0) <= 1e-12
-    )
-    checks.append(Check("curve_endpoints", end_ok))
+    ends = [pts[0].b_bound - 0.75, pts[0].a_bound - 0.5,
+            pts[-1].b_bound - 0.5, pts[-1].a_bound - 1.0]
     dstar = tradeoff.delta_star()
     mc = [tradeoff.tune_lambda(d, 0.0).max_cheat for d in np.linspace(0.0, dstar, 50)]
-    mono = all(b >= a - 1e-12 for a, b in zip(mc, mc[1:]))
-    checks.append(Check("max_cheat_monotone", mono))
-    checks.append(Check(
-        "tuning_endpoints",
-        abs(mc[0] - 2.0 / 3.0) <= 1e-9 and abs(mc[-1] - 0.75) <= 1e-6,
-        f"{mc[0]:.9f} {mc[-1]:.9f}",
-    ))
-    return checks
-
-
-def _bracket_check(name: str, short: list[float]) -> Check:
-    """A lower-bound oracle lands at most 0.05 below the exact value, never above."""
-    return Check(name, bool(-TOL_SPECTRAL <= np.min(short) and np.max(short) <= 0.05),
-                 f"worst shortfall {np.max(short):.4f}")
+    return [
+        _check("p3_monotone", [np.diff(vals)], lo=-1e-12),
+        _check("curve_on_line", [abs(p.combined - 2.0) for p in pts], hi=1e-9),
+        _check("curve_endpoints", [np.abs(ends)], hi=1e-12),
+        _check("max_cheat_monotone", [np.diff(mc)], lo=-1e-12),
+        # the slack left under each endpoint's own tolerance
+        _check("tuning_endpoints",
+               [1e-9 - abs(mc[0] - 2.0 / 3.0), 1e-6 - abs(mc[-1] - 0.75)], lo=0.0),
+    ]
 
 
 def suite_oracle(seed: int) -> list[Check]:
@@ -290,20 +264,20 @@ def suite_oracle(seed: int) -> list[Check]:
         weights[i] = np.sqrt(raw / raw.sum())
         ancillas[i] = haar_unitary(3, rng, size=3)[..., 0]
     closed = 0.5 + weights[:, :2] * weights[:, 2:]  # [alpha gamma, beta gamma]
-    worst = float(np.abs(oracle.cks_alice_success(weights, ancillas) - closed).max())
-    checks.append(Check("closed_forms", worst <= TOL_SPECTRAL, f"{worst:.2e}"))
+    success = oracle.cks_alice_success(weights, ancillas)
+    checks.append(_check("closed_forms", [np.abs(success - closed)], hi=TOL_SPECTRAL))
 
     excess = [oracle.cks_alice_oracle(d, 100) - tradeoff.prop3_bound(d)
               for d in np.linspace(0.0, 0.05, 6).tolist()]
-    checks.append(Check("grid_search_below_analytic_bound", bool(np.max(excess) <= TOL_SPECTRAL),
-                        f"max excess {np.max(excess):.2e}"))
+    checks.append(_check("grid_search_below_analytic_bound", excess, hi=TOL_SPECTRAL))
 
-    short = []  # how far each oracle value falls below the exact one
+    # how far each oracle value falls below the exact one: never negative, at most 0.05
+    short = []
     for _ in range(20):
         rho, xi = random_density(2, rng), random_density(2, rng)
         val = oracle.helstrom_oracle(rho, xi, 500, int(rng.integers(2**31)))
         short.append(guess_prob(rho, xi) - val)
-    checks.append(_bracket_check("helstrom_oracle_brackets", short))
+    checks.append(_check("helstrom_oracle_brackets", short, lo=-TOL_SPECTRAL, hi=0.05))
 
     lay = RegisterLayout((Factor("S", 2, "Alice"), Factor("E", 2, "Bob")))
     short = []
@@ -318,7 +292,7 @@ def suite_oracle(seed: int) -> list[Check]:
             partial_trace(pure_density(psi), lay, ["S"]),
         )
         short.append(f - oracle.uhlmann_oracle(phi, psi, ["E"], 1000, int(rng.integers(2**31))))
-    checks.append(_bracket_check("uhlmann_oracle_brackets", short))
+    checks.append(_check("uhlmann_oracle_brackets", short, lo=-TOL_SPECTRAL, hi=0.05))
     return checks
 
 

@@ -1,12 +1,15 @@
+import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import wotsim.verification as verification
+from wotsim import attacks, catalog
 from wotsim.cli import main
-from wotsim.qcore import fidelity
+from wotsim.qcore import TOL_SPECTRAL, fidelity, helstrom
 
 
 def test_run_all_green_and_deterministic(verify_seed_7):
@@ -26,8 +29,56 @@ def test_mutation_is_caught(monkeypatch, tmp_path):
     out = tmp_path / "verify.txt"
     assert main(["verify", "--seed", "0", "--out", str(out)]) == 1
     lines = out.read_text().splitlines()
-    assert any(line.startswith("FAIL qcore.fuchs_van_de_graaf") for line in lines)
     assert lines[-1] == "FAILED"
+    # each failing line carries the measured range, which shows the slack
+    fvdg = [line for line in lines if line.startswith("FAIL qcore.fuchs_van_de_graaf")]
+    assert fvdg
+    for line in fvdg:
+        match = re.fullmatch(r"FAIL qcore\.fuchs_van_de_graaf: \w+ \(range \[(\S+), (\S+)\]\)",
+                             line)
+        assert match, line
+        lo, hi = map(float, match.groups())
+        assert lo <= hi and hi > TOL_SPECTRAL, line
+
+
+def _nan_success(rho, xi):
+    meas, success = helstrom(rho, xi)
+    return meas, success * np.nan
+
+
+# Each primitive patched to return NaN, and the checks that must then fail:
+# a worst-value fold with Python's max or min drops a NaN and passes.
+_NAN_CASES = {
+    "fidelity": (verification, "fidelity", lambda rho, xi: fidelity(rho, xi) * np.nan, {
+        verification.suite_fuchs_van_de_graaf: {"lower_inequality", "upper_inequality"},
+        verification.suite_purified_attack: {"simulation_matches_closed_form"},
+    }),
+    "f_quantity": (attacks, "f_quantity", lambda rf, f=attacks.f_quantity: f(rf) * np.nan, {
+        verification.suite_inequality_chain: {
+            "f_plus_delta_at_least_4", "tradeoff_at_least_2", "random_protocols_on_curve",
+            "local_rotations_preserve_quantities"},
+    }),
+    "helstrom": (verification, "helstrom", _nan_success, {
+        verification.suite_helstrom: {"matches_guess_prob"},
+    }),
+    "combined_bounds": (catalog, "combined_bounds",
+                        lambda wcf, cb=catalog.combined_bounds:
+                        dataclasses.replace(cb(wcf), combined=np.nan), {
+        verification.suite_catalog: {"combined_on_line"},
+    }),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NAN_CASES))
+def test_nan_fails_the_check(monkeypatch, case):
+    module, attr, patched, expected = _NAN_CASES[case]
+    monkeypatch.setattr(module, attr, patched)
+    for suite, names in expected.items():
+        checks = {c.name: c for c in suite(7)}
+        assert names <= checks.keys()
+        for name in names:
+            assert not checks[name].ok, (name, checks[name].detail)
+            assert "nan" in checks[name].detail, (name, checks[name].detail)
 
 
 def test_every_failing_check_is_named(monkeypatch):
