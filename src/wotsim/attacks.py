@@ -35,7 +35,7 @@ from .qcore import (
     fidelity,
     float_or_array,
     helstrom,
-    trace_norm,
+    hermitian_trace_norm,
     uhlmann_blocks,
 )
 
@@ -77,7 +77,7 @@ def delta_quantity(rf: ReducedFamily):
     """Half the summed trace distances over the four pairs, in [0, 4]; one
     value per family for a batched family."""
     rho, xi = _pairs(rf)
-    return float_or_array(0.5 * trace_norm(rho.mat - xi.mat).sum(axis=-1))
+    return float_or_array(0.5 * hermitian_trace_norm(rho.mat - xi.mat).sum(axis=-1))
 
 
 def f_quantity(rf: ReducedFamily):

@@ -29,7 +29,7 @@ from .qcore import (
     RegisterLayout,
     TwoOutcomeMeasurement,
     dagger,
-    haar_unitary,
+    haar_orthonormalize,
 )
 
 # Cheating probabilities of the two sub-protocols: (alice, bob).
@@ -266,10 +266,12 @@ def random_complete_protocol(seed) -> ProtocolSpec:
     the output measurements are conjugated to match, so completeness is
     preserved by construction and (delta, f) are unchanged.  A 1-D array
     of seeds gives the family spec of those protocols; each member draws
-    its two rotations from its own ``default_rng(seed)``.
+    from its own ``default_rng(seed)`` the normals that ``haar_unitary(3,
+    rng, 2)`` would, and one QR orthonormalises the whole family.
     """
     base, seeds = _cks(), np.asarray(seed)
-    rots = np.stack([haar_unitary(3, np.random.default_rng(s), 2) for s in seeds.ravel()])
+    normals = [np.random.default_rng(s).standard_normal((2, 2, 3, 3)) for s in seeds.ravel()]
+    rots = haar_orthonormalize(np.stack(normals))
     r_alice, r_msg = np.moveaxis(rots.reshape(seeds.shape + (2, 3, 3)), -3, 0)
     # np.kron of a stack and a matrix is the stack of products; g pairs members
     prep = tuple(np.kron(r_alice, np.eye(3)) @ u for u in base.alice_prep)

@@ -44,7 +44,6 @@ from .qcore import (
     bipartition_matrix,
     dagger,
     float_or_array,
-    hermitize,
     trace_norm,
 )
 
@@ -315,9 +314,8 @@ def run_purified(spec: ProtocolSpec, a: int) -> StateVector:
 def reduce_alice(fs: FinalStates) -> ReducedFamily:
     """Alice's reduced state for each of the eight honest runs: M M^dagger,
     where M holds the amplitudes as an (Alice, rest) matrix.  All eight are
-    formed and validated as one stack."""
-    m = bipartition_matrix(fs.stack, fs.bob_factors)
-    return ReducedFamily(DensityOp(hermitize(m @ dagger(m))))
+    formed, validated and decomposed as one stack."""
+    return ReducedFamily(DensityOp.from_amplitudes(bipartition_matrix(fs.stack, fs.bob_factors)))
 
 
 def support_projectors(rf: ReducedFamily) -> np.ndarray:
@@ -326,7 +324,11 @@ def support_projectors(rf: ReducedFamily) -> np.ndarray:
     ``TOL_SPECTRAL`` are zeroed, not dropped, which leaves each span
     unchanged, so the stack's stored ``eig`` and one batched SVD give all four."""
     w, v = rf.states.eig
-    kept = v * (w > TOL_SPECTRAL)[..., None, :]
+    keep = w > TOL_SPECTRAL
+    # eigenvalues ascend, so the kept ones trail: the columns zero in every
+    # member are dropped, and the SVD is only as wide as the largest support
+    rank = int(np.count_nonzero(keep, axis=-1).max())
+    kept = (v * keep[..., None, :])[..., -rank:]
     # [..., a, x0, x1] -> [..., a, v, other bit]
     grouped = np.stack([kept[..., 0, :, :, :, :], kept[..., 1, :, :, :, :].swapaxes(-3, -4)],
                        axis=-5)

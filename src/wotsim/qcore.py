@@ -11,6 +11,14 @@ leading axes.  Every check runs once over the whole batch, and a density
 stack is decomposed once, when it is validated.  A single matrix is the
 ``n = 1`` case; functionals return a Python float for it, an array for a stack.
 
+Trace norms take one of two kernels.  ``hermitian_trace_norm`` sums the
+absolute eigenvalues (``eigvalsh``) of a Hermitian input and serves every
+difference of density operators: ``guess_prob``, the Helstrom quantity of
+``attacks`` and the oracle's qutrit success.  ``trace_norm`` sums the
+singular values (SVD) and serves operands that are not Hermitian: the
+cross product of root factors in ``fidelity`` and the support overlap of
+the completeness check.
+
 Two tolerances are used throughout: ``TOL_EXACT`` for algebraic identities on
 exactly representable constructions, and ``TOL_SPECTRAL`` for anything that
 passed through an eigendecomposition or SVD.
@@ -157,30 +165,57 @@ class StateVector:
             raise ShapeError(f"state norm {norm.flat[off.argmax()]} deviates from 1")
 
 
+def _check_unit_trace(mat: np.ndarray) -> None:
+    tr = np.trace(mat, axis1=-2, axis2=-1)
+    off = np.abs(tr - 1.0)
+    if off.max() > TOL_EXACT:
+        raise ShapeError(f"density operator trace {tr.flat[off.argmax()]} deviates from 1")
+
+
 @dataclass(frozen=True, eq=False)
 class DensityOp:
     """A density operator, or a stack of them of shape ``(..., d, d)``:
     Hermitian, PSD up to roundoff, unit trace.  Each check runs once over
     the whole stack and fails if any member fails it.  ``eig`` keeps the
-    read-only ``(w, v)`` of the one ``eigh`` that the PSD check runs."""
+    read-only ``(w, v)`` of the one ``eigh`` that the PSD check runs, with
+    the eigenvalues ascending, or of the SVD in :meth:`from_amplitudes`."""
 
     mat: np.ndarray
     eig: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         mat = _frozen(np.atleast_2d(np.asarray(self.mat)), "density operator")
-        object.__setattr__(self, "mat", mat)
         _check_square(mat, "density operator")
         if np.abs(mat - dagger(mat)).max() > TOL_EXACT:
             raise ShapeError("density operator is not Hermitian within tolerance")
-        tr = np.trace(mat, axis1=-2, axis2=-1)
-        off = np.abs(tr - 1.0)
-        if off.max() > TOL_EXACT:
-            raise ShapeError(f"density operator trace {tr.flat[off.argmax()]} deviates from 1")
+        _check_unit_trace(mat)
         w, v = np.linalg.eigh(hermitize(mat))
         if w.min() < -TOL_SPECTRAL:
             raise NotPSDError(f"density operator has eigenvalue {w.min()}")
+        self._set(mat, w, v)
+
+    @classmethod
+    def from_amplitudes(cls, m: CMat) -> "DensityOp":
+        """M M† for each ``(d, k)`` amplitude matrix M of a stack: the
+        reduced states of pure states, PSD by construction.  When k <= d/2
+        the SVD M = U S V† gives ``eig`` (U and S², zero-padded, ascending),
+        cheaper than ``eigh`` of M M†; otherwise the constructor runs."""
+        m = np.asarray(m)
+        mat = hermitize(m @ dagger(m))
+        if 2 * m.shape[-1] > m.shape[-2]:
+            return cls(mat)
+        u, s, _ = np.linalg.svd(m)
+        w = np.zeros(m.shape[:-1])
+        w[..., :s.shape[-1]] = s * s
+        mat = _frozen(mat, "density operator")
+        _check_unit_trace(mat)
+        rho = object.__new__(cls)
+        rho._set(mat, w[..., ::-1], u[..., ::-1])
+        return rho
+
+    def _set(self, mat: np.ndarray, w: np.ndarray, v: np.ndarray) -> None:
         w.flags.writeable = v.flags.writeable = False
+        object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "eig", (w, v))
 
     @property
@@ -264,10 +299,21 @@ def partial_trace(state: DensityOp, layout: RegisterLayout,
 
 
 def trace_norm(mat: CMat):
-    """Sum of the singular values."""
+    """Sum of the singular values, for any square matrix or stack."""
     mat = as_cmat(mat)
     _check_square(mat, "trace norm input")
     return float_or_array(np.linalg.svd(mat, compute_uv=False).sum(axis=-1))
+
+
+def hermitian_trace_norm(mat: CMat):
+    """Trace norm of a Hermitian matrix or stack, such as a difference of
+    density operators: the sum of the absolute eigenvalues, by ``eigvalsh``,
+    cheaper than the SVD of :func:`trace_norm`.  The input must be
+    Hermitian: ``eigvalsh`` reads only its lower triangle, so any other
+    matrix gets the trace norm of a different one."""
+    mat = as_cmat(mat)
+    _check_square(mat, "trace norm input")
+    return float_or_array(np.abs(np.linalg.eigvalsh(mat)).sum(axis=-1))
 
 
 def _check_dims(rho: DensityOp, xi: DensityOp) -> None:
@@ -279,7 +325,7 @@ def guess_prob(rho: DensityOp, xi: DensityOp):
     """Optimal probability of identifying which of two equiprobable states
     was prepared: 1/2 + ||rho - xi||_1 / 4."""
     _check_dims(rho, xi)
-    return 0.5 + 0.25 * trace_norm(rho.mat - xi.mat)
+    return 0.5 + 0.25 * hermitian_trace_norm(rho.mat - xi.mat)
 
 
 def helstrom(rho: DensityOp, xi: DensityOp) -> tuple[TwoOutcomeMeasurement, float]:
@@ -287,7 +333,10 @@ def helstrom(rho: DensityOp, xi: DensityOp) -> tuple[TwoOutcomeMeasurement, floa
 
     Projects onto the nonnegative / negative eigenspaces of ``rho - xi``.
     The returned success probability is computed from the projectors, not
-    from the trace-norm formula, so the two routes can be cross-checked.
+    from the trace-norm formula, so the two routes can be cross-checked:
+    verify's ``matches_guess_prob`` compares it with :func:`guess_prob`.
+    Both rest on an eigendecomposition of ``rho - xi``; the check against
+    the SVD route is ``hermitian_matches_svd`` in verify's trace-norm suite.
     """
     _check_dims(rho, xi)
     w, v = np.linalg.eigh(hermitize(rho.mat - xi.mat))
@@ -299,21 +348,33 @@ def helstrom(rho: DensityOp, xi: DensityOp) -> tuple[TwoOutcomeMeasurement, floa
     return meas, float_or_array(success)
 
 
-def herm_sqrt(rho: DensityOp) -> CMat:
-    """Hermitian PSD square root of a density operator, or of each member
-    of a stack, from its stored ``eig``.  Eigenvalues at or below ``d * eps``
-    times a member's largest one are set to zero: they are roundoff, and
-    their square roots (about 1e-8) would otherwise reach the fidelity of
-    rank-deficient states."""
+def _root_factor(rho: DensityOp) -> CMat:
+    """F = V sqrt(W) from the stored ``eig``, so that sqrt(rho) = F V†.
+    Eigenvalues at or below ``d * eps`` times a member's largest one are set
+    to zero: they are roundoff, and their square roots (about 1e-8) would
+    otherwise reach the fidelity of rank-deficient states."""
     w, v = rho.eig
     w = np.where(w > w.shape[-1] * np.finfo(float).eps * w[..., -1:], w, 0.0)
-    return (v * np.sqrt(w)[..., None, :]) @ dagger(v)
+    return v * np.sqrt(w)[..., None, :]
+
+
+def herm_sqrt(rho: DensityOp) -> CMat:
+    """Hermitian PSD square root of a density operator, or of each member
+    of a stack, from its stored ``eig``, roundoff eigenvalues zeroed."""
+    return _root_factor(rho) @ dagger(rho.eig[1])
 
 
 def fidelity(rho: DensityOp, xi: DensityOp):
-    """Fidelity ||sqrt(rho) sqrt(xi)||_1, in [0, 1]."""
+    """Fidelity ||sqrt(rho) sqrt(xi)||_1, in [0, 1].
+
+    The trace norm is unitarily invariant, so it is taken of F_rho† F_xi
+    for the root factors F of :func:`herm_sqrt`, and only over the trailing
+    columns that are nonzero in some member (the eigenvalues ascend, and a
+    zeroed one adds nothing): 1 x 1 for two stacks of pure states."""
     _check_dims(rho, xi)
-    return trace_norm(herm_sqrt(rho) @ herm_sqrt(xi))
+    a, b = _root_factor(rho), _root_factor(xi)
+    rank = max(int(np.count_nonzero(f.any(axis=-2), axis=-1).max()) for f in (a, b))
+    return trace_norm(dagger(a[..., -rank:]) @ b[..., -rank:])
 
 
 def bipartition_matrix(sv: StateVector, b_names: Iterable[str]) -> CMat:
@@ -365,17 +426,25 @@ def uhlmann_unitary(phi: StateVector, psi: StateVector,
     return u, float(overlap)
 
 
-def haar_unitary(dim: int, rng: np.random.Generator, size=None) -> CMat:
-    """Haar-random ``dim x dim`` unitary, or a stack of shape
-    ``(*size, dim, dim)``: one QR over the whole stack, with the R
-    diagonal's phases folded back in (Mezzadri, arXiv:math-ph/0609050).  A
-    stack of ``n`` consumes ``rng`` exactly as ``n`` sequential calls do
-    and returns the same matrices."""
-    shape = () if size is None else tuple(np.atleast_1d(size))
-    normals = rng.standard_normal((*shape, 2, dim, dim))
+def haar_orthonormalize(normals: np.ndarray) -> CMat:
+    """The Haar unitaries of the normals that :func:`haar_unitary` draws,
+    real parts then imaginary parts, stacked as ``(..., 2, dim, dim)``: one
+    QR over the whole stack, with the R diagonal's phases folded back in
+    (Mezzadri, arXiv:math-ph/0609050).  Each matrix is the one its own
+    normals alone give, so normals drawn from several generators, or in a
+    loop, can be stacked and orthonormalised at once."""
     q, r = np.linalg.qr(normals[..., 0, :, :] + 1j * normals[..., 1, :, :])
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[..., None, :]
+
+
+def haar_unitary(dim: int, rng: np.random.Generator, size=None) -> CMat:
+    """Haar-random ``dim x dim`` unitary, or a stack of shape
+    ``(*size, dim, dim)``, by :func:`haar_orthonormalize`.  A stack of
+    ``n`` consumes ``rng`` exactly as ``n`` sequential calls do and returns
+    the same matrices."""
+    shape = () if size is None else tuple(np.atleast_1d(size))
+    return haar_orthonormalize(rng.standard_normal((*shape, 2, dim, dim)))
 
 
 def random_density(dim: int, rng: np.random.Generator, size=None) -> DensityOp:

@@ -27,8 +27,10 @@ from .qcore import (
     dagger,
     fidelity,
     guess_prob,
+    haar_orthonormalize,
     haar_unitary,
     helstrom,
+    hermitian_trace_norm,
     inner,
     partial_trace,
     pure_density,
@@ -65,7 +67,7 @@ def suite_fuchs_van_de_graaf(seed: int) -> list[Check]:
     for dim in (2, 3, 4) * 5:
         pairs = random_density(dim, rng, size=(34, 2))
         rho, xi = pairs[:, 0], pairs[:, 1]
-        tn = trace_norm(rho.mat - xi.mat)
+        tn = hermitian_trace_norm(rho.mat - xi.mat)
         f = fidelity(rho, xi)
         lower.append((1.0 - tn / 2.0) - f)
         upper.append(f - np.sqrt(np.maximum(0.0, 1.0 - tn**2 / 4.0)))
@@ -75,7 +77,7 @@ def suite_fuchs_van_de_graaf(seed: int) -> list[Check]:
 
 def suite_trace_norm(seed: int) -> list[Check]:
     rng = _rng(seed, 2)
-    norms, triangle, unitary = [], [], []
+    norms, triangle, unitary, hermitian = [], [], [], []
     # two rounds of 34 instances per dimension, each matrices a and b and
     # unitaries u and v
     for dim in (2, 3, 4) * 2:
@@ -86,9 +88,13 @@ def suite_trace_norm(seed: int) -> list[Check]:
         norms.append(tn_a)
         triangle.append(trace_norm(a + b) - (tn_a + trace_norm(b)))
         unitary.append(np.abs(trace_norm(u @ a @ v) - tn_a))
+        # the eigenvalue kernel against the SVD, on the Hermitian a + a†
+        h = a + dagger(a)
+        hermitian.append(np.abs(hermitian_trace_norm(h) - trace_norm(h)))
     return [_check("nonnegative", norms, lo=0.0),
             _check("triangle", triangle, hi=TOL_SPECTRAL),
-            _check("unitarily_invariant", unitary, hi=TOL_SPECTRAL)]
+            _check("unitarily_invariant", unitary, hi=TOL_SPECTRAL),
+            _check("hermitian_matches_svd", hermitian, hi=TOL_SPECTRAL)]
 
 
 def suite_helstrom(seed: int) -> list[Check]:
@@ -258,11 +264,14 @@ def suite_tradeoff(seed: int) -> list[Check]:
 def suite_oracle(seed: int) -> list[Check]:
     rng = _rng(seed, 8)
     checks = []
-    weights, ancillas = np.empty((300, 3)), np.empty((300, 3, 3), dtype=complex)
+    # per preparation: its weights, then the normals of its three ancillas
+    # as haar_unitary(3, rng, 3) draws them, all orthonormalised by one QR
+    raw, normals = np.empty((300, 3)), np.empty((300, 3, 2, 3, 3))
     for i in range(300):
-        raw = rng.random(3)
-        weights[i] = np.sqrt(raw / raw.sum())
-        ancillas[i] = haar_unitary(3, rng, size=3)[..., 0]
+        raw[i] = rng.random(3)
+        normals[i] = rng.standard_normal((3, 2, 3, 3))
+    weights = np.sqrt(raw / raw.sum(axis=1, keepdims=True))
+    ancillas = haar_orthonormalize(normals)[..., 0]
     closed = 0.5 + weights[:, :2] * weights[:, 2:]  # [alpha gamma, beta gamma]
     success = oracle.cks_alice_success(weights, ancillas)
     checks.append(_check("closed_forms", [np.abs(success - closed)], hi=TOL_SPECTRAL))
@@ -280,19 +289,22 @@ def suite_oracle(seed: int) -> list[Check]:
     checks.append(_check("helstrom_oracle_brackets", short, lo=-TOL_SPECTRAL, hi=0.05))
 
     lay = RegisterLayout((Factor("S", 2, "Alice"), Factor("E", 2, "Bob")))
-    short = []
+    # per draw: phi, psi (each normalised on its own, so that a state does
+    # not depend on the stacking), then the oracle's seed; the exact
+    # fidelities of the 20 pairs as one stack
+    amps, seeds = np.empty((20, 2, 4), dtype=complex), []
+    for i in range(20):
+        for j in range(2):
+            z = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            amps[i, j] = z / np.linalg.norm(z)
+        seeds.append(int(rng.integers(2**31)))
+    reduced = partial_trace(pure_density(StateVector(lay, amps)), lay, ["S"])
+    f = fidelity(reduced[:, 0], reduced[:, 1])
     # the best of 500 unitaries fell 0.054 short on 2 of 4650 seeds; of 1000, at most 0.031
-    for _ in range(20):
-        amps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        phi = StateVector(lay, amps / np.linalg.norm(amps))
-        amps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        psi = StateVector(lay, amps / np.linalg.norm(amps))
-        f = fidelity(
-            partial_trace(pure_density(phi), lay, ["S"]),
-            partial_trace(pure_density(psi), lay, ["S"]),
-        )
-        short.append(f - oracle.uhlmann_oracle(phi, psi, ["E"], 1000, int(rng.integers(2**31))))
-    checks.append(_check("uhlmann_oracle_brackets", short, lo=-TOL_SPECTRAL, hi=0.05))
+    best = [oracle.uhlmann_oracle(StateVector(lay, phi), StateVector(lay, psi), ["E"], 1000, s)
+            for (phi, psi), s in zip(amps, seeds)]
+    short = f - np.array(best)
+    checks.append(_check("uhlmann_oracle_brackets", [short], lo=-TOL_SPECTRAL, hi=0.05))
     return checks
 
 

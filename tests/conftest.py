@@ -31,6 +31,19 @@ def rng():
     return np.random.default_rng(2013)
 
 
+@pytest.fixture
+def qr_shapes(monkeypatch):
+    """The shape of the operand of every ``np.linalg.qr`` call the test makes."""
+    shapes = []
+
+    def counted(a, *args, _orig=np.linalg.qr, **kwargs):
+        shapes.append(np.shape(a))
+        return _orig(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    return shapes
+
+
 # verify --seed 7 is the slowest command the tests run: one in-process run
 # and one process, each shared by the tests that read it
 @pytest.fixture(scope="session")

@@ -324,24 +324,27 @@ def test_cheat_report_executes_the_protocol_in_one_batched_pass(monkeypatch):
 
 
 def test_cheat_report_decomposes_the_reduced_states_once(monkeypatch):
-    # Alice's eight reduced states are decomposed once, when they are
-    # validated; the support projectors and every fidelity read that
-    # spectrum, on one spec and on a family alike
+    # Alice's eight reduced states are decomposed once, by the SVD of their
+    # amplitude matrices (9 x 1: the states are pure); the support
+    # projectors and every fidelity read that spectrum, on one spec and on
+    # a family alike.  The Helstrom quantity takes one eigvalsh of the four
+    # differences; the other four SVDs are the support basis, the support
+    # overlap, the fidelity cross products and the Uhlmann blocks
     specs = (build_cks(), random_complete_protocol(np.arange(3)))
     members = random_density(3, np.random.default_rng(0), size=2)
-    calls = {"eigh": 0, "eigvalsh": 0}
+    calls = {"eigh": 0, "eigvalsh": 0, "svd": 0}
     for name in calls:
         def counted(*args, _orig=getattr(np.linalg, name), _name=name, **kwargs):
             calls[_name] += 1
             return _orig(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
     for spec in specs:
-        calls.update(eigh=0, eigvalsh=0)
+        calls.update(eigh=0, eigvalsh=0, svd=0)
         cheat_report(spec)
-        assert calls == {"eigh": 1, "eigvalsh": 0}
-    calls.update(eigh=0, eigvalsh=0)
+        assert calls == {"eigh": 0, "eigvalsh": 1, "svd": 5}
+    calls.update(eigh=0, eigvalsh=0, svd=0)
     fidelity(members[0], members[1])
-    assert calls == {"eigh": 0, "eigvalsh": 0}
+    assert calls == {"eigh": 0, "eigvalsh": 0, "svd": 1}
 
 
 def test_family_report_compares_and_hashes():

@@ -219,3 +219,9 @@ def test_mixture_layout_is_direct_sums():
 def test_mixture_rejects_weights_outside_the_unit_interval(lam):
     with pytest.raises(RangeError):
         build_mixture(lam)
+
+
+def test_random_family_is_orthonormalised_by_one_qr(qr_shapes):
+    # each seed draws its normals from its own generator; one QR follows
+    random_complete_protocol(np.arange(10))
+    assert qr_shapes == [(10, 2, 3, 3)]

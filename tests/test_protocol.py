@@ -269,6 +269,21 @@ def _dense_run(spec, a, input_amps):
     return amps
 
 
+def test_support_svd_is_as_wide_as_the_largest_support(monkeypatch):
+    # cks leaves Alice pure states, so each support basis takes one kept
+    # eigenvector per state: a 9 x 2 SVD per (a, v), not 9 x 18
+    an = protocol._analyze(build_cks())
+    widths = []
+
+    def counted(a, *args, _orig=np.linalg.svd, **kwargs):
+        widths.append(np.shape(a))
+        return _orig(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    support_projectors(an.reduced)
+    assert widths == [(2, 2, 9, 2)]
+
+
 def test_engine_matches_dense_reference():
     plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
     for build in ENGINE_SPECS:

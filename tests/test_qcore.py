@@ -3,7 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wotsim.attacks import _pairs
+from wotsim.catalog import build_leaky
 from wotsim.errors import LayoutError, NotPSDError, ShapeError
+from wotsim.protocol import _analyze
 from wotsim.qcore import (
     ALICE,
     BOB,
@@ -17,9 +20,12 @@ from wotsim.qcore import (
     embed_operator,
     fidelity,
     guess_prob,
+    haar_orthonormalize,
     haar_unitary,
     helstrom,
     herm_sqrt,
+    hermitian_trace_norm,
+    hermitize,
     inner,
     partial_trace,
     pure_density,
@@ -369,6 +375,70 @@ def test_haar_unitary_stack_equals_sequential_calls(dim):
         assert g1.random() == g2.random()  # both streams consumed alike
         grid = haar_unitary(dim, np.random.default_rng(seed), size=(3, 11))
         assert np.array_equal(grid, sequential.reshape(3, 11, dim, dim))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 7])
+def test_one_orthonormalisation_of_per_seed_normals_equals_per_seed_draws(dim):
+    # normals drawn from separate generators, stacked, give each generator's
+    # own unitaries, bit for bit
+    normals = [np.random.default_rng(s).standard_normal((2, 2, dim, dim)) for s in range(6)]
+    per_seed = np.stack([haar_unitary(dim, np.random.default_rng(s), 2) for s in range(6)])
+    assert np.array_equal(haar_orthonormalize(np.stack(normals)), per_seed)
+
+
+def test_hermitian_trace_norm_matches_the_svd():
+    gen = np.random.default_rng(19)
+    for dim in range(1, 10):
+        z = gen.standard_normal((2, 25, dim, dim))
+        h = z[0] + 1j * z[1]
+        h = h + h.conj().swapaxes(-1, -2)
+        assert np.max(np.abs(hermitian_trace_norm(h) - trace_norm(h))) <= 1e-12
+        single = hermitian_trace_norm(h[0])
+        assert isinstance(single, float) and abs(single - trace_norm(h[0])) <= 1e-12
+    # the pair differences of a leaky protocol's reduced states
+    rho, xi = _pairs(_analyze(build_leaky(0.3)).reduced)
+    diff = rho.mat - xi.mat
+    assert np.max(np.abs(hermitian_trace_norm(diff) - trace_norm(diff))) <= 1e-12
+    with pytest.raises(ShapeError):
+        hermitian_trace_norm(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_density_from_amplitudes_matches_the_eigh_route(k, monkeypatch):
+    # 9 x k amplitude matrices: the SVD route for k <= 4, the constructor
+    # (eigh) beyond; either way the matrix is M M† and eig its ascending
+    # spectrum with an orthonormal eigenbasis
+    z = np.random.default_rng(k).standard_normal((2, 6, 9, k))
+    m = z[0] + 1j * z[1]
+    m /= np.linalg.norm(m, axis=(-2, -1), keepdims=True)
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, _o=np.linalg.eigh: calls.append(1) or _o(*a))
+    rho = DensityOp.from_amplitudes(m)
+    assert len(calls) == (0 if 2 * k <= 9 else 1)
+    assert np.array_equal(rho.mat, DensityOp(hermitize(m @ m.conj().swapaxes(-1, -2))).mat)
+    w, v = rho.eig
+    assert np.all(np.diff(w, axis=-1) >= 0)
+    assert np.abs(w - np.linalg.eigvalsh(rho.mat)).max() <= 1e-12
+    assert np.abs(v.conj().swapaxes(-1, -2) @ v - np.eye(9)).max() <= 1e-12
+    assert np.abs((v * w[..., None, :]) @ v.conj().swapaxes(-1, -2) - rho.mat).max() <= 1e-12
+
+
+def test_fidelity_over_the_widest_support_matches_the_square_roots():
+    # pure and full-rank members in one stack: the cross product is as wide
+    # as the largest rank, and agrees with ||sqrt(rho) sqrt(xi)||_1
+    gen = np.random.default_rng(23)
+    for dim in (2, 3, 5):
+        mixed = random_density(dim, gen, size=(4, 2)).mat
+        z = gen.standard_normal((2, 4, 2, dim))
+        psi = z[0] + 1j * z[1]
+        psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
+        pure = psi[..., :, None] * psi[..., None, :].conj()
+        for mats in (np.concatenate([mixed, pure]), pure):
+            rho, xi = DensityOp(mats[:, 0]), DensityOp(mats[:, 1])
+            reference = trace_norm(herm_sqrt(rho) @ herm_sqrt(xi))
+            assert np.abs(fidelity(rho, xi) - reference).max() <= 1e-12
+        overlap = np.abs(np.sum(psi[:, 0].conj() * psi[:, 1], axis=-1))
+        assert np.abs(fidelity(DensityOp(pure[:, 0]), DensityOp(pure[:, 1])) - overlap).max() <= 1e-12
 
 
 # --- stacks ------------------------------------------------------------------

@@ -130,6 +130,14 @@ def test_sampled_suites_evaluate_their_instance_counts(monkeypatch, suite, sampl
     assert sum(drawn) >= per_instance * instances
 
 
+def test_oracle_suite_orthonormalises_its_preparations_at_once(qr_shapes):
+    # the 300 preparations draw their ancilla normals in the loop and share
+    # one QR; the only other QRs are the oracles' own, on 2x2 samples
+    assert all(check.ok for check in verification.suite_oracle(7))
+    assert [shape for shape in qr_shapes if shape[-1] == 3] == [(300, 3, 3, 3)]
+    assert {shape[-2:] for shape in qr_shapes} == {(3, 3), (2, 2)}
+
+
 def _peak_bytes(suite, seed: int) -> int:
     tracemalloc.start()
     try:

@@ -1,7 +1,7 @@
 # Every suite with its check count: a rewrite that drops a check changes this.
 SEED_7_REPORT = [
     "PASS qcore.fuchs_van_de_graaf (2 checks)",
-    "PASS qcore.trace_norm (3 checks)",
+    "PASS qcore.trace_norm (4 checks)",
     "PASS qcore.helstrom (1 checks)",
     "PASS qcore.fidelity_uhlmann (3 checks)",
     "PASS qcore.partial_trace (3 checks)",
