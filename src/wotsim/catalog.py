@@ -222,9 +222,12 @@ def build_mixture(lam) -> ProtocolSpec:
     ``build_cks`` (``sqrt(1 - lam)``) as one protocol on direct sums: ``A`` is
     2 (+) 3, ``M`` is 4 (+) 3, and each branch's preparation, round and output
     sit in its own block.  Bob's round also flips his ``C`` on the qutrit
-    branch, which decoheres the coin in Alice's view, so both bounds are those
-    of ``combined_bounds`` at epsilon = 0.  The coin is ideal; its bias epsilon
-    stays in that arithmetic.  A 1-D array of ``lam`` gives the family spec.
+    branch, which decoheres the coin in Alice's view, so both attack bounds
+    are those of ``combined_bounds`` at epsilon = 0.  The coin is not ideal:
+    Alice's preparation places it, so a cheating Alice can send in the
+    trivial block and learn both bits, and her optimum here is 1; the
+    reported ``alice_bound`` is the value of the honest-then-Helstrom
+    attack.  A 1-D array of ``lam`` gives the family spec.
     """
     lams = np.asarray(lam, dtype=float)
     if lams.ndim > 1 or not np.all((lams >= 0.0) & (lams <= 1.0)):  # NaN fails too

@@ -6,6 +6,12 @@ exhaustive or random search, with no reliance on the formula it checks:
 protocol, ``helstrom_oracle`` tries random projective measurements, and
 ``uhlmann_oracle`` tries random unitaries on the purifying system.
 
+The two random oracles take one pair of states or stacks of pairs.  Within
+one call every pair is scored against the same candidates, the Haar draws
+of one ``default_rng(seed)``, so a stack costs one orthonormalisation per
+candidate, not one per candidate and pair, and each pair's value equals
+that of its own call with the same seed.
+
 The qutrit oracles hold no copy of the protocol: ``cks_alice_success``, the
 one success function of the grid search, verify and the tests, runs a stack
 of cheating preparations on the (A, M) factors through one ``build_cks()``
@@ -23,11 +29,11 @@ import numpy as np
 from .catalog import _cks
 from .errors import MAX_SWEEP_SIZE, RangeError, ShapeError
 from .protocol import _final_sectors
-from .qcore import (DensityOp, StateVector, bipartition_matrix, haar_unitary,
-                    hermitian_trace_norm)
+from .qcore import (DensityOp, StateVector, bipartition_matrix, float_or_array,
+                    haar_unitary, hermitian_trace_norm)
 
 # Samples per stacked QR in the measurement and unitary oracles, so their
-# memory stays O(_CHUNK * dim^2) whatever the sample count.
+# memory stays O(n * _CHUNK * dim^2) for n pairs whatever the sample count.
 _CHUNK = 512
 
 
@@ -105,7 +111,9 @@ def cks_alice_oracle(delta: float, grid: int) -> float:
     gamma) candidates with beta fixed by normalization, each run through
     ``build_cks()`` with the orthonormal ancillas; the success does not
     depend on the ancillas.  A lower-bound estimate of the true maximum with
-    grid error about ``grid_tolerance(grid)``.
+    grid error about ``grid_tolerance(grid)``; NaN if no candidate passes
+    the check of P(x0), which only a faulty success function can cause
+    (the honest preparation always passes it).
     """
     if not 0.0 <= delta <= 0.5:
         raise RangeError(f"delta must be in [0, 1/2], got {delta}")
@@ -114,44 +122,50 @@ def cks_alice_oracle(delta: float, grid: int) -> float:
     alphas, gammas = _candidate_weights(delta, grid)
     betas = np.sqrt(np.clip(1.0 - alphas**2 - gammas**2, 0.0, None))
     success = cks_alice_success(np.stack([alphas, betas, gammas], axis=1), np.eye(3))
-    # never empty: the honest preparation guesses x0 with certainty
+    # the honest preparation guesses x0 with certainty, so only a faulty
+    # success function leaves no candidate feasible
     feasible = success[:, 0] >= 1.0 - delta - 1e-12
-    return float(success[feasible, 1].max())
+    return float(success[feasible, 1].max()) if feasible.any() else np.nan
 
 
-def helstrom_oracle(rho0: DensityOp, rho1: DensityOp, samples: int, seed: int) -> float:
+def helstrom_oracle(rho0: DensityOp, rho1: DensityOp, samples: int, seed: int):
     """Best success probability among random two-outcome projective
-    measurements at distinguishing equiprobable ``rho0`` and ``rho1``.
+    measurements at distinguishing equiprobable ``rho0`` and ``rho1``: a
+    float for one pair, an ``(n,)`` array for stacks ``(n, d, d)`` of pairs.
 
     Sample ``i`` is the ``i``-th Haar unitary drawn from one
     ``default_rng(seed)`` and projects onto its first ``1 + i mod (dim - 1)``
-    columns, so the ranks cycle and more samples only add candidates.  A
-    lower bound on the optimal guessing probability; with enough samples in
-    low dimension it concentrates near it.
+    columns, so the ranks cycle and more samples only add candidates.  Every
+    pair of a stack is scored against the same samples, so a stacked call
+    equals the per-pair calls with the same seed.  A lower bound on the
+    optimal guessing probability; with enough samples in low dimension it
+    concentrates near it.
     """
     if rho0.dim != rho1.dim:
         raise RangeError("states must have equal dimension")
     if samples < 1:
         raise RangeError(f"samples must be >= 1, got {samples}")
     dim = rho0.dim
-    diff = rho0.mat - rho1.mat
+    diff = (rho0.mat - rho1.mat)[..., None, :, :]
     rng = np.random.default_rng(seed)
-    best = 0.0
+    best = np.zeros(diff.shape[:-3])
     for start in range(0, samples, _CHUNK):
         u = haar_unitary(dim, rng, size=min(_CHUNK, samples - start))
         ranks = 1 + (start + np.arange(len(u))) % max(dim - 1, 1)
         # tr(P diff) for P onto the first `rank` columns: the running sum of
         # the per-column forms <u_k|diff|u_k>, read off at column rank - 1
-        forms = np.real((u.conj() * (diff @ u)).sum(axis=1))
-        traces = np.cumsum(forms, axis=1)[np.arange(len(u)), ranks - 1]
-        best = max(best, float(np.abs(traces).max()))
-    return 0.5 + 0.5 * best
+        forms = np.real((u.conj() * (diff @ u)).sum(axis=-2))
+        traces = np.cumsum(forms, axis=-1)[..., np.arange(len(u)), ranks - 1]
+        best = np.maximum(best, np.abs(traces).max(axis=-1))
+    return float_or_array(0.5 + 0.5 * best)
 
 
 def uhlmann_oracle(phi: StateVector, psi: StateVector, b_factors: Iterable[str],
-                   samples: int, seed: int) -> float:
+                   samples: int, seed: int):
     """Best overlap |<phi|(I x V)|psi>| among random unitaries V on the
-    ``b_factors`` subsystem.
+    ``b_factors`` subsystem: a float for one pair, an ``(n,)`` array for
+    stacks ``(n, D)`` of pairs, each scored against the same unitaries, the
+    ``i``-th Haar draw of one ``default_rng(seed)``.
 
     A lower bound on the reduced-state fidelity, approaching it with enough
     samples in low dimension.
@@ -163,12 +177,12 @@ def uhlmann_oracle(phi: StateVector, psi: StateVector, b_factors: Iterable[str],
     b = phi.layout.select(b_factors)
     phi_mat = bipartition_matrix(phi, b)
     psi_mat = bipartition_matrix(psi, b)
-    d_b = phi_mat.shape[1]
+    d_b = phi_mat.shape[-1]
     rng = np.random.default_rng(seed)
-    best = 0.0
+    best = np.zeros(np.broadcast_shapes(phi_mat.shape, psi_mat.shape)[:-2])
     for start in range(0, samples, _CHUNK):
         vs = haar_unitary(d_b, rng, size=min(_CHUNK, samples - start))
-        # <phi|(I x V)|psi> for each sample, evaluated through the states
-        overlaps = np.einsum("ij,ik,njk->n", phi_mat.conj(), psi_mat, vs)
-        best = max(best, float(np.abs(overlaps).max()))
-    return best
+        # <phi|(I x V)|psi> for each pair and sample, evaluated through the states
+        overlaps = np.einsum("...ij,...ik,njk->...n", phi_mat.conj(), psi_mat, vs)
+        best = np.maximum(best, np.abs(overlaps).max(axis=-1))
+    return float_or_array(best)

@@ -318,11 +318,13 @@ def reduce_alice(fs: FinalStates) -> ReducedFamily:
     return ReducedFamily(DensityOp.from_amplitudes(bipartition_matrix(fs.stack, fs.bob_factors)))
 
 
-def support_projectors(rf: ReducedFamily) -> np.ndarray:
-    """Projectors onto the span of the supports of Alice's two states with
-    x_a = v, indexed ``[a, v]``.  Eigenvectors with eigenvalue at most
-    ``TOL_SPECTRAL`` are zeroed, not dropped, which leaves each span
-    unchanged, so the stack's stored ``eig`` and one batched SVD give all four."""
+def _support_bases(rf: ReducedFamily) -> np.ndarray:
+    """Orthonormal bases of the spans of the supports of Alice's two states
+    with x_a = v, indexed ``[..., a, v, :, :]``, as columns, zero columns
+    where a basis is narrower than the widest one.  Eigenvectors with
+    eigenvalue at most ``TOL_SPECTRAL`` are zeroed, not dropped, which leaves
+    each span unchanged, so the stack's stored ``eig`` and one batched SVD
+    give all four."""
     w, v = rf.states.eig
     keep = w > TOL_SPECTRAL
     # eigenvalues ascend, so the kept ones trail: the columns zero in every
@@ -334,13 +336,21 @@ def support_projectors(rf: ReducedFamily) -> np.ndarray:
                        axis=-5)
     q, s, _ = np.linalg.svd(np.concatenate([grouped[..., 0, :, :], grouped[..., 1, :, :]],
                                            axis=-1), full_matrices=False)
-    basis = q * (s > TOL_SPECTRAL)[..., None, :]
+    return q * (s > TOL_SPECTRAL)[..., None, :]
+
+
+def support_projectors(rf: ReducedFamily) -> np.ndarray:
+    """Projectors onto the span of the supports of Alice's two states with
+    x_a = v, indexed ``[a, v]``: B B† for the bases of :func:`_support_bases`."""
+    basis = _support_bases(rf)
     return basis @ dagger(basis)
 
 
 def _completeness(spec: ProtocolSpec, rf: ReducedFamily) -> CompletenessReport:
-    proj = support_projectors(rf)
-    overlaps = trace_norm(proj[..., 0, :, :] @ proj[..., 1, :, :])
+    # ||P0 P1||_1 = ||B0† B1||_1 for orthonormal bases B: a product as wide
+    # as the bases (2 x 2 for cks), not one of d x d projectors
+    basis = _support_bases(rf)
+    overlaps = trace_norm(dagger(basis[..., 0, :, :]) @ basis[..., 1, :, :])
     one = np.real(np.trace(spec._plan.out_pos[..., None, None, :, :] @ rf.states.mat,
                            axis1=-2, axis2=-1))
     correct = np.where(LEARNED == 1, one, 1.0 - one)

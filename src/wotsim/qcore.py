@@ -8,16 +8,19 @@ digit, so ``amps.reshape(layout.dims)`` recovers the tensor form.
 Density matrices, measurements and the functionals of them take stacks:
 an array of shape ``(..., d, d)`` is a batch of ``d x d`` matrices over its
 leading axes.  Every check runs once over the whole batch, and a density
-stack is decomposed once, when it is validated.  A single matrix is the
-``n = 1`` case; functionals return a Python float for it, an array for a stack.
+stack is decomposed at most once: when it is validated, or, for the states
+``random_density`` and ``pure_density`` build with a factor F (``rho = F
+F†``, PSD by construction), only when its spectrum is read.  A single
+matrix is the ``n = 1`` case; functionals return a Python float for it, an
+array for a stack.
 
 Trace norms take one of two kernels.  ``hermitian_trace_norm`` sums the
 absolute eigenvalues (``eigvalsh``) of a Hermitian input and serves every
 difference of density operators: ``guess_prob``, the Helstrom quantity of
 ``attacks`` and the oracle's qutrit success.  ``trace_norm`` sums the
-singular values (SVD) and serves operands that are not Hermitian: the
-cross product of root factors in ``fidelity`` and the support overlap of
-the completeness check.
+singular values (SVD) and serves operands that are not Hermitian, such
+as the support overlap of the completeness check; ``fidelity`` takes the
+singular values of its cross product of factors, which need not be square.
 
 Two tolerances are used throughout: ``TOL_EXACT`` for algebraic identities on
 exactly representable constructions, and ``TOL_SPECTRAL`` for anything that
@@ -176,12 +179,16 @@ def _check_unit_trace(mat: np.ndarray) -> None:
 class DensityOp:
     """A density operator, or a stack of them of shape ``(..., d, d)``:
     Hermitian, PSD up to roundoff, unit trace.  Each check runs once over
-    the whole stack and fails if any member fails it.  ``eig`` keeps the
-    read-only ``(w, v)`` of the one ``eigh`` that the PSD check runs, with
-    the eigenvalues ascending, or of the SVD in :meth:`from_amplitudes`."""
+    the whole stack and fails if any member fails it.  ``eig`` is the
+    read-only ``(w, v)`` of the stack's ``eigh``, eigenvalues ascending: the
+    one the PSD check runs, the SVD's in :meth:`from_amplitudes`, or, for a
+    state that keeps its ``factor``, one computed when ``eig`` is first read.
+    ``factor``, when set, is a read-only ``(..., d, k)`` stack F with
+    ``mat = F F†`` up to roundoff; such a state is PSD by construction."""
 
     mat: np.ndarray
-    eig: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+    factor: np.ndarray | None = field(default=None, init=False, repr=False)
+    _eig: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         mat = _frozen(np.atleast_2d(np.asarray(self.mat)), "density operator")
@@ -192,7 +199,7 @@ class DensityOp:
         w, v = np.linalg.eigh(hermitize(mat))
         if w.min() < -TOL_SPECTRAL:
             raise NotPSDError(f"density operator has eigenvalue {w.min()}")
-        self._set(mat, w, v)
+        self._set(mat, (w, v))
 
     @classmethod
     def from_amplitudes(cls, m: CMat) -> "DensityOp":
@@ -209,14 +216,38 @@ class DensityOp:
         w[..., :s.shape[-1]] = s * s
         mat = _frozen(mat, "density operator")
         _check_unit_trace(mat)
+        return cls._built(mat, eig=(w[..., ::-1], u[..., ::-1]))
+
+    @classmethod
+    def _factored(cls, mat: CMat, factor: CMat) -> "DensityOp":
+        """The state ``mat``, which the caller formed as F F† (up to
+        roundoff, and Hermitian) from the stack of factors F it keeps: PSD
+        by construction, so only finiteness and the trace are checked, and
+        nothing is decomposed until ``eig`` is read."""
+        mat = _frozen(mat, "density operator")
+        _check_square(mat, "density operator")
+        _check_unit_trace(mat)
+        return cls._built(mat, factor=factor)
+
+    @classmethod
+    def _built(cls, mat, eig=None, factor=None) -> "DensityOp":
         rho = object.__new__(cls)
-        rho._set(mat, w[..., ::-1], u[..., ::-1])
+        rho._set(mat, eig, factor)
         return rho
 
-    def _set(self, mat: np.ndarray, w: np.ndarray, v: np.ndarray) -> None:
-        w.flags.writeable = v.flags.writeable = False
+    def _set(self, mat: np.ndarray, eig=None, factor=None) -> None:
+        for part in (*(eig or ()), factor):
+            if part is not None:
+                part.flags.writeable = False
         object.__setattr__(self, "mat", mat)
-        object.__setattr__(self, "eig", (w, v))
+        object.__setattr__(self, "_eig", eig)
+        object.__setattr__(self, "factor", factor)
+
+    @property
+    def eig(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._eig is None:
+            self._set(self.mat, tuple(np.linalg.eigh(hermitize(self.mat))), self.factor)
+        return self._eig
 
     @property
     def dim(self) -> int:
@@ -224,14 +255,13 @@ class DensityOp:
 
     def __getitem__(self, index) -> "DensityOp":
         """The members at ``index``, which indexes the leading axes only (the
-        two matrix axes are kept whole), with their part of ``eig``: they were
-        checked and decomposed as part of this stack, not again."""
-        member = object.__new__(DensityOp)
-        w, v = self.eig
-        index = (*np.index_exp[index], slice(None))
-        object.__setattr__(member, "mat", self.mat[index + (slice(None),)])
-        object.__setattr__(member, "eig", (w[index], v[index + (slice(None),)]))
-        return member
+        two matrix axes are kept whole), with their part of ``eig`` and of
+        ``factor``, where set: they were checked, and decomposed if ``eig``
+        was read, as part of this stack, not again."""
+        index = (*np.index_exp[index], slice(None), slice(None))
+        eig = None if self._eig is None else (self._eig[0][index[:-1]], self._eig[1][index])
+        factor = None if self.factor is None else self.factor[index]
+        return DensityOp._built(self.mat[index], eig, factor)
 
 
 @dataclass(frozen=True, eq=False)
@@ -360,7 +390,7 @@ def _root_factor(rho: DensityOp) -> CMat:
 
 def herm_sqrt(rho: DensityOp) -> CMat:
     """Hermitian PSD square root of a density operator, or of each member
-    of a stack, from its stored ``eig``, roundoff eigenvalues zeroed."""
+    of a stack, from its ``eig``, roundoff eigenvalues zeroed."""
     return _root_factor(rho) @ dagger(rho.eig[1])
 
 
@@ -368,13 +398,17 @@ def fidelity(rho: DensityOp, xi: DensityOp):
     """Fidelity ||sqrt(rho) sqrt(xi)||_1, in [0, 1].
 
     The trace norm is unitarily invariant, so it is taken of F_rho† F_xi
-    for the root factors F of :func:`herm_sqrt`, and only over the trailing
-    columns that are nonzero in some member (the eigenvalues ascend, and a
-    zeroed one adds nothing): 1 x 1 for two stacks of pure states."""
+    for any factors with rho = F_rho F_rho†: a state's stored ``factor``
+    (d x 1 for a pure state), otherwise the root factor of
+    :func:`herm_sqrt`.  The two may differ in width.  A root factor counts
+    only its trailing columns that are nonzero in some member (the
+    eigenvalues ascend, and a zeroed one adds nothing): 1 x 1 for two
+    stacks of decomposed pure states."""
     _check_dims(rho, xi)
-    a, b = _root_factor(rho), _root_factor(xi)
+    a, b = (_root_factor(r) if r.factor is None else r.factor for r in (rho, xi))
     rank = max(int(np.count_nonzero(f.any(axis=-2), axis=-1).max()) for f in (a, b))
-    return trace_norm(dagger(a[..., -rank:]) @ b[..., -rank:])
+    cross = dagger(a[..., -rank:]) @ b[..., -rank:]
+    return float_or_array(np.linalg.svd(cross, compute_uv=False).sum(axis=-1))
 
 
 def bipartition_matrix(sv: StateVector, b_names: Iterable[str]) -> CMat:
@@ -450,17 +484,19 @@ def haar_unitary(dim: int, rng: np.random.Generator, size=None) -> CMat:
 def random_density(dim: int, rng: np.random.Generator, size=None) -> DensityOp:
     """A random full-rank density operator of the given dimension, or a
     stack of shape ``(*size, dim, dim)``: G G† / tr(G G†) for a square
-    complex Gaussian G, validated once as one stack.  A stack of ``n``
-    consumes ``rng`` exactly as ``n`` sequential calls do and holds the same
-    matrices."""
+    complex Gaussian G, which it keeps as its factor G / sqrt(tr(G G†)), so
+    it is not decomposed.  A stack of ``n`` consumes ``rng`` exactly as
+    ``n`` sequential calls do and holds the same matrices."""
     shape = () if size is None else tuple(np.atleast_1d(size))
     normals = rng.standard_normal((*shape, 2, dim, dim))
     g = normals[..., 0, :, :] + 1j * normals[..., 1, :, :]
     m = g @ dagger(g)
-    return DensityOp(hermitize(m / np.trace(m, axis1=-2, axis2=-1)[..., None, None]))
+    tr = np.trace(m, axis1=-2, axis2=-1)[..., None, None]
+    return DensityOp._factored(hermitize(m / tr), g / np.sqrt(tr.real))
 
 
 def pure_density(sv: StateVector) -> DensityOp:
     """The rank-one density operator of a pure state, or of each state of a
-    stack."""
-    return DensityOp(sv.amps[..., :, None] * sv.amps.conj()[..., None, :])
+    stack, which keeps the amplitudes as its ``(d, 1)`` factor."""
+    col = sv.amps[..., :, None]
+    return DensityOp._factored(col * sv.amps.conj()[..., None, :], col)

@@ -433,3 +433,25 @@ def test_helstrom_oracle_grows_with_samples():
         vals = [helstrom_oracle(rho, xi, n, seed=3) for n in counts]
         assert all(a <= b for a, b in zip(vals, vals[1:]))
 
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_stacked_oracle_calls_equal_per_pair_calls(dim):
+    # every pair of a stack is scored against the same seed's samples, past
+    # the first chunk too, so each value is that of its own call, bit for bit
+    gen = np.random.default_rng(70 + dim)
+    pairs = random_density(dim, gen, size=(6, 2))
+    stacked = helstrom_oracle(pairs[:, 0], pairs[:, 1], _CHUNK + 3, seed=9)
+    assert stacked.shape == (6,)
+    for i in range(6):
+        assert stacked[i] == helstrom_oracle(pairs[i, 0], pairs[i, 1], _CHUNK + 3, seed=9)
+
+    lay = RegisterLayout((Factor("S", 2, ALICE), Factor("E", dim, BOB)))
+    amps = gen.standard_normal((2, 6, 2 * dim)) + 1j * gen.standard_normal((2, 6, 2 * dim))
+    phi, psi = (StateVector(lay, v / np.linalg.norm(v, axis=-1, keepdims=True)) for v in amps)
+    stacked = uhlmann_oracle(phi, psi, ["E"], _CHUNK + 3, seed=9)
+    assert stacked.shape == (6,)
+    for i in range(6):
+        single = uhlmann_oracle(StateVector(lay, phi.amps[i]), StateVector(lay, psi.amps[i]),
+                                ["E"], _CHUNK + 3, seed=9)
+        assert isinstance(single, float) and stacked[i] == single

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wotsim.attacks import _pairs
+from wotsim.attacks import _pairs, delta_quantity, f_quantity
 from wotsim.catalog import build_leaky
 from wotsim.errors import LayoutError, NotPSDError, ShapeError
-from wotsim.protocol import _analyze
+from wotsim.protocol import ReducedFamily, _analyze
 from wotsim.qcore import (
     ALICE,
     BOB,
@@ -439,6 +439,65 @@ def test_fidelity_over_the_widest_support_matches_the_square_roots():
             assert np.abs(fidelity(rho, xi) - reference).max() <= 1e-12
         overlap = np.abs(np.sum(psi[:, 0].conj() * psi[:, 1], axis=-1))
         assert np.abs(fidelity(DensityOp(pure[:, 0]), DensityOp(pure[:, 1])) - overlap).max() <= 1e-12
+
+
+
+# --- states that keep their factor ---------------------------------------------
+
+def _eigh_counter(monkeypatch):
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, _o=np.linalg.eigh: calls.append(1) or _o(*a))
+    return calls
+
+
+def test_random_family_bounds_run_no_eigh(monkeypatch):
+    # random densities are PSD by construction and keep their Gaussian
+    # factor: the bound chain reads the factor, and the trace distances take
+    # eigvalsh, so nothing is eigendecomposed
+    calls = _eigh_counter(monkeypatch)
+    rf = ReducedFamily(random_density(3, np.random.default_rng(29), size=(28, 2, 2, 2)))
+    f, d = f_quantity(rf), delta_quantity(rf)
+    assert calls == []
+    assert np.all(f + d >= 4.0 - TOL_SPECTRAL)
+
+
+def test_factored_state_decomposes_when_eig_is_read(monkeypatch):
+    gen = np.random.default_rng(31)
+    amps = gen.standard_normal((5, 2, 3)) + 1j * gen.standard_normal((5, 2, 3))
+    pure = pure_density(StateVector(RegisterLayout((Factor("Q", 3, ALICE),)),
+                                    amps / np.linalg.norm(amps, axis=-1, keepdims=True)))
+    calls = _eigh_counter(monkeypatch)
+    for rho in (random_density(3, gen, size=(5, 2)), pure):
+        mat = rho.mat
+        assert np.abs(rho.factor @ rho.factor.conj().swapaxes(-1, -2) - mat).max() <= 1e-14
+        before = len(calls)
+        member = rho[2, 1]
+        w, v = rho.eig
+        assert len(calls) == before + 1
+        rho.eig  # kept once computed
+        assert len(calls) == before + 1
+        ref_w, _ = np.linalg.eigh(mat)
+        assert np.abs(w - ref_w).max() <= 1e-12
+        assert np.abs((v * w[..., None, :]) @ v.conj().swapaxes(-1, -2) - mat).max() <= 1e-12
+        # a member read before the stack was decomposed decomposes itself
+        assert np.abs(member.eig[0] - ref_w[2, 1]).max() <= 1e-12
+        assert not w.flags.writeable and not rho.factor.flags.writeable
+
+
+def test_fidelity_of_pure_against_mixed_states_matches_the_square_roots():
+    # a d x 1 factor against a d x d one: the cross product is 1 x d
+    gen = np.random.default_rng(37)
+    for dim in (2, 3, 4):
+        amps = gen.standard_normal((6, dim)) + 1j * gen.standard_normal((6, dim))
+        pure = pure_density(StateVector(RegisterLayout((Factor("Q", dim, ALICE),)),
+                                        amps / np.linalg.norm(amps, axis=-1, keepdims=True)))
+        mixed = random_density(dim, gen, size=6)
+        reference = trace_norm(herm_sqrt(pure) @ herm_sqrt(mixed))
+        for got in (fidelity(pure, mixed), fidelity(mixed, pure)):
+            assert got.shape == (6,)
+            assert np.abs(got - reference).max() <= 1e-12
+        single = fidelity(pure[0], mixed[0])
+        assert isinstance(single, float) and abs(single - reference[0]) <= 1e-12
 
 
 # --- stacks ------------------------------------------------------------------
