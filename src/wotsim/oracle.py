@@ -33,7 +33,8 @@ from .qcore import (DensityOp, StateVector, bipartition_matrix, float_or_array,
                     haar_unitary, hermitian_trace_norm)
 
 # Samples per stacked QR in the measurement and unitary oracles, so their
-# memory stays O(n * _CHUNK * dim^2) for n pairs whatever the sample count.
+# memory stays O(_CHUNK * dim^2 + n * _CHUNK * dim) for n pairs whatever
+# the sample count.
 _CHUNK = 512
 
 
@@ -146,15 +147,16 @@ def helstrom_oracle(rho0: DensityOp, rho1: DensityOp, samples: int, seed: int):
     if samples < 1:
         raise RangeError(f"samples must be >= 1, got {samples}")
     dim = rho0.dim
-    diff = (rho0.mat - rho1.mat)[..., None, :, :]
+    diff = rho0.mat - rho1.mat
     rng = np.random.default_rng(seed)
-    best = np.zeros(diff.shape[:-3])
+    best = np.zeros(diff.shape[:-2])
     for start in range(0, samples, _CHUNK):
         u = haar_unitary(dim, rng, size=min(_CHUNK, samples - start))
         ranks = 1 + (start + np.arange(len(u))) % max(dim - 1, 1)
         # tr(P diff) for P onto the first `rank` columns: the running sum of
-        # the per-column forms <u_k|diff|u_k>, read off at column rank - 1
-        forms = np.real((u.conj() * (diff @ u)).sum(axis=-2))
+        # the per-column forms <u_k|diff|u_k>, read off at column rank - 1;
+        # one contraction, so no (n, samples, dim, dim) product is built
+        forms = np.real(np.einsum("cji,...jk,cki->...ci", u.conj(), diff, u))
         traces = np.cumsum(forms, axis=-1)[..., np.arange(len(u)), ranks - 1]
         best = np.maximum(best, np.abs(traces).max(axis=-1))
     return float_or_array(0.5 + 0.5 * best)

@@ -301,7 +301,7 @@ def suite_oracle(seed: int) -> list[Check]:
     reduced = partial_trace(pure_density(states), lay, ["S"])
     f = fidelity(reduced[:, 0], reduced[:, 1])
     # the best of 500 unitaries fell 0.054 short on 2 of 4650 seeds; of 1000,
-    # at most 0.0374 over the 2000 derived seeds of tools/seed_sweep.py --seeds 1-10
+    # at most 0.0374 over the 3000 derived seeds of tools/seed_sweep.py --seeds 1-10
     phi, psi = (StateVector(lay, states.amps[:, j]) for j in (0, 1))
     best = oracle.uhlmann_oracle(phi, psi, ["E"], 1000, int(rng.integers(2**31)))
     checks.append(_check("uhlmann_oracle_brackets", [f - best], lo=-TOL_SPECTRAL, hi=0.05))
@@ -323,18 +323,13 @@ SUITES: tuple[tuple[str, Callable[[int], list[Check]]], ...] = (
 )
 
 
-def run_checks(seed: int) -> list[tuple[str, list[Check]]]:
-    """Every suite's checks at ``seed``, in ``SUITES`` order, with the
-    suite's name."""
-    return [(name, fn(seed)) for name, fn in SUITES]
-
-
 def run_all(seed: int) -> tuple[list[str], bool]:
     """Run every suite; returns the report lines, one ``FAIL`` line per
     failing check, and the overall verdict."""
     lines = []
     all_ok = True
-    for name, checks in run_checks(seed):
+    for name, fn in SUITES:
+        checks = fn(seed)
         bad = [c for c in checks if not c.ok]
         all_ok &= not bad
         lines += [f"FAIL {name}: {c.name}" + (f" ({c.detail})" if c.detail else "") for c in bad]

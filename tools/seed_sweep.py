@@ -1,14 +1,14 @@
 """Verify over many derived seeds: the worst range of every check.
 
-    python3 tools/seed_sweep.py --seeds 1-10 [--per-seed 200]
+    python3 tools/seed_sweep.py --seeds 1-10
 
 For each seed ``s`` of ``--seeds`` (the syntax of ``perfbench/spread.py``)
-and each ``k < --per-seed`` it runs every verify suite at the derived seed
+and each ``k < PER_SEED`` it runs every verify suite at the derived seed
 ``(s * 1000003 + k) mod 2**31``, the seeds that the benchmark's ``verify``
-workload runs in that order (200 per seed cover a 30 s run).  It prints
-each ``FAIL`` line with its derived seed as it occurs, then, per check, the
-lowest and highest value it measured over all derived seeds and how many
-of them it failed at.  The exit code is 1 if any check failed, else 0.
+workload runs in that order.  It prints each ``FAIL`` line with its
+derived seed as it occurs, then, per check, the lowest and highest value
+it measured over all derived seeds and how many of them it failed at.
+The exit code is 1 if any check failed, else 0.
 """
 
 from __future__ import annotations
@@ -27,14 +27,20 @@ from spread import parse_seeds  # noqa: E402
 from wotsim import verification  # noqa: E402
 
 
-def derived_seeds(seeds: list[int], per_seed: int) -> list[int]:
-    return [(s * 1_000_003 + k) % 2**31 for s in seeds for k in range(per_seed)]
+# Derived seeds per seed: a 30 s verify run of the benchmark attempted at
+# most 224 operations on a 2-CPU Xeon at about 140 ms each
+# (BENCH_stacked_oracles_factored_states.json), so 300 leave a third more
+# for faster hosts.
+PER_SEED = 300
+
+
+def derived_seeds(seeds: list[int]) -> list[int]:
+    return [(s * 1_000_003 + k) % 2**31 for s in seeds for k in range(PER_SEED)]
 
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--seeds", default="1-10")
-    p.add_argument("--per-seed", type=int, default=200)
     args = p.parse_args(argv)
 
     start = time.monotonic()
@@ -43,10 +49,10 @@ def main(argv=None) -> int:
     # a NaN, which also fails its check
     failures: dict[tuple[str, str], int] = {}
     spans: dict[tuple[str, str], tuple[float, float]] = {}
-    derived = derived_seeds(parse_seeds(args.seeds), args.per_seed)
+    derived = derived_seeds(parse_seeds(args.seeds))
     for seed in derived:
-        for suite, checks in verification.run_checks(seed):
-            for c in checks:
+        for suite, fn in verification.SUITES:
+            for c in fn(seed):
                 key = (suite, c.name)
                 failures[key] = failures.get(key, 0) + (not c.ok)
                 if c.span is not None:
