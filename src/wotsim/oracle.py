@@ -31,6 +31,7 @@ from .errors import MAX_SWEEP_SIZE, RangeError, ShapeError
 from .protocol import _final_sectors
 from .qcore import (DensityOp, StateVector, bipartition_matrix, float_or_array,
                     haar_unitary, hermitian_trace_norm)
+from .tradeoff import _check_delta
 
 # Samples per stacked QR in the measurement and unitary oracles, so their
 # memory stays O(_CHUNK * dim^2 + n * _CHUNK * dim) for n pairs whatever
@@ -116,8 +117,7 @@ def cks_alice_oracle(delta: float, grid: int) -> float:
     the check of P(x0), which only a faulty success function can cause
     (the honest preparation always passes it).
     """
-    if not 0.0 <= delta <= 0.5:
-        raise RangeError(f"delta must be in [0, 1/2], got {delta}")
+    _check_delta(delta)
     if not 50 <= grid <= MAX_SWEEP_SIZE:
         raise RangeError(f"grid must be in [50, {MAX_SWEEP_SIZE}], got {grid}")
     alphas, gammas = _candidate_weights(delta, grid)

@@ -44,6 +44,7 @@ from .qcore import (
     bipartition_matrix,
     dagger,
     float_or_array,
+    hermitize,
     trace_norm,
 )
 
@@ -312,31 +313,25 @@ def run_purified(spec: ProtocolSpec, a: int) -> StateVector:
 
 
 def reduce_alice(fs: FinalStates) -> ReducedFamily:
-    """Alice's reduced state for each of the eight honest runs: M M^dagger,
-    where M holds the amplitudes as an (Alice, rest) matrix.  All eight are
-    formed, validated and decomposed as one stack."""
-    return ReducedFamily(DensityOp.from_amplitudes(bipartition_matrix(fs.stack, fs.bob_factors)))
+    """Alice's reduced states of the eight honest runs as one stack: M M†
+    for the (Alice, rest) amplitude matrices M, which the states keep as
+    their factor, so none is decomposed."""
+    m = bipartition_matrix(fs.stack, fs.bob_factors)
+    return ReducedFamily(DensityOp._factored(hermitize(m @ dagger(m)), m))
 
 
 def _support_bases(rf: ReducedFamily) -> np.ndarray:
     """Orthonormal bases of the spans of the supports of Alice's two states
     with x_a = v, indexed ``[..., a, v, :, :]``, as columns, zero columns
-    where a basis is narrower than the widest one.  Eigenvectors with
-    eigenvalue at most ``TOL_SPECTRAL`` are zeroed, not dropped, which leaves
-    each span unchanged, so the stack's stored ``eig`` and one batched SVD
-    give all four."""
-    w, v = rf.states.eig
-    keep = w > TOL_SPECTRAL
-    # eigenvalues ascend, so the kept ones trail: the columns zero in every
-    # member are dropped, and the SVD is only as wide as the largest support
-    rank = int(np.count_nonzero(keep, axis=-1).max())
-    kept = (v * keep[..., None, :])[..., -rank:]
+    where a basis is narrower than the widest one: the left singular
+    vectors of the two factors side by side, [F_0 F_1], with s² (the
+    eigenvalues of the sum of the two states) above ``TOL_SPECTRAL``."""
+    f = rf.states.factor
     # [..., a, x0, x1] -> [..., a, v, other bit]
-    grouped = np.stack([kept[..., 0, :, :, :, :], kept[..., 1, :, :, :, :].swapaxes(-3, -4)],
-                       axis=-5)
+    grouped = np.stack([f[..., 0, :, :, :, :], f[..., 1, :, :, :, :].swapaxes(-3, -4)], axis=-5)
     q, s, _ = np.linalg.svd(np.concatenate([grouped[..., 0, :, :], grouped[..., 1, :, :]],
                                            axis=-1), full_matrices=False)
-    return q * (s > TOL_SPECTRAL)[..., None, :]
+    return q * (s * s > TOL_SPECTRAL)[..., None, :]
 
 
 def support_projectors(rf: ReducedFamily) -> np.ndarray:

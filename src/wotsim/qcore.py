@@ -7,10 +7,11 @@ digit, so ``amps.reshape(layout.dims)`` recovers the tensor form.
 
 Density matrices, measurements and the functionals of them take stacks:
 an array of shape ``(..., d, d)`` is a batch of ``d x d`` matrices over its
-leading axes.  Every check runs once over the whole batch, and a density
-stack is decomposed at most once: when it is validated, or, for the states
-``random_density`` and ``pure_density`` build with a factor F (``rho = F
-F†``, PSD by construction), only when its spectrum is read.  A single
+leading axes.  Every check runs once over the whole batch.  A density stack
+carries a factor F with ``rho = F F†``: the one it was formed from
+(``random_density``, ``pure_density``, Alice's reduced states in
+``protocol``: PSD by construction, and not decomposed), or the root factor
+of the ``eigh`` that validates a matrix given to the constructor.  A single
 matrix is the ``n = 1`` case; functionals return a Python float for it, an
 array for a stack.
 
@@ -179,15 +180,18 @@ def _check_unit_trace(mat: np.ndarray) -> None:
 class DensityOp:
     """A density operator, or a stack of them of shape ``(..., d, d)``:
     Hermitian, PSD up to roundoff, unit trace.  Each check runs once over
-    the whole stack and fails if any member fails it.  ``eig`` is the
-    read-only ``(w, v)`` of the stack's ``eigh``, eigenvalues ascending: the
-    one the PSD check runs, the SVD's in :meth:`from_amplitudes`, or, for a
-    state that keeps its ``factor``, one computed when ``eig`` is first read.
-    ``factor``, when set, is a read-only ``(..., d, k)`` stack F with
-    ``mat = F F†`` up to roundoff; such a state is PSD by construction."""
+    the whole stack and fails if any member fails it.
+
+    ``factor`` is a read-only ``(..., d, k)`` stack F with ``mat = F F†`` up
+    to roundoff, which every functional that needs a square root reads: the
+    F a state formed as F F† was given (:meth:`_factored`), or the root
+    factor of the ``eigh`` the constructor's PSD check runs, without the
+    columns zero in every member.  ``eig`` is the read-only ``(w, v)`` of
+    the stack's ``eigh``, eigenvalues ascending: the PSD check's, or one
+    computed when ``eig`` is first read."""
 
     mat: np.ndarray
-    factor: np.ndarray | None = field(default=None, init=False, repr=False)
+    factor: np.ndarray = field(init=False, repr=False)
     _eig: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -199,24 +203,10 @@ class DensityOp:
         w, v = np.linalg.eigh(hermitize(mat))
         if w.min() < -TOL_SPECTRAL:
             raise NotPSDError(f"density operator has eigenvalue {w.min()}")
-        self._set(mat, (w, v))
-
-    @classmethod
-    def from_amplitudes(cls, m: CMat) -> "DensityOp":
-        """M M† for each ``(d, k)`` amplitude matrix M of a stack: the
-        reduced states of pure states, PSD by construction.  When k <= d/2
-        the SVD M = U S V† gives ``eig`` (U and S², zero-padded, ascending),
-        cheaper than ``eigh`` of M M†; otherwise the constructor runs."""
-        m = np.asarray(m)
-        mat = hermitize(m @ dagger(m))
-        if 2 * m.shape[-1] > m.shape[-2]:
-            return cls(mat)
-        u, s, _ = np.linalg.svd(m)
-        w = np.zeros(m.shape[:-1])
-        w[..., :s.shape[-1]] = s * s
-        mat = _frozen(mat, "density operator")
-        _check_unit_trace(mat)
-        return cls._built(mat, eig=(w[..., ::-1], u[..., ::-1]))
+        root = _root_factor(w, v)
+        # eigenvalues ascend, so the zeroed columns lead
+        rank = np.count_nonzero(root.any(axis=-2), axis=-1).max()
+        self._set(mat, root[..., -rank:], (w, v))
 
     @classmethod
     def _factored(cls, mat: CMat, factor: CMat) -> "DensityOp":
@@ -227,26 +217,20 @@ class DensityOp:
         mat = _frozen(mat, "density operator")
         _check_square(mat, "density operator")
         _check_unit_trace(mat)
-        return cls._built(mat, factor=factor)
+        return object.__new__(cls)._set(mat, factor)
 
-    @classmethod
-    def _built(cls, mat, eig=None, factor=None) -> "DensityOp":
-        rho = object.__new__(cls)
-        rho._set(mat, eig, factor)
-        return rho
-
-    def _set(self, mat: np.ndarray, eig=None, factor=None) -> None:
-        for part in (*(eig or ()), factor):
-            if part is not None:
-                part.flags.writeable = False
+    def _set(self, mat: np.ndarray, factor: np.ndarray, eig=None) -> "DensityOp":
+        for part in (factor, *(eig or ())):
+            part.flags.writeable = False
         object.__setattr__(self, "mat", mat)
-        object.__setattr__(self, "_eig", eig)
         object.__setattr__(self, "factor", factor)
+        object.__setattr__(self, "_eig", eig)
+        return self
 
     @property
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
         if self._eig is None:
-            self._set(self.mat, tuple(np.linalg.eigh(hermitize(self.mat))), self.factor)
+            self._set(self.mat, self.factor, tuple(np.linalg.eigh(hermitize(self.mat))))
         return self._eig
 
     @property
@@ -255,13 +239,12 @@ class DensityOp:
 
     def __getitem__(self, index) -> "DensityOp":
         """The members at ``index``, which indexes the leading axes only (the
-        two matrix axes are kept whole), with their part of ``eig`` and of
-        ``factor``, where set: they were checked, and decomposed if ``eig``
-        was read, as part of this stack, not again."""
+        two matrix axes are kept whole), with their part of ``factor`` and
+        of ``eig``, if it was read: they were checked, and decomposed if
+        ``eig`` was read, as part of this stack, not again."""
         index = (*np.index_exp[index], slice(None), slice(None))
         eig = None if self._eig is None else (self._eig[0][index[:-1]], self._eig[1][index])
-        factor = None if self.factor is None else self.factor[index]
-        return DensityOp._built(self.mat[index], eig, factor)
+        return object.__new__(DensityOp)._set(self.mat[index], self.factor[index], eig)
 
 
 @dataclass(frozen=True, eq=False)
@@ -378,12 +361,11 @@ def helstrom(rho: DensityOp, xi: DensityOp) -> tuple[TwoOutcomeMeasurement, floa
     return meas, float_or_array(success)
 
 
-def _root_factor(rho: DensityOp) -> CMat:
-    """F = V sqrt(W) from the stored ``eig``, so that sqrt(rho) = F V†.
-    Eigenvalues at or below ``d * eps`` times a member's largest one are set
-    to zero: they are roundoff, and their square roots (about 1e-8) would
-    otherwise reach the fidelity of rank-deficient states."""
-    w, v = rho.eig
+def _root_factor(w: np.ndarray, v: np.ndarray) -> CMat:
+    """F = V sqrt(W) from an ascending ``eigh`` (w, v), so that sqrt(rho) =
+    F V†.  Eigenvalues at or below ``d * eps`` times a member's largest one
+    are roundoff and set to zero, as are negative ones: their square roots
+    would otherwise reach the fidelity of rank-deficient states."""
     w = np.where(w > w.shape[-1] * np.finfo(float).eps * w[..., -1:], w, 0.0)
     return v * np.sqrt(w)[..., None, :]
 
@@ -391,23 +373,15 @@ def _root_factor(rho: DensityOp) -> CMat:
 def herm_sqrt(rho: DensityOp) -> CMat:
     """Hermitian PSD square root of a density operator, or of each member
     of a stack, from its ``eig``, roundoff eigenvalues zeroed."""
-    return _root_factor(rho) @ dagger(rho.eig[1])
+    return _root_factor(*rho.eig) @ dagger(rho.eig[1])
 
 
 def fidelity(rho: DensityOp, xi: DensityOp):
-    """Fidelity ||sqrt(rho) sqrt(xi)||_1, in [0, 1].
-
-    The trace norm is unitarily invariant, so it is taken of F_rho† F_xi
-    for any factors with rho = F_rho F_rho†: a state's stored ``factor``
-    (d x 1 for a pure state), otherwise the root factor of
-    :func:`herm_sqrt`.  The two may differ in width.  A root factor counts
-    only its trailing columns that are nonzero in some member (the
-    eigenvalues ascend, and a zeroed one adds nothing): 1 x 1 for two
-    stacks of decomposed pure states."""
+    """Fidelity ||sqrt(rho) sqrt(xi)||_1, in [0, 1]: the trace norm, which is
+    unitarily invariant, of the cross product F_rho† F_xi of the two states'
+    factors, whatever their widths (1 x d for d x 1 against d x d)."""
     _check_dims(rho, xi)
-    a, b = (_root_factor(r) if r.factor is None else r.factor for r in (rho, xi))
-    rank = max(int(np.count_nonzero(f.any(axis=-2), axis=-1).max()) for f in (a, b))
-    cross = dagger(a[..., -rank:]) @ b[..., -rank:]
+    cross = dagger(rho.factor) @ xi.factor
     return float_or_array(np.linalg.svd(cross, compute_uv=False).sum(axis=-1))
 
 

@@ -61,36 +61,38 @@ def verify_seed_7_process():
     return proc.returncode, proc.stdout, proc.stderr
 
 
-def build_cks_with_bob_register() -> ProtocolSpec:
-    """The qutrit protocol with a Bob-held qubit recording x0 xor x1.
+def build_cks_with_bob_register(dim: int = 2) -> ProtocolSpec:
+    """The qutrit protocol with a Bob-held register of the given dim
+    recording x0 + x1 (mod dim); with a qubit, x0 xor x1.
 
-    Alice's view is unchanged (the qubit stays in a basis state), so all
+    Alice's view is unchanged (the register stays in a basis state), so all
     bounds match the plain qutrit protocol, but Bob ends the protocol
     holding a register entangled with his inputs in the purified run.
-    This exercises the nontrivial Uhlmann-block machinery.
+    This exercises the nontrivial Uhlmann-block machinery.  With dim 16
+    Alice's reduced states have 9 x 16 amplitude matrices, wider than tall.
     """
     layout = RegisterLayout((
         Factor("A", 3, ALICE),
         Factor("M", 3, MESSAGE),
-        Factor("B", 2, BOB),
+        Factor("B", dim, BOB),
         Factor("X0", 2, BOB_INPUT),
         Factor("X1", 2, BOB_INPUT),
     ))
     base = build_cks()
-    # |m, b, x0, x1> -> phase(m, x0, x1) |m, b + x0 + x1 mod 2, x0, x1>
-    dim = 24
-    u = np.zeros((dim, dim), dtype=complex)
+    # |m, b, x0, x1> -> phase(m, x0, x1) |m, b + x0 + x1 mod dim, x0, x1>
+    size = 12 * dim
+    u = np.zeros((size, size), dtype=complex)
     phases = {0: lambda x0, x1: (-1.0) ** x0, 1: lambda x0, x1: (-1.0) ** x1,
               2: lambda x0, x1: 1.0}
     for m in range(3):
-        for b in (0, 1):
+        for b in range(dim):
             for x0 in (0, 1):
                 for x1 in (0, 1):
-                    col = ((m * 2 + b) * 2 + x0) * 2 + x1
-                    row = ((m * 2 + (b ^ x0 ^ x1)) * 2 + x0) * 2 + x1
+                    col = ((m * dim + b) * 2 + x0) * 2 + x1
+                    row = ((m * dim + (b + x0 + x1) % dim) * 2 + x0) * 2 + x1
                     u[row, col] = phases[m](x0, x1)
     return ProtocolSpec(
-        name="cks-with-bob-register",
+        name="cks-with-bob-register" + ("" if dim == 2 else f"-{dim}"),
         layout=layout,
         alice_prep=base.alice_prep,
         rounds=(Round(ALICE, np.eye(9, dtype=complex), send=True),

@@ -44,7 +44,9 @@ from wotsim.qcore import (
     StateVector,
     embed_operator,
     fidelity,
+    herm_sqrt,
     random_density,
+    trace_norm,
     uhlmann_unitary,
 )
 
@@ -324,13 +326,14 @@ def test_cheat_report_executes_the_protocol_in_one_batched_pass(monkeypatch):
 
 
 def test_cheat_report_decomposes_the_reduced_states_once(monkeypatch):
-    # Alice's eight reduced states are decomposed once, by the SVD of their
-    # amplitude matrices (9 x 1: the states are pure); the support
-    # projectors and every fidelity read that spectrum, on one spec and on
-    # a family alike.  The Helstrom quantity takes one eigvalsh of the four
-    # differences; the other four SVDs are the support basis, the support
-    # overlap, the fidelity cross products and the Uhlmann blocks
-    specs = (build_cks(), random_complete_protocol(np.arange(3)))
+    # Alice's eight reduced states keep their amplitude matrices as factors
+    # and are never eigendecomposed, on one spec, on a family and on a
+    # register wider than Alice's space (9 x 16 factors) alike.  The
+    # Helstrom quantity takes one eigvalsh of the four differences; the four
+    # SVDs are the support basis, the support overlap, the fidelity cross
+    # products and the Uhlmann blocks
+    specs = (build_cks(), random_complete_protocol(np.arange(3)),
+             build_cks_with_bob_register(16))
     members = random_density(3, np.random.default_rng(0), size=2)
     calls = {"eigh": 0, "eigvalsh": 0, "svd": 0}
     for name in calls:
@@ -341,10 +344,23 @@ def test_cheat_report_decomposes_the_reduced_states_once(monkeypatch):
     for spec in specs:
         calls.update(eigh=0, eigvalsh=0, svd=0)
         cheat_report(spec)
-        assert calls == {"eigh": 0, "eigvalsh": 1, "svd": 5}
+        assert calls == {"eigh": 0, "eigvalsh": 1, "svd": 4}, spec.name
     calls.update(eigh=0, eigvalsh=0, svd=0)
     fidelity(members[0], members[1])
     assert calls == {"eigh": 0, "eigvalsh": 0, "svd": 1}
+
+
+def test_f_quantity_matches_the_square_roots_on_every_spec():
+    # f reads the same amplitude matrices as the Uhlmann blocks, so it is
+    # checked against a second kernel: ||sqrt(rho) sqrt(xi)||_1 from eigh
+    specs = (build_cks(), build_trivial(), build_leaky(0.3), build_leaky(np.pi / 4),
+             build_mixture(0.25), random_complete_protocol(np.arange(10)),
+             build_cks_with_bob_register(), build_cks_with_bob_register(16))
+    for spec in specs:
+        rf = protocol._analyze(spec).reduced
+        rho, xi = attacks._pairs(rf)
+        reference = trace_norm(herm_sqrt(rho) @ herm_sqrt(xi)).sum(axis=-1)
+        assert np.abs(f_quantity(rf) - reference).max() <= 1e-12, spec.name
 
 
 def test_family_report_compares_and_hashes():

@@ -64,8 +64,8 @@ def test_leaky_protocol_matches_closed_form(theta):
     sin, cos = np.sin(theta), np.cos(theta)
     assert abs(rep.delta - 4.0 * sin) <= 1e-12
     assert abs(rep.alice_bound - (0.5 + sin / 2.0)) <= 1e-12
-    # f passes through herm_sqrt of states that are rank-deficient at
-    # theta = pi/2, so this also pins that roundoff eigenvalues are zeroed
+    # the states are rank-deficient at theta = pi/2, so this also pins that
+    # f picks up no roundoff from the directions outside their supports
     assert abs(rep.f - 4.0 * cos) <= 1e-12
     assert abs(rep.bob_bound - (0.5 + cos / 4.0)) <= 1e-12
     assert abs(rep.theorem1_lhs - (1.5 + (sin + cos) / 2.0)) <= 1e-12

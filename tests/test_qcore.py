@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from wotsim.attacks import _pairs, delta_quantity, f_quantity
 from wotsim.catalog import build_leaky
 from wotsim.errors import LayoutError, NotPSDError, ShapeError
-from wotsim.protocol import ReducedFamily, _analyze
+from wotsim.protocol import FinalStates, ReducedFamily, _analyze, reduce_alice
 from wotsim.qcore import (
     ALICE,
     BOB,
@@ -403,24 +403,64 @@ def test_hermitian_trace_norm_matches_the_svd():
         hermitian_trace_norm(np.ones((2, 3)))
 
 
+def _final_states(m: np.ndarray) -> FinalStates:
+    """Final states on Alice's 9-dim factor and a k-dim rest whose (Alice,
+    rest) amplitude matrices are the normalized ``(..., 2, 2, 2, 9, k)``
+    stack ``m``."""
+    k = m.shape[-1]
+    factors = (Factor("A", 9, ALICE),) + ((Factor("R", k, BOB),) if k > 1 else ())
+    amps = m / np.linalg.norm(m, axis=(-2, -1), keepdims=True)
+    return FinalStates(StateVector(RegisterLayout(factors), amps.reshape(amps.shape[:-2] + (-1,))),
+                       frozenset({"A"}))
+
+
 @pytest.mark.parametrize("k", range(1, 10))
 def test_density_from_amplitudes_matches_the_eigh_route(k, monkeypatch):
-    # 9 x k amplitude matrices: the SVD route for k <= 4, the constructor
-    # (eigh) beyond; either way the matrix is M M† and eig its ascending
-    # spectrum with an orthonormal eigenbasis
-    z = np.random.default_rng(k).standard_normal((2, 6, 9, k))
-    m = z[0] + 1j * z[1]
-    m /= np.linalg.norm(m, axis=(-2, -1), keepdims=True)
-    calls = []
-    monkeypatch.setattr(np.linalg, "eigh", lambda *a, _o=np.linalg.eigh: calls.append(1) or _o(*a))
-    rho = DensityOp.from_amplitudes(m)
-    assert len(calls) == (0 if 2 * k <= 9 else 1)
-    assert np.array_equal(rho.mat, DensityOp(hermitize(m @ m.conj().swapaxes(-1, -2))).mat)
+    # 9 x k amplitude matrices, narrower or wider than tall: the reduced
+    # states are M M† and keep M as their factor, with no eigh at
+    # construction; eig, when read, is their ascending spectrum with an
+    # orthonormal eigenbasis
+    z = np.random.default_rng(k).standard_normal((2, 3, 2, 2, 2, 9, k))
+    fs = _final_states(z[0] + 1j * z[1])
+    m = bipartition_matrix(fs.stack, fs.bob_factors)
+    calls = _eigh_counter(monkeypatch)
+    rho = reduce_alice(fs).states
+    assert calls == []
+    assert np.array_equal(rho.mat, hermitize(m @ m.conj().swapaxes(-1, -2)))
+    assert np.array_equal(rho.factor, m)
     w, v = rho.eig
+    assert len(calls) == 1
     assert np.all(np.diff(w, axis=-1) >= 0)
     assert np.abs(w - np.linalg.eigvalsh(rho.mat)).max() <= 1e-12
     assert np.abs(v.conj().swapaxes(-1, -2) @ v - np.eye(9)).max() <= 1e-12
     assert np.abs((v * w[..., None, :]) @ v.conj().swapaxes(-1, -2) - rho.mat).max() <= 1e-12
+
+
+def test_every_density_route_keeps_a_factor():
+    # rho = F F† for a read-only F, whichever way the stack was built
+    gen = np.random.default_rng(41)
+    z = gen.standard_normal((2, 4, 3, 2))
+    low_rank = z[0] + 1j * z[1]
+    low_rank = low_rank @ low_rank.conj().swapaxes(-1, -2)
+    low_rank /= np.trace(low_rank, axis1=-2, axis2=-1)[:, None, None]
+    amps = gen.standard_normal((5, 4)) + 1j * gen.standard_normal((5, 4))
+    sv = StateVector(qubit_pair_layout(), amps / np.linalg.norm(amps, axis=-1, keepdims=True))
+    z = gen.standard_normal((2, 2, 2, 2, 9, 4))
+    states = {
+        "constructor": DensityOp(hermitize(low_rank)),
+        "partial_trace": partial_trace(pure_density(sv), qubit_pair_layout(), ["L"]),
+        "random_density": random_density(3, gen, size=(2, 3)),
+        "pure_density": pure_density(sv),
+        "reduce_alice": reduce_alice(_final_states(z[0] + 1j * z[1])).states,
+    }
+    states["indexing"] = states["constructor"][2]
+    for route, rho in states.items():
+        f = rho.factor
+        assert f.shape[:-1] == rho.mat.shape[:-1], route
+        assert np.abs(f @ f.conj().swapaxes(-1, -2) - rho.mat).max() <= 1e-12, route
+        assert not f.flags.writeable, route
+    # the constructor drops the columns of the zeroed roundoff eigenvalues
+    assert states["constructor"].factor.shape == (4, 3, 2)
 
 
 def test_fidelity_over_the_widest_support_matches_the_square_roots():
