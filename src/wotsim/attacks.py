@@ -166,12 +166,12 @@ def _purified_success(an: _Analysis) -> np.ndarray:
     """Bob's success probabilities ``[..., s]`` for register choice s = 0
     and s = 1, from the purified runs of both preparations as one stack.  Sector
     ``(x0, x1)`` of a purified run is the honest state scaled by 1/2, so
-    the honest amplitude matrices serve for both."""
+    the honest amplitude matrices, the reduced states' factor, serve for both."""
     if not np.all(an.completeness.passed):
         raise CompletenessError(
             "purified attack needs a complete protocol: " + "; ".join(an.completeness.failures)
         )
-    t = _by_register(bipartition_matrix(an.final.stack, an.final.bob_factors))
+    t = _by_register(an.reduced.states.factor)
     # [..., a, s, x_s, x_other, alice, bob]: the x_s = 1 sectors realigned,
     # then projected with the x_s = 0 ones on |+>, a factor 2**-0.5 on top of 1/2
     blocks = _realignment_blocks(t)[..., None, :, :, :, :].swapaxes(-1, -2)

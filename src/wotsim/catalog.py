@@ -273,6 +273,8 @@ def random_complete_protocol(seed) -> ProtocolSpec:
     rng, 2)`` would, and one QR orthonormalises the whole family.
     """
     base, seeds = _cks(), np.asarray(seed)
+    if seeds.size == 0:
+        raise RangeError("random_complete_protocol needs at least one seed")
     normals = [np.random.default_rng(s).standard_normal((2, 2, 3, 3)) for s in seeds.ravel()]
     rots = haar_orthonormalize(np.stack(normals))
     r_alice, r_msg = np.moveaxis(rots.reshape(seeds.shape + (2, 3, 3)), -3, 0)

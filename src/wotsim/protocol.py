@@ -165,8 +165,9 @@ class ProtocolSpec:
             raise SpecError("alice_prep and alice_output need one entry per choice bit")
         leads = {np.shape(m)[:-2] for m in (*self.alice_prep, *(r.unitary for r in self.rounds),
                                             *(m.pos for m in self.alice_output))} - {()}
-        if len(leads) > 1 or any(len(lead) != 1 for lead in leads):
-            raise SpecError(f"matrices may share one leading family axis, got {sorted(leads)}")
+        if len(leads) > 1 or any(len(lead) != 1 or lead == (0,) for lead in leads):
+            raise SpecError(
+                f"matrices may share one nonempty leading family axis, got {sorted(leads)}")
         lead, k = (leads.pop() if leads else ()), len(lay.dims)
         held = held_factors(lay, ALICE, True)
         d_prep = lay.subset_dim(held)
@@ -334,13 +335,6 @@ def _support_bases(rf: ReducedFamily) -> np.ndarray:
     return q * (s * s > TOL_SPECTRAL)[..., None, :]
 
 
-def support_projectors(rf: ReducedFamily) -> np.ndarray:
-    """Projectors onto the span of the supports of Alice's two states with
-    x_a = v, indexed ``[a, v]``: B B† for the bases of :func:`_support_bases`."""
-    basis = _support_bases(rf)
-    return basis @ dagger(basis)
-
-
 def _completeness(spec: ProtocolSpec, rf: ReducedFamily) -> CompletenessReport:
     # ||P0 P1||_1 = ||B0† B1||_1 for orthonormal bases B: a product as wide
     # as the bases (2 x 2 for cks), not one of d x d projectors
@@ -370,9 +364,9 @@ def _completeness(spec: ProtocolSpec, rf: ReducedFamily) -> CompletenessReport:
 @dataclass(frozen=True, eq=False)
 class _Analysis:
     """One pass over a protocol: everything the bounds, both attacks and the
-    completeness check read, each computed once."""
+    completeness check read, each computed once; the amplitude matrices of
+    the final states are the factor of the reduced states."""
 
-    final: FinalStates
     reduced: ReducedFamily
     completeness: CompletenessReport
 
@@ -397,19 +391,18 @@ def _final_sectors(spec: ProtocolSpec, prepared: np.ndarray | None = None) -> np
     return sectors / norms[..., None]
 
 
-def _analyze(spec: ProtocolSpec) -> _Analysis:
-    """The one place a protocol is analysed: one pass runs both purified
-    runs."""
-    fs = FinalStates(StateVector(spec._plan.rest, _final_sectors(spec)),
-                     frozenset(spec.alice_end_factors))
-    rf = reduce_alice(fs)
-    return _Analysis(fs, rf, _completeness(spec, rf))
-
-
 def all_final_states(spec: ProtocolSpec) -> FinalStates:
     """All eight honest final states of a protocol, read off its purified
     runs."""
-    return _analyze(spec).final
+    return FinalStates(StateVector(spec._plan.rest, _final_sectors(spec)),
+                       frozenset(spec.alice_end_factors))
+
+
+def _analyze(spec: ProtocolSpec) -> _Analysis:
+    """The one place a protocol is analysed: one pass runs both purified
+    runs."""
+    rf = reduce_alice(all_final_states(spec))
+    return _Analysis(rf, _completeness(spec, rf))
 
 
 def validate_completeness(spec: ProtocolSpec) -> CompletenessReport:

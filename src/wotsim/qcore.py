@@ -8,12 +8,13 @@ digit, so ``amps.reshape(layout.dims)`` recovers the tensor form.
 Density matrices, measurements and the functionals of them take stacks:
 an array of shape ``(..., d, d)`` is a batch of ``d x d`` matrices over its
 leading axes.  Every check runs once over the whole batch.  A density stack
-carries a factor F with ``rho = F F†``: the one it was formed from
-(``random_density``, ``pure_density``, Alice's reduced states in
-``protocol``: PSD by construction, and not decomposed), or the root factor
-of the ``eigh`` that validates a matrix given to the constructor.  A single
-matrix is the ``n = 1`` case; functionals return a Python float for it, an
-array for a stack.
+is two read-only arrays, both set when it is built: its matrix and a factor
+F with ``rho = F F†``, the one it was formed from (``random_density``,
+``pure_density``, Alice's reduced states in ``protocol``: PSD by
+construction, and not decomposed), or the root factor of the ``eigh`` that
+validates a matrix given to the constructor.  A single matrix is the
+``n = 1`` case; functionals return a Python float for it, an array for a
+stack.
 
 Trace norms take one of two kernels.  ``hermitian_trace_norm`` sums the
 absolute eigenvalues (``eigvalsh``) of a Hermitian input and serves every
@@ -182,17 +183,15 @@ class DensityOp:
     Hermitian, PSD up to roundoff, unit trace.  Each check runs once over
     the whole stack and fails if any member fails it.
 
-    ``factor`` is a read-only ``(..., d, k)`` stack F with ``mat = F F†`` up
+    ``mat`` and ``factor`` are both read-only and both set when the stack is
+    built.  ``factor`` is a ``(..., d, k)`` stack F with ``mat = F F†`` up
     to roundoff, which every functional that needs a square root reads: the
     F a state formed as F F† was given (:meth:`_factored`), or the root
     factor of the ``eigh`` the constructor's PSD check runs, without the
-    columns zero in every member.  ``eig`` is the read-only ``(w, v)`` of
-    the stack's ``eigh``, eigenvalues ascending: the PSD check's, or one
-    computed when ``eig`` is first read."""
+    columns zero in every member."""
 
     mat: np.ndarray
     factor: np.ndarray = field(init=False, repr=False)
-    _eig: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         mat = _frozen(np.atleast_2d(np.asarray(self.mat)), "density operator")
@@ -206,32 +205,24 @@ class DensityOp:
         root = _root_factor(w, v)
         # eigenvalues ascend, so the zeroed columns lead
         rank = np.count_nonzero(root.any(axis=-2), axis=-1).max()
-        self._set(mat, root[..., -rank:], (w, v))
+        self._set(mat, root[..., -rank:])
 
     @classmethod
     def _factored(cls, mat: CMat, factor: CMat) -> "DensityOp":
         """The state ``mat``, which the caller formed as F F† (up to
         roundoff, and Hermitian) from the stack of factors F it keeps: PSD
         by construction, so only finiteness and the trace are checked, and
-        nothing is decomposed until ``eig`` is read."""
+        nothing is decomposed."""
         mat = _frozen(mat, "density operator")
         _check_square(mat, "density operator")
         _check_unit_trace(mat)
         return object.__new__(cls)._set(mat, factor)
 
-    def _set(self, mat: np.ndarray, factor: np.ndarray, eig=None) -> "DensityOp":
-        for part in (factor, *(eig or ())):
-            part.flags.writeable = False
+    def _set(self, mat: np.ndarray, factor: np.ndarray) -> "DensityOp":
+        factor.flags.writeable = False
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "factor", factor)
-        object.__setattr__(self, "_eig", eig)
         return self
-
-    @property
-    def eig(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._eig is None:
-            self._set(self.mat, self.factor, tuple(np.linalg.eigh(hermitize(self.mat))))
-        return self._eig
 
     @property
     def dim(self) -> int:
@@ -239,12 +230,10 @@ class DensityOp:
 
     def __getitem__(self, index) -> "DensityOp":
         """The members at ``index``, which indexes the leading axes only (the
-        two matrix axes are kept whole), with their part of ``factor`` and
-        of ``eig``, if it was read: they were checked, and decomposed if
-        ``eig`` was read, as part of this stack, not again."""
+        two matrix axes are kept whole), with their part of ``factor``: they
+        were checked as part of this stack, not again."""
         index = (*np.index_exp[index], slice(None), slice(None))
-        eig = None if self._eig is None else (self._eig[0][index[:-1]], self._eig[1][index])
-        return object.__new__(DensityOp)._set(self.mat[index], self.factor[index], eig)
+        return object.__new__(DensityOp)._set(self.mat[index], self.factor[index])
 
 
 @dataclass(frozen=True, eq=False)
@@ -372,8 +361,10 @@ def _root_factor(w: np.ndarray, v: np.ndarray) -> CMat:
 
 def herm_sqrt(rho: DensityOp) -> CMat:
     """Hermitian PSD square root of a density operator, or of each member
-    of a stack, from its ``eig``, roundoff eigenvalues zeroed."""
-    return _root_factor(*rho.eig) @ dagger(rho.eig[1])
+    of a stack, from its own ``eigh`` of ``mat``, roundoff eigenvalues
+    zeroed: it never reads ``factor``, so it can check :func:`fidelity`."""
+    w, v = np.linalg.eigh(hermitize(rho.mat))
+    return _root_factor(w, v) @ dagger(v)
 
 
 def fidelity(rho: DensityOp, xi: DensityOp):

@@ -350,6 +350,20 @@ def test_cheat_report_decomposes_the_reduced_states_once(monkeypatch):
     assert calls == {"eigh": 0, "eigvalsh": 0, "svd": 1}
 
 
+def test_cheat_report_forms_the_amplitude_matrices_once(monkeypatch):
+    # Alice's reduced states keep the (Alice, Bob) amplitude matrices as
+    # their factor, and the purified attack reads them there
+    calls = []
+    counted = lambda *args, _orig=protocol.bipartition_matrix: calls.append(1) or _orig(*args)
+    monkeypatch.setattr(protocol, "bipartition_matrix", counted)
+    monkeypatch.setattr(attacks, "bipartition_matrix", counted)
+    for spec in (build_cks(), random_complete_protocol(np.arange(3)),
+                 build_cks_with_bob_register(16)):
+        calls.clear()
+        cheat_report(spec)
+        assert len(calls) == 1, spec.name
+
+
 def test_f_quantity_matches_the_square_roots_on_every_spec():
     # f reads the same amplitude matrices as the Uhlmann blocks, so it is
     # checked against a second kernel: ||sqrt(rho) sqrt(xi)||_1 from eigh

@@ -20,7 +20,7 @@ from wotsim.catalog import (
     dyadic_round,
     random_complete_protocol,
 )
-from wotsim.errors import RangeError
+from wotsim.errors import RangeError, SpecError
 from wotsim import protocol
 from wotsim.protocol import run_honest, validate_completeness
 from wotsim.qcore import TOL_SPECTRAL
@@ -153,6 +153,15 @@ def test_wcf_validation():
         WCFPrimitive(0.5, 0.0, MAX_DYADIC_BITS + 1)  # 2.0 ** bits overflows
     WCFPrimitive(1 / 8, 0.0, 3)
     WCFPrimitive(0.5, 0.0, MAX_DYADIC_BITS)
+
+
+def test_empty_family_is_rejected_with_a_typed_error():
+    # a family axis of length 0 stops at the spec's family-axis check, and
+    # no seed at all before any normals are stacked
+    with pytest.raises(SpecError, match="nonempty leading family axis"):
+        build_mixture(np.array([]))
+    with pytest.raises(RangeError, match="at least one seed"):
+        random_complete_protocol(np.array([], dtype=int))
 
 
 # --- dyadic rounding -----------------------------------------------------------

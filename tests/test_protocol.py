@@ -26,7 +26,6 @@ from wotsim.protocol import (
     run_purified,
     spec_from_dict,
     spec_to_dict,
-    support_projectors,
     validate_completeness,
 )
 from wotsim.qcore import (
@@ -240,7 +239,8 @@ def test_support_projectors_and_completeness_match_per_key_reference():
         an = protocol._analyze(spec)
         projectors, overlaps, one_probs, min_prob, failures = _completeness_reference(
             spec, an.reduced.states)
-        got = support_projectors(an.reduced)
+        basis = protocol._support_bases(an.reduced)
+        got = basis @ basis.conj().swapaxes(-1, -2)
         for (a, v), ref in projectors.items():
             assert np.abs(got[a, v] - ref).max() < 1e-12, (spec.name, a, v)
         report = an.completeness
@@ -280,8 +280,16 @@ def test_support_svd_is_as_wide_as_the_largest_support(monkeypatch):
         return _orig(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted)
-    support_projectors(an.reduced)
+    protocol._support_bases(an.reduced)
     assert widths == [(2, 2, 9, 2)]
+
+
+def test_all_final_states_runs_no_svd(monkeypatch):
+    # the final states are read off the purified runs; reducing them and
+    # checking completeness is the analysis's work, not theirs
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: pytest.fail("svd"))
+    for spec in (build_cks(), build_cks_with_bob_register(16)):
+        assert all_final_states(spec).stack.amps.shape[:3] == (2, 2, 2)
 
 
 def test_engine_matches_dense_reference():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -418,8 +420,8 @@ def _final_states(m: np.ndarray) -> FinalStates:
 def test_density_from_amplitudes_matches_the_eigh_route(k, monkeypatch):
     # 9 x k amplitude matrices, narrower or wider than tall: the reduced
     # states are M M† and keep M as their factor, with no eigh at
-    # construction; eig, when read, is their ascending spectrum with an
-    # orthonormal eigenbasis
+    # construction; an eigh of their matrix gives the ascending spectrum
+    # with an orthonormal eigenbasis
     z = np.random.default_rng(k).standard_normal((2, 3, 2, 2, 2, 9, k))
     fs = _final_states(z[0] + 1j * z[1])
     m = bipartition_matrix(fs.stack, fs.bob_factors)
@@ -428,8 +430,7 @@ def test_density_from_amplitudes_matches_the_eigh_route(k, monkeypatch):
     assert calls == []
     assert np.array_equal(rho.mat, hermitize(m @ m.conj().swapaxes(-1, -2)))
     assert np.array_equal(rho.factor, m)
-    w, v = rho.eig
-    assert len(calls) == 1
+    w, v = np.linalg.eigh(rho.mat)
     assert np.all(np.diff(w, axis=-1) >= 0)
     assert np.abs(w - np.linalg.eigvalsh(rho.mat)).max() <= 1e-12
     assert np.abs(v.conj().swapaxes(-1, -2) @ v - np.eye(9)).max() <= 1e-12
@@ -501,27 +502,48 @@ def test_random_family_bounds_run_no_eigh(monkeypatch):
     assert np.all(f + d >= 4.0 - TOL_SPECTRAL)
 
 
-def test_factored_state_decomposes_when_eig_is_read(monkeypatch):
+def test_indexing_a_factored_state_slices_its_factor(monkeypatch):
     gen = np.random.default_rng(31)
     amps = gen.standard_normal((5, 2, 3)) + 1j * gen.standard_normal((5, 2, 3))
     pure = pure_density(StateVector(RegisterLayout((Factor("Q", 3, ALICE),)),
                                     amps / np.linalg.norm(amps, axis=-1, keepdims=True)))
     calls = _eigh_counter(monkeypatch)
     for rho in (random_density(3, gen, size=(5, 2)), pure):
-        mat = rho.mat
-        assert np.abs(rho.factor @ rho.factor.conj().swapaxes(-1, -2) - mat).max() <= 1e-14
-        before = len(calls)
-        member = rho[2, 1]
-        w, v = rho.eig
-        assert len(calls) == before + 1
-        rho.eig  # kept once computed
-        assert len(calls) == before + 1
-        ref_w, _ = np.linalg.eigh(mat)
-        assert np.abs(w - ref_w).max() <= 1e-12
-        assert np.abs((v * w[..., None, :]) @ v.conj().swapaxes(-1, -2) - mat).max() <= 1e-12
-        # a member read before the stack was decomposed decomposes itself
-        assert np.abs(member.eig[0] - ref_w[2, 1]).max() <= 1e-12
-        assert not w.flags.writeable and not rho.factor.flags.writeable
+        assert np.abs(rho.factor @ rho.factor.conj().swapaxes(-1, -2) - rho.mat).max() <= 1e-14
+        for index in ((2, 1), 3, (slice(1, 4), 0)):
+            member = rho[index]
+            assert np.array_equal(member.mat, rho.mat[index])
+            assert np.array_equal(member.factor, rho.factor[index])
+            assert not member.mat.flags.writeable and not member.factor.flags.writeable
+        assert not rho.mat.flags.writeable and not rho.factor.flags.writeable
+    assert calls == []
+
+
+def test_density_op_is_its_matrix_and_its_factor():
+    assert [f.name for f in dataclasses.fields(DensityOp)] == ["mat", "factor"]
+
+
+def test_herm_sqrt_runs_one_eigh_of_its_own(monkeypatch):
+    # the reference square root reads mat alone, whichever way the stack
+    # was built, so the tests that compare fidelity with it compare two
+    # kernels, not the factor with itself
+    gen = np.random.default_rng(43)
+    z = gen.standard_normal((2, 4, 3, 2))
+    low_rank = z[0] + 1j * z[1]
+    low_rank = low_rank @ low_rank.conj().swapaxes(-1, -2)
+    low_rank /= np.trace(low_rank, axis1=-2, axis2=-1)[:, None, None]
+    factored = random_density(3, gen, size=(2, 3))
+    states = (DensityOp(hermitize(low_rank)), factored, factored[1], factored[:, 2])
+    for rho in states:
+        w, v = np.linalg.eigh(rho.mat)
+        # the low-rank members' zero eigenvalues are roundoff of order 1e-17
+        w = np.where(w > 1e-12, w, 0.0)
+        reference = (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+        calls = _eigh_counter(monkeypatch)
+        root = herm_sqrt(rho)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert np.abs(root - reference).max() <= 1e-12
 
 
 def test_fidelity_of_pure_against_mixed_states_matches_the_square_roots():
@@ -585,8 +607,7 @@ def test_stacked_primitives_equal_per_matrix_calls(dim):
         assert np.abs(meas.pos[i] - m.pos).max() <= 1e-15
         assert np.abs(meas.neg[i] - m.neg).max() <= 1e-15
         assert np.abs(root[i] - herm_sqrt(r)).max() <= 1e-15
-        for part, own in zip(r.eig, DensityOp(rho.mat[i]).eig):
-            assert part.tobytes() == own.tobytes()
+        assert r.factor.tobytes() == rho.factor[i].tobytes()
 
 
 def _bad_members():

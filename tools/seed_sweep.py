@@ -3,9 +3,9 @@
     python3 tools/seed_sweep.py --seeds 1-10
 
 For each seed ``s`` of ``--seeds`` (the syntax of ``perfbench/spread.py``)
-and each ``k < PER_SEED`` it runs every verify suite at the derived seed
-``(s * 1000003 + k) mod 2**31``, the seeds that the benchmark's ``verify``
-workload runs in that order.  It prints each ``FAIL`` line with its
+and each ``k`` below :func:`per_seed` it runs every verify suite at the
+derived seed ``(s * 1000003 + k) mod 2**31``, the seeds that the
+benchmark's ``verify`` workload runs in that order.  It prints each ``FAIL`` line with its
 derived seed as it occurs, then, per check, the lowest and highest value
 it measured over all derived seeds and how many of them it failed at.
 The exit code is 1 if any check failed, else 0.
@@ -14,6 +14,9 @@ The exit code is 1 if any check failed, else 0.
 from __future__ import annotations
 
 import argparse
+import glob
+import json
+import math
 import os
 import sys
 import time
@@ -27,15 +30,21 @@ from spread import parse_seeds  # noqa: E402
 from wotsim import verification  # noqa: E402
 
 
-# Derived seeds per seed: a 30 s verify run of the benchmark attempted at
-# most 224 operations on a 2-CPU Xeon at about 140 ms each
-# (BENCH_stacked_oracles_factored_states.json), so 300 leave a third more
-# for faster hosts.
-PER_SEED = 300
+def per_seed(root: str = ROOT) -> int:
+    """Derived seeds per seed: half again the most operations that any
+    verify run recorded in the ``BENCH_*.json`` files under ``root``
+    attempted, so that the sweep also covers a faster host's runs."""
+    attempted = []
+    for path in glob.glob(os.path.join(root, "BENCH_*.json")):
+        with open(path, encoding="utf-8") as fh:
+            verify = json.load(fh)["workloads"].get("verify", {})
+        attempted += [run["attempted"] for key in ("parent_runs", "change_runs")
+                      for run in verify.get(key, ())]
+    return math.ceil(1.5 * max(attempted))
 
 
-def derived_seeds(seeds: list[int]) -> list[int]:
-    return [(s * 1_000_003 + k) % 2**31 for s in seeds for k in range(PER_SEED)]
+def derived_seeds(seeds: list[int], count: int) -> list[int]:
+    return [(s * 1_000_003 + k) % 2**31 for s in seeds for k in range(count)]
 
 
 def main(argv=None) -> int:
@@ -49,7 +58,7 @@ def main(argv=None) -> int:
     # a NaN, which also fails its check
     failures: dict[tuple[str, str], int] = {}
     spans: dict[tuple[str, str], tuple[float, float]] = {}
-    derived = derived_seeds(parse_seeds(args.seeds))
+    derived = derived_seeds(parse_seeds(args.seeds), per_seed())
     for seed in derived:
         for suite, fn in verification.SUITES:
             for c in fn(seed):
