@@ -301,7 +301,7 @@ def suite_oracle(seed: int) -> list[Check]:
     reduced = partial_trace(pure_density(states), lay, ["S"])
     f = fidelity(reduced[:, 0], reduced[:, 1])
     # the best of 500 unitaries fell 0.054 short on 2 of 4650 seeds; of 1000,
-    # at most 0.0374 over the 3000 derived seeds of tools/seed_sweep.py --seeds 1-10
+    # at most 0.0468 over the 5190 derived seeds of tools/seed_sweep.py --seeds 1-10
     phi, psi = (StateVector(lay, states.amps[:, j]) for j in (0, 1))
     best = oracle.uhlmann_oracle(phi, psi, ["E"], 1000, int(rng.integers(2**31)))
     checks.append(_check("uhlmann_oracle_brackets", [f - best], lo=-TOL_SPECTRAL, hi=0.05))

@@ -5,9 +5,10 @@
 For each seed ``s`` of ``--seeds`` (the syntax of ``perfbench/spread.py``)
 and each ``k`` below :func:`per_seed` it runs every verify suite at the
 derived seed ``(s * 1000003 + k) mod 2**31``, the seeds that the
-benchmark's ``verify`` workload runs in that order.  It prints each ``FAIL`` line with its
-derived seed as it occurs, then, per check, the lowest and highest value
-it measured over all derived seeds and how many of them it failed at.
+benchmark's ``verify`` workload runs in that order.  It prints each
+``FAIL`` line with its derived seed as it occurs, then, per check, the
+lowest and highest value it measured over all derived seeds and how many
+of them it failed at.
 The exit code is 1 if any check failed, else 0.
 """
 
@@ -30,12 +31,12 @@ from spread import parse_seeds  # noqa: E402
 from wotsim import verification  # noqa: E402
 
 
-def per_seed(root: str = ROOT) -> int:
+def per_seed() -> int:
     """Derived seeds per seed: half again the most operations that any
-    verify run recorded in the ``BENCH_*.json`` files under ``root``
+    verify run recorded in the repository's ``BENCH_*.json`` files
     attempted, so that the sweep also covers a faster host's runs."""
     attempted = []
-    for path in glob.glob(os.path.join(root, "BENCH_*.json")):
+    for path in glob.glob(os.path.join(ROOT, "BENCH_*.json")):
         with open(path, encoding="utf-8") as fh:
             verify = json.load(fh)["workloads"].get("verify", {})
         attempted += [run["attempted"] for key in ("parent_runs", "change_runs")
