@@ -4,10 +4,16 @@ Two extreme protocols are provided: ``build_cks`` (the qutrit protocol in
 which Alice cannot cheat at all but Bob reaches 3/4) and ``build_trivial``
 (Bob announces both bits; he cannot cheat, Alice cheats perfectly).  Mixing
 them via an unbalanced weak coin flip interpolates between the two
-endpoints.  ``build_mixture`` is that mixture as one protocol, with an ideal
-coin, that the engine analyses like any other; ``combined_bounds`` is the
-arithmetic of the same mixture, in which a cheater may bias the coin by
-epsilon.
+endpoints.  ``build_mixture`` is that mixture as one protocol that the
+engine analyses like any other; its coin is not ideal, since Alice's
+preparation places it.  ``combined_bounds`` is the arithmetic of the
+mixture over an ideal coin, which a cheater may bias by epsilon.
+
+Every protocol here runs one schedule, which ``_assemble`` writes: Alice
+prepares and sends the message, Bob applies a unitary controlled on his
+inputs and sends it back, and Alice measures.  So each builder states only
+Alice's two preparations, Bob's block for each input pair and Alice's
+outcome-1 projectors.
 """
 
 from __future__ import annotations
@@ -80,34 +86,52 @@ class TradeoffPoint:
     combined: float
 
 
-def _qutrit_prep(a: int) -> np.ndarray:
-    """Unitary on the two qutrits sending |00> to (|aa> + |22>)/sqrt(2)."""
-    u = np.eye(9, dtype=complex)
-    s = 1.0 / math.sqrt(2.0)
-    aa = 4 * a  # |00> -> 0, |11> -> 4
-    if a == 0:
-        # rotate in span{|00>, |22>}
-        u[0, 0], u[8, 0] = s, s
-        u[0, 8], u[8, 8] = -s, s
-    else:
-        # |00> -> (|11>+|22>)/sqrt2, |11> -> |00>, |22> -> (-|11>+|22>)/sqrt2
-        u[:, 0] = 0.0
-        u[aa, 0], u[8, 0] = s, s
-        u[:, aa] = 0.0
-        u[0, aa] = 1.0
-        u[:, 8] = 0.0
-        u[aa, 8], u[8, 8] = -s, s
-    return u
+def _householder(v) -> np.ndarray:
+    """The real reflection I - w w^T / w_0, w = e_0 - v, of a real unit
+    vector v, or a stack of them: a unitary whose first column is v (bit
+    for bit where v_0 is 0 or at least 1/2), and I where v is e_0."""
+    w = -np.asarray(v, dtype=float)
+    w[..., 0] += 1.0
+    w0 = w[..., :1]
+    return np.eye(w.shape[-1]) - w[..., :, None] * (w / np.where(w0 == 0.0, 1.0, w0))[..., None, :]
 
 
-def _qutrit_output(a: int) -> TwoOutcomeMeasurement:
-    """Alice's final measurement: project onto (|aa> - |22>)/sqrt(2) for
-    outcome 1, everything orthogonal for outcome 0."""
-    minus = np.zeros(9, dtype=complex)
-    minus[4 * a] = 1.0 / math.sqrt(2.0)
-    minus[8] = -1.0 / math.sqrt(2.0)
-    pos = np.outer(minus, minus.conj())
-    return TwoOutcomeMeasurement(pos, np.eye(9) - pos)
+def _assemble(name: str, factors: tuple[Factor, ...], prep, blocks, pos) -> ProtocolSpec:
+    """The one schedule of every protocol here.  Alice applies
+    ``prep[..., a, :, :]`` to ``factors``' Alice and Message factors and
+    sends the message; Bob applies ``blocks[..., x0, x1, :, :]`` to the
+    factors he then holds before ``X0`` and ``X1``, which the layout
+    appends, and sends it back; Alice's outcome 1 is ``pos[..., a, :, :]``.
+    A leading family axis passes through."""
+    n = blocks.shape[-1]
+    # |i, x0, x1> -> sum_j blocks[x0, x1, j, i] |j, x0, x1>
+    bob = np.where(np.eye(4, dtype=bool).reshape(2, 2, 1, 2, 2),
+                   np.moveaxis(blocks, -2, -4)[..., None, None], 0)
+    eye = np.eye(pos.shape[-1])
+    return ProtocolSpec(
+        name=name,
+        layout=RegisterLayout(factors + (Factor("X0", 2, BOB_INPUT), Factor("X1", 2, BOB_INPUT))),
+        alice_prep=tuple(np.moveaxis(prep, -3, 0)),
+        rounds=(Round(ALICE, np.eye(prep.shape[-1], dtype=complex), send=True),
+                Round(BOB, bob.reshape(blocks.shape[:-4] + (4 * n, 4 * n)), send=True)),
+        alice_output=tuple(TwoOutcomeMeasurement(p, eye - p) for p in np.moveaxis(pos, -3, 0)),
+    )
+
+
+_CKS_FACTORS = (Factor("A", 3, ALICE), Factor("M", 3, MESSAGE))
+# (|aa> + |22>)/sqrt(2) on (A, M), one row per choice bit a: Alice prepares
+# it, and her outcome 1 projects onto the row with the sign of |22> flipped.
+_CKS_PAIRS = np.array([[1, 0, 0, 0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 1, 0, 0, 0, 1]]) / math.sqrt(2.0)
+_CKS_MINUS = _CKS_PAIRS * np.r_[np.ones(8), -1.0]
+_CKS_POS = _CKS_MINUS[:, :, None] * _CKS_MINUS[:, None, :]
+# Bob's phases on the message qutrit, [x0, x1]: |0> -> (-1)^x0 |0>,
+# |1> -> (-1)^x1 |1>, |2> -> |2>.
+_CKS_BLOCKS = np.array([[[1, 1, 1], [1, -1, 1]], [[-1, 1, 1], [-1, -1, 1]]])[..., None] * np.eye(3)
+# Bob writes (x0, x1) into the message, |m> -> |m + 2 x0 + x1 mod 4>, and
+# Alice's outcome 1 reads bit 1 - a of it: x0 for a = 0, x1 for a = 1.
+_TRIVIAL_BLOCKS = np.array([[np.roll(np.eye(4), 2 * x0 + x1, axis=0) for x1 in (0, 1)]
+                            for x0 in (0, 1)])
+_TRIVIAL_POS = np.kron(np.eye(2), [np.diag(np.arange(4) >> (1 - a) & 1) for a in (0, 1)])
 
 
 def build_cks() -> ProtocolSpec:
@@ -117,29 +141,7 @@ def build_cks() -> ProtocolSpec:
     Registry name ``"cks"``.  Alice cannot cheat (bound 1/2); Bob's bound
     is 3/4.
     """
-    layout = RegisterLayout((
-        Factor("A", 3, ALICE),
-        Factor("M", 3, MESSAGE),
-        Factor("X0", 2, BOB_INPUT),
-        Factor("X1", 2, BOB_INPUT),
-    ))
-    # Bob's phase on the message qutrit, controlled on (x0, x1):
-    # |0> -> (-1)^x0 |0>, |1> -> (-1)^x1 |1>, |2> -> |2>.
-    phases = np.ones((3, 2, 2))
-    phases[0, 1, :] = -1.0
-    phases[1, :, 1] = -1.0
-    bob_unitary = np.diag(phases.reshape(-1)).astype(complex)
-    rounds = (
-        Round(ALICE, np.eye(9, dtype=complex), send=True),
-        Round(BOB, bob_unitary, send=True),
-    )
-    return ProtocolSpec(
-        name="cks",
-        layout=layout,
-        alice_prep=(_qutrit_prep(0), _qutrit_prep(1)),
-        rounds=rounds,
-        alice_output=(_qutrit_output(0), _qutrit_output(1)),
-    )
+    return _assemble("cks", _CKS_FACTORS, _householder(_CKS_PAIRS), _CKS_BLOCKS, _CKS_POS)
 
 
 @functools.cache
@@ -154,26 +156,16 @@ def build_leaky(theta: float) -> ProtocolSpec:
     only the qutrits, so it is complete for every theta, and delta =
     4 sin(theta), f = 4 cos(theta): 2 P_bob + P_alice is above 2 strictly
     between ``cks`` at theta = 0 and Alice's bound 1 at pi/2."""
-    base = build_cks()
-    factors = base.layout.factors
-    layout = RegisterLayout(factors[:2] + (Factor("E", 2, MESSAGE),) + factors[2:])
     c, s = math.cos(theta), math.sin(theta)
     rotation = np.array([[c, -s], [s, c]])
     powers = np.array([[np.linalg.matrix_power(rotation, x0 + x1) for x1 in (0, 1)]
                        for x0 in (0, 1)])
-    phases = np.diagonal(base.rounds[1].unitary).reshape(3, 2, 2)
-    eye2 = np.eye(2)
-    # Bob holds (M, E, X0, X1): the cks phases on M and R^(x0 + x1) on E
-    bob = np.einsum("mab,abef,mn,ac,bd->meabnfcd", phases, powers, np.eye(3), eye2, eye2)
-    return ProtocolSpec(
-        name=f"leaky-{theta:.6g}",
-        layout=layout,
-        alice_prep=tuple(np.kron(u, eye2) for u in base.alice_prep),
-        rounds=(Round(ALICE, np.eye(18, dtype=complex), send=True),
-                Round(BOB, bob.reshape(24, 24), send=True)),
-        alice_output=tuple(TwoOutcomeMeasurement(np.kron(m.pos, eye2), np.kron(m.neg, eye2))
-                           for m in base.alice_output),
-    )
+    # Bob holds (M, E): the cks phases on M and R^(x0 + x1) on E
+    blocks = _CKS_BLOCKS[..., :, None, :, None] * powers[..., None, :, None, :]
+    eye2 = np.eye(2)  # np.kron of a stack and a matrix is the stack of products
+    return _assemble(f"leaky-{theta:.6g}", _CKS_FACTORS + (Factor("E", 2, MESSAGE),),
+                     np.kron(_householder(_CKS_PAIRS), eye2), blocks.reshape(2, 2, 6, 6),
+                     np.kron(_CKS_POS, eye2))
 
 
 def build_trivial() -> ProtocolSpec:
@@ -182,83 +174,43 @@ def build_trivial() -> ProtocolSpec:
     Registry name ``"trivial"``.  Bob cannot cheat (bound 1/2); Alice
     cheats perfectly.
     """
-    layout = RegisterLayout((
-        Factor("A", 2, ALICE),
-        Factor("M", 4, MESSAGE),
-        Factor("X0", 2, BOB_INPUT),
-        Factor("X1", 2, BOB_INPUT),
-    ))
-    # Bob writes (x0, x1) into the message: |m> -> |m + 2*x0 + x1 mod 4>.
-    bob = np.zeros((16, 16), dtype=complex)
-    for m in range(4):
-        for x0 in (0, 1):
-            for x1 in (0, 1):
-                col = (m * 2 + x0) * 2 + x1
-                row = (((m + 2 * x0 + x1) % 4) * 2 + x0) * 2 + x1
-                bob[row, col] = 1.0
-    outputs = []
-    for a in (0, 1):
-        ones = [m for m in range(4) if (m >> (1 - a)) & 1]
-        pos_m = np.zeros((4, 4), dtype=complex)
-        for m in ones:
-            pos_m[m, m] = 1.0
-        pos = np.kron(np.eye(2), pos_m)
-        outputs.append(TwoOutcomeMeasurement(pos, np.eye(8) - pos))
-    rounds = (
-        Round(ALICE, np.eye(8, dtype=complex), send=True),
-        Round(BOB, bob, send=True),
-    )
-    return ProtocolSpec(
-        name="trivial",
-        layout=layout,
-        alice_prep=(np.eye(8, dtype=complex), np.eye(8, dtype=complex)),
-        rounds=rounds,
-        alice_output=(outputs[0], outputs[1]),
-    )
+    return _assemble("trivial", (Factor("A", 2, ALICE), Factor("M", 4, MESSAGE)),
+                     np.stack([np.eye(8)] * 2), _TRIVIAL_BLOCKS, _TRIVIAL_POS)
 
 
 def build_mixture(lam) -> ProtocolSpec:
     """The coin-flip mixture of ``build_trivial`` (amplitude ``sqrt(lam)``) and
     ``build_cks`` (``sqrt(1 - lam)``) as one protocol on direct sums: ``A`` is
     2 (+) 3, ``M`` is 4 (+) 3, and each branch's preparation, round and output
-    sit in its own block.  Bob's round also flips his ``C`` on the qutrit
-    branch, which decoheres the coin in Alice's view, so both attack bounds
-    are those of ``combined_bounds`` at epsilon = 0.  The coin is not ideal:
-    Alice's preparation places it, so a cheating Alice can send in the
-    trivial block and learn both bits, and her optimum here is 1; the
-    reported ``alice_bound`` is the value of the honest-then-Helstrom
-    attack.  A 1-D array of ``lam`` gives the family spec.
+    sit in its own block.  Bob's round also flips his ``C``, the factor
+    after ``M``, on the qutrit branch, which decoheres the coin in Alice's
+    view, so both attack bounds are those of ``combined_bounds`` at
+    epsilon = 0.  The coin is not ideal: Alice's preparation places it, so
+    a cheating Alice can send in the trivial block and learn both bits,
+    and her optimum here is 1; the reported ``alice_bound`` is the value of
+    the honest-then-Helstrom attack.  A 1-D array of ``lam`` gives the
+    family spec.
     """
     lams = np.asarray(lam, dtype=float)
     if lams.ndim > 1 or not np.all((lams >= 0.0) & (lams <= 1.0)):  # NaN fails too
         raise RangeError(f"lam must be a number or a 1-D array in [0, 1], got {lam}")
-    trivial, cks = build_trivial(), _cks()
     # the (A, M) indices of the trivial block (A < 2, M < 4) and of the qutrit block
-    blocks = [np.add.outer(7 * np.arange(2), np.arange(4)).ravel(),
-              np.add.outer(7 * np.arange(2, 5), np.arange(4, 7)).ravel()]
-    # per choice bit, the Householder reflection I - w w^T (|w|^2 = 2) that
-    # takes |0> to sqrt(lam) |0> + sqrt(1 - lam) |qutrit preparation>
-    root = np.sqrt(lams)[..., None, None]
-    w = np.zeros(lams.shape + (2, 35))
-    w[..., :1] = np.sqrt(1.0 - root)
-    w[..., blocks[1]] = -np.sqrt(1.0 + root) * np.stack([u[:, 0].real for u in cks.alice_prep])
-    prep = np.eye(35) - w[..., :, None] * w[..., None, :]
-    # Bob holds (M, X0, X1, C): the trivial round, or the qutrit round and a flip of C
-    bob = np.zeros((56, 56), dtype=complex)
-    bob[:32, :32] = np.kron(trivial.rounds[1].unitary, np.eye(2))
-    bob[32:, 32:] = np.kron(cks.rounds[1].unitary, [[0, 1], [1, 0]])
-    pos = np.zeros((2, 35, 35), dtype=complex)
-    for block, spec in zip(blocks, (trivial, cks)):
-        pos[:, block[:, None], block] = [m.pos for m in spec.alice_output]
-    return ProtocolSpec(
-        name="mixture-" + "-".join(f"{x:.6g}" for x in lams.ravel()),
-        layout=RegisterLayout((Factor("A", 5, ALICE), Factor("M", 7, MESSAGE),
-                               Factor("X0", 2, BOB_INPUT), Factor("X1", 2, BOB_INPUT),
-                               Factor("C", 2, BOB))),
-        alice_prep=(prep[..., 0, :, :], prep[..., 1, :, :]),
-        rounds=(Round(ALICE, np.eye(35, dtype=complex), send=True), Round(BOB, bob, send=True)),
-        alice_output=tuple(TwoOutcomeMeasurement(p, np.eye(35) - p) for p in pos),
-    )
+    branches = [np.add.outer(7 * np.arange(2), np.arange(4)).ravel(),
+                np.add.outer(7 * np.arange(2, 5), np.arange(4, 7)).ravel()]
+    # per choice bit, sqrt(lam) |0> + sqrt(1 - lam) |qutrit preparation>
+    prepared = np.zeros(lams.shape + (2, 35))
+    prepared[..., 0] = np.sqrt(lams)[..., None]
+    prepared[..., branches[1]] = np.sqrt(1.0 - lams)[..., None, None] * _CKS_PAIRS
+    # Bob holds (M, C): the trivial round, or the qutrit round and a flip of C
+    bob = np.zeros((2, 2, 14, 14))
+    bob[..., :8, :8] = np.kron(_TRIVIAL_BLOCKS, np.eye(2))
+    bob[..., 8:, 8:] = np.kron(_CKS_BLOCKS, [[0, 1], [1, 0]])
+    pos = np.zeros((2, 35, 35))
+    for branch, p in zip(branches, (_TRIVIAL_POS, _CKS_POS)):
+        pos[:, branch[:, None], branch] = p
+    return _assemble("mixture-" + "-".join(f"{x:.6g}" for x in lams.ravel()),
+                     (Factor("A", 5, ALICE), Factor("M", 7, MESSAGE), Factor("C", 2, BOB)),
+                     _householder(prepared), bob, pos)
 
 
 def random_complete_protocol(seed) -> ProtocolSpec:
@@ -272,27 +224,18 @@ def random_complete_protocol(seed) -> ProtocolSpec:
     from its own ``default_rng(seed)`` the normals that ``haar_unitary(3,
     rng, 2)`` would, and one QR orthonormalises the whole family.
     """
-    base, seeds = _cks(), np.asarray(seed)
+    seeds = np.asarray(seed)
     if seeds.size == 0:
         raise RangeError("random_complete_protocol needs at least one seed")
     normals = [np.random.default_rng(s).standard_normal((2, 2, 3, 3)) for s in seeds.ravel()]
     rots = haar_orthonormalize(np.stack(normals))
     r_alice, r_msg = np.moveaxis(rots.reshape(seeds.shape + (2, 3, 3)), -3, 0)
-    # np.kron of a stack and a matrix is the stack of products; g pairs members
-    prep = tuple(np.kron(r_alice, np.eye(3)) @ u for u in base.alice_prep)
-    bob_unitary = np.kron(r_msg, np.eye(4)) @ base.rounds[1].unitary
+    # g is r_alice (x) r_msg per member; [..., None, :, :] makes room for the choice bit
     g = (r_alice[..., :, None, :, None] * r_msg[..., None, :, None, :]).reshape(*seeds.shape, 9, 9)
-    outputs = tuple(
-        TwoOutcomeMeasurement(g @ m.pos @ dagger(g), g @ m.neg @ dagger(g))
-        for m in base.alice_output
-    )
-    return ProtocolSpec(
-        name="cks-rotated-" + "-".join(str(s) for s in seeds.ravel()),
-        layout=base.layout,
-        alice_prep=prep,
-        rounds=(base.rounds[0], Round(BOB, bob_unitary, send=True)),
-        alice_output=outputs,
-    )
+    return _assemble("cks-rotated-" + "-".join(str(s) for s in seeds.ravel()), _CKS_FACTORS,
+                     np.kron(r_alice, np.eye(3))[..., None, :, :] @ _householder(_CKS_PAIRS),
+                     r_msg[..., None, None, :, :] @ _CKS_BLOCKS,
+                     g[..., None, :, :] @ _CKS_POS @ dagger(g)[..., None, :, :])
 
 
 def dyadic_round(lam: float, bits: int) -> float:

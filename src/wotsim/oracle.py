@@ -64,9 +64,9 @@ def cks_alice_success(weights, ancillas) -> np.ndarray:
     """
     weights = np.asarray(weights, dtype=float)
     ancillas = np.asarray(ancillas, dtype=complex)
-    if (weights.ndim != 2 or weights.shape[1] != 3
+    if (weights.ndim != 2 or weights.shape[1] != 3 or len(weights) == 0
             or ancillas.shape not in ((3, 3), (len(weights), 3, 3))):
-        raise ShapeError(f"need weights (n, 3) and ancillas (3, 3) or (n, 3, 3), "
+        raise ShapeError(f"need weights (n, 3), n >= 1, and ancillas (3, 3) or (n, 3, 3), "
                          f"got {weights.shape} and {ancillas.shape}")
     # written so that NaN fails each check
     if not np.all(weights >= 0):

@@ -58,8 +58,12 @@ def as_cmat(entries) -> CMat:
 
 
 def hermitize(mat: CMat) -> CMat:
-    """Symmetrize asymmetric roundoff: (M + M†)/2."""
-    return (mat + dagger(mat)) / 2
+    """Symmetrize asymmetric roundoff: (M + M†)/2 of a float or complex
+    stack, summed in place in one new array the size of the input."""
+    out = np.conjugate(mat.swapaxes(-1, -2), order="C")
+    out += mat
+    out /= 2
+    return out
 
 
 def dagger(mat: CMat) -> CMat:

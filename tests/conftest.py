@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import wotsim
-from wotsim.catalog import _qutrit_output, build_cks
+from wotsim.catalog import build_cks
 from wotsim.protocol import ProtocolSpec, Round
 from wotsim.qcore import (
     ALICE,
@@ -97,7 +97,7 @@ def build_cks_with_bob_register(dim: int = 2) -> ProtocolSpec:
         alice_prep=base.alice_prep,
         rounds=(Round(ALICE, np.eye(9, dtype=complex), send=True),
                 Round(BOB, u, send=True)),
-        alice_output=(_qutrit_output(0), _qutrit_output(1)),
+        alice_output=base.alice_output,
     )
 
 
@@ -187,7 +187,7 @@ def build_cks_shuffled() -> ProtocolSpec:
         alice_prep=base.alice_prep,
         rounds=(Round(ALICE, np.eye(9, dtype=complex), send=True),
                 Round(BOB, np.diag(phases.reshape(-1)).astype(complex), send=True)),
-        alice_output=(_qutrit_output(0), _qutrit_output(1)),
+        alice_output=base.alice_output,
     )
 
 

@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import json
 import math
 
 import numpy as np
@@ -22,8 +24,8 @@ from wotsim.catalog import (
 )
 from wotsim.errors import RangeError, SpecError
 from wotsim import protocol
-from wotsim.protocol import run_honest, validate_completeness
-from wotsim.qcore import TOL_SPECTRAL
+from wotsim.protocol import run_honest, spec_from_dict, spec_to_dict, validate_completeness
+from wotsim.qcore import TOL_SPECTRAL, haar_unitary
 
 
 def test_cks_displayed_states_all_inputs():
@@ -218,7 +220,7 @@ def test_mixture_extreme_weights_are_the_endpoints():
 
 
 def test_mixture_layout_is_direct_sums():
-    # A = 2 (+) 3, M = 4 (+) 3, then X0, X1 and Bob's coin copy C: dim 280
+    # A = 2 (+) 3, M = 4 (+) 3, then Bob's coin copy C, X0 and X1: dim 280
     assert build_mixture(0.25).layout.dims == (5, 7, 2, 2, 2)
     assert build_mixture(np.array([0.0, 0.5, 1.0])).name == "mixture-0-0.5-1"
 
@@ -234,3 +236,53 @@ def test_random_family_is_orthonormalised_by_one_qr(qr_shapes):
     # each seed draws its normals from its own generator; one QR follows
     random_complete_protocol(np.arange(10))
     assert qr_shapes == [(10, 2, 3, 3)]
+
+
+# --- the one assembler: Bob's blocks and the wire format ------------------------
+
+def _phases(x0, x1):
+    return np.diag([(-1.0) ** x0, (-1.0) ** x1, 1.0])
+
+
+def _shift(x0, x1):
+    shift = np.zeros((4, 4))
+    shift[(np.arange(4) + 2 * x0 + x1) % 4, np.arange(4)] = 1.0
+    return shift
+
+
+def _rotation_power(theta, k):
+    c, s = math.cos(theta), math.sin(theta)
+    return np.linalg.matrix_power(np.array([[c, -s], [s, c]]), k)
+
+
+# each builder and Bob's block for inputs (x0, x1) on the factors he holds
+# besides X0 and X1, written out independently of the catalog
+BOB_BLOCKS = {
+    "cks": (build_cks, _phases),
+    "trivial": (build_trivial, _shift),
+    "leaky": (lambda: build_leaky(0.3),
+              lambda x0, x1: np.kron(_phases(x0, x1), _rotation_power(0.3, x0 + x1))),
+    # (M, C) with M = 4 (+) 3: the shift on the trivial branch, the phases and
+    # a flip of C on the qutrit branch
+    "mixture": (lambda: build_mixture(0.25), lambda x0, x1: np.block([
+        [np.kron(_shift(x0, x1), np.eye(2)), np.zeros((8, 6))],
+        [np.zeros((6, 8)), np.kron(_phases(x0, x1), [[0, 1], [1, 0]])]])),
+    # the rotation on the message is the second unitary of the seed's draw
+    "random": (lambda: random_complete_protocol(5),
+               lambda x0, x1: haar_unitary(3, np.random.default_rng(5), 2)[1] @ _phases(x0, x1)),
+}
+
+
+@pytest.mark.parametrize("name", BOB_BLOCKS)
+def test_assembled_bob_round_and_wire_round_trip(name):
+    build, block = BOB_BLOCKS[name]
+    spec = build()
+    # Bob holds his factors, then X0 and X1: the entry at (i, x0, x1), (j, x0, x1)
+    # is block(x0, x1)[i, j], and every entry across two input pairs is 0
+    n = spec.rounds[1].unitary.shape[-1] // 4
+    reference = np.zeros((4 * n, 4 * n), dtype=complex)
+    for x0, x1 in itertools.product((0, 1), repeat=2):
+        reference[2 * x0 + x1::4, 2 * x0 + x1::4] = block(x0, x1)
+    assert np.array_equal(spec.rounds[1].unitary, reference)
+    again = spec_from_dict(json.loads(json.dumps(spec_to_dict(spec))))
+    assert dataclasses.astuple(cheat_report(again)) == dataclasses.astuple(cheat_report(spec))

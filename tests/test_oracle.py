@@ -97,6 +97,12 @@ def test_cheat_state_validation():
         cks_alice_success([honest], np.stack([e, e]))
 
 
+def test_empty_preparation_stack_is_a_shape_error():
+    # no preparation at all stops at the shape check, not inside numpy
+    with pytest.raises(ShapeError, match="n >= 1"):
+        cks_alice_success(np.empty((0, 3)), np.eye(3))
+
+
 def test_success_builds_the_spec_once(monkeypatch):
     # the qutrit protocol is built and validated once per process, not once
     # per call, and the rotated protocols start from the same one

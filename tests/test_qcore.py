@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -404,6 +405,23 @@ def test_hermitian_trace_norm_matches_the_svd():
     with pytest.raises(ShapeError):
         hermitian_trace_norm(np.ones((2, 3)))
 
+
+
+@pytest.mark.parametrize("dtype", [complex, float])
+def test_hermitize_allocates_only_its_output(dtype):
+    # (M + M†)/2 with a conjugated copy of M peaked at twice the output
+    z = np.random.default_rng(23).standard_normal((2, 200, 64, 64))
+    mat = z[0] + 1j * z[1] if dtype is complex else z[0]
+    before = mat.copy()
+    tracemalloc.start()
+    try:
+        out = hermitize(mat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * out.nbytes
+    assert np.array_equal(mat, before)
+    assert np.array_equal(out, (mat + mat.conj().swapaxes(-1, -2)) / 2)
 
 def _final_states(m: np.ndarray) -> FinalStates:
     """Final states on Alice's 9-dim factor and a k-dim rest whose (Alice,
