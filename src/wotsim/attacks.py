@@ -9,6 +9,10 @@ input register in the +/- basis to estimate Alice's choice bit.
 Both bounds are functions of the eight honest reduced states: summing
 1 - F <= ||rho - xi||_1 / 2 over the four relevant state pairs shows the two
 bounds cannot both be small, which is the tradeoff this package reproduces.
+
+A report reads the four pairs once: delta from the ``eigvalsh`` of their
+differences, and f and the Uhlmann unitaries of Bob's attack from one SVD of
+the cross products F_rho† F_xi of their factors (:func:`_pair_kernel`).
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from .qcore import (
     DensityOp,
     StateVector,
     bipartition_matrix,
+    dagger,
     fidelity,
     float_or_array,
     helstrom,
@@ -123,14 +128,16 @@ def _by_register(mats: np.ndarray) -> np.ndarray:
     return np.stack([mats, mats.swapaxes(-3, -4)], axis=-5)
 
 
-def _realignment_blocks(t: np.ndarray) -> CMat:
-    """Bob's realignment unitaries ``[..., s, x_other]``, from one batched SVD of
-    the honest amplitude matrices ``t`` by register: the Uhlmann unitary on
-    his non-input factors taking the ``a = 1 - s`` honest state with
-    ``X_s = 1`` toward the one with ``X_s = 0`` (a 1x1 phase when he holds
-    nothing else)."""
-    u, _ = uhlmann_blocks(t[..., (1, 0), (0, 1), 0, :, :, :], t[..., (1, 0), (0, 1), 1, :, :, :])
-    return u
+def _pair_kernel(rf: ReducedFamily) -> tuple[np.ndarray, CMat]:
+    """From one SVD W diag(s) Vh per pair of F_rho† F_xi: the fidelities
+    ``[..., 4]``, sum(s), and Bob's realignment unitaries conj(W Vh),
+    ``[..., s, x_other]``, each taking the ``a = 1 - s`` honest state with
+    ``X_s = 1`` toward the one with ``X_s = 0`` on his non-input factors."""
+    rho, xi = (rf.states.factor[(*index, slice(None), slice(None))] for index in _PAIRS)
+    w, s, vh = np.linalg.svd(dagger(rho) @ xi)
+    # pairs 2 and 3 (a = 1) vary x0, Bob's register choice 0; pairs 0 and 1 vary x1
+    u = np.conj(w @ vh)[..., (2, 3, 0, 1), :, :]
+    return s.sum(axis=-1), u.reshape(u.shape[:-3] + (2, 2) + u.shape[-2:])
 
 
 def controlled_realignment(spec: ProtocolSpec, fs: FinalStates, s: int,
@@ -151,9 +158,8 @@ def controlled_realignment(spec: ProtocolSpec, fs: FinalStates, s: int,
     k, bob = len(names), [names.index(n) for n in fs.bob_factors]
     d_b, new = lay.subset_dim(fs.bob_factors), list(range(len(names), len(names) + len(bob)))
     # block [x_s, x_other] of the unitary, on Bob's non-input factors
-    t = _by_register(bipartition_matrix(fs.stack, fs.bob_factors))
-    realign = _realignment_blocks(t)[..., s, :, :, :]
-    blocks = np.stack([np.broadcast_to(np.eye(d_b), (2, d_b, d_b)), realign])
+    t = _by_register(bipartition_matrix(fs.stack, fs.bob_factors))[1 - s, s]
+    blocks = np.stack([np.broadcast_to(np.eye(d_b), (2, d_b, d_b)), uhlmann_blocks(t[0], t[1])[0]])
     ops = blocks.reshape((2, 2) + tuple(lay.dims[i] for i in bob) * 2)
     x = [names.index(n) for n in (INPUT_NAMES[s], INPUT_NAMES[1 - s])]
     out = [dict(zip(bob, new)).get(i, i) for i in range(k)]
@@ -162,19 +168,21 @@ def controlled_realignment(spec: ProtocolSpec, fs: FinalStates, s: int,
     return tuple(StateVector(lay, amps) for amps in realigned)
 
 
-def _purified_success(an: _Analysis) -> np.ndarray:
+def _purified_success(an: _Analysis, realign: CMat | None = None) -> np.ndarray:
     """Bob's success probabilities ``[..., s]`` for register choice s = 0
-    and s = 1, from the purified runs of both preparations as one stack.  Sector
+    and s = 1, from the purified runs of both preparations as one stack,
+    with ``realign`` from :func:`_pair_kernel` by default.  Sector
     ``(x0, x1)`` of a purified run is the honest state scaled by 1/2, so
     the honest amplitude matrices, the reduced states' factor, serve for both."""
     if not np.all(an.completeness.passed):
         raise CompletenessError(
             "purified attack needs a complete protocol: " + "; ".join(an.completeness.failures)
         )
+    realign = _pair_kernel(an.reduced)[1] if realign is None else realign
     t = _by_register(an.reduced.states.factor)
     # [..., a, s, x_s, x_other, alice, bob]: the x_s = 1 sectors realigned,
     # then projected with the x_s = 0 ones on |+>, a factor 2**-0.5 on top of 1/2
-    blocks = _realignment_blocks(t)[..., None, :, :, :, :].swapaxes(-1, -2)
+    blocks = realign[..., None, :, :, :, :].swapaxes(-1, -2)
     plus = (t[..., 0, :, :, :] + t[..., 1, :, :, :] @ blocks) / np.sqrt(8.0)
     p_plus = np.sum(np.abs(plus) ** 2, axis=(-3, -2, -1))  # [..., a, s]
     # '-' means guess a = s, '+' means guess a = 1 - s
@@ -203,14 +211,16 @@ def cheat_report(spec: ProtocolSpec) -> CheatReport:
     """Full cheating analysis of a protocol.
 
     Computes the aggregate quantities, both bounds, and the two simulated
-    purified attacks from one pass over the protocol, and raises
+    purified attacks from one pass over the protocol, with f and the
+    attack's Uhlmann blocks from one SVD of the four pairs, and raises
     ``ConsistencyError`` unless the simulated attack averaged over the
     register choice reproduces Bob's bound, on a family for every member.
     """
     an = _analyze(spec)
-    delta, f = delta_quantity(an.reduced), f_quantity(an.reduced)
+    fidelities, realign = _pair_kernel(an.reduced)
+    delta, f = delta_quantity(an.reduced), float_or_array(fidelities.sum(axis=-1))
     a_bound, b_bound = _alice_bound_of(delta), _bob_bound_of(f)
-    sim0, sim1 = (float_or_array(p) for p in _purified_success(an).T)
+    sim0, sim1 = (float_or_array(p) for p in _purified_success(an, realign).T)
     if np.any(np.abs((sim0 + sim1) / 2.0 - b_bound) > TOL_SPECTRAL):
         raise ConsistencyError(
             f"simulated purified attack {(sim0 + sim1) / 2} disagrees with bound {b_bound}"

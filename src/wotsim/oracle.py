@@ -28,7 +28,7 @@ import numpy as np
 
 from .catalog import _cks
 from .errors import MAX_SWEEP_SIZE, RangeError, ShapeError
-from .protocol import _final_sectors
+from .protocol import _execute
 from .qcore import (DensityOp, StateVector, bipartition_matrix, float_or_array,
                     haar_unitary, hermitian_trace_norm)
 from .tradeoff import _check_delta
@@ -46,10 +46,12 @@ def grid_tolerance(grid: int) -> float:
 
 def _cheat_states(weights, ancillas) -> np.ndarray:
     """The post-interaction states psi[x0, x1], (n, 2, 2, 9), of the
-    preparations of ``cks_alice_success``, run through ``build_cks()``."""
+    preparations of ``cks_alice_success``: one execution of ``build_cks()``
+    from all of them, in which Bob's block for (x0, x1) acts on sector
+    (x0, x1)."""
     # entry 3 i + c of a preparation is w_c times entry i of e_c
     prepared = (np.asarray(weights)[..., None] * np.asarray(ancillas)).swapaxes(-1, -2)
-    return _final_sectors(_cks(), prepared.reshape(-1, 9))
+    return _execute(_cks(), prepared.reshape(-1, 9)).reshape(-1, 2, 2, 9)
 
 
 def cks_alice_success(weights, ancillas) -> np.ndarray:

@@ -3,9 +3,9 @@
 A protocol is a fixed register layout plus a sequence of unitary rounds with
 all measurements deferred.  Bob's data bits live in two dedicated dim-2
 ``BobInput`` registers named ``X0`` and ``X1``; every unitary Bob applies is
-controlled on them (block-diagonal in their computational basis), so a single
-round description serves honest runs with basis inputs and coherent runs with
-superposed inputs alike.
+controlled on them (block-diagonal in their computational basis), so the
+compiled protocol keeps each of his rounds as one block per input pair and
+runs the four pairs as a batch axis, not as factors of the state.
 
 Conventions:
 
@@ -20,13 +20,13 @@ Conventions:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CompletenessError, ShapeError, SpecError
+from .errors import ShapeError, SpecError
 from .qcore import (
     ALICE,
     BOB,
@@ -87,31 +87,32 @@ def _check_unitary(mat: CMat, dim: int, what: str) -> None:
         raise SpecError(f"{what}: not unitary within tolerance")
 
 
-def _check_input_controlled(op: np.ndarray, held: tuple[str, ...]) -> None:
-    """Verify a Bob unitary, or each member of a family, reshaped to the
-    dims of his held factors as output then input axes, is block-diagonal
-    over the X0 (x) X1 basis."""
-    k = len(held)
-    diagonal = np.ones((1,) * 2 * k, dtype=bool)
-    for j, name in enumerate(held):
-        if name in INPUT_NAMES:
-            shape = [1] * 2 * k
-            shape[j] = shape[k + j] = 2
-            diagonal = diagonal & np.eye(2, dtype=bool).reshape(shape)
-    if np.abs(np.where(diagonal, 0, op)).max() > TOL_EXACT:
+def _input_blocks(op: np.ndarray, held: tuple[str, ...], dims: tuple[int, ...]) -> np.ndarray:
+    """The blocks ``(F?, 2, 2, n, n)``, indexed ``[..., x0, x1]``, of a Bob
+    unitary or family of them on his held factors (of dims ``dims``) but X0
+    and X1; ``SpecError`` unless it is block-diagonal over their basis."""
+    k, lead, n = len(held), op.shape[:-2], op.shape[-1] // 4
+    x = [held.index(name) for name in INPUT_NAMES]
+    rest = [j for j in range(k) if j not in x]
+    # (F?, X0 X1 out, X0 X1 in, rest out, rest in)
+    t = op.reshape(lead + dims + dims).transpose(
+        *range(len(lead)), *(len(lead) + j for j in (*x, *(k + j for j in x), *rest,
+                                                     *(k + j for j in rest))))
+    t = t.reshape(lead + (4, 4, n, n))
+    if np.abs(np.where(np.eye(4, dtype=bool)[:, :, None, None], 0, t)).max() > TOL_EXACT:
         raise SpecError("Bob round is not controlled on his input registers")
+    return t[..., range(4), range(4), :, :].reshape(lead + (2, 2, n, n))
 
 
 class _Plan(NamedTuple):
-    """A protocol compiled once for execution and analysis: Alice's two
-    prepared states ``(F?, 2, D)`` and the axes they fill, the rounds as
-    ``(op (F?, d, d), front, back)``, the input axes, the layout without
-    them, and her output projectors ``(F?, 2, d, d)``.  Axes count from the end."""
+    """A protocol compiled once: Alice's prepared states ``(F?, 2, D)`` and
+    the axes they fill of ``rest``, the layout without X0 and X1; the rounds
+    as ``(op, front, back)``, ``op`` Bob's blocks ``(F?, 2, 2, n, n)`` or
+    Alice's unitary ``(F?, 1, 1, d, d)``; her output projectors."""
 
     prepared: np.ndarray
     prep_axes: tuple[int, ...]
     steps: tuple[tuple, ...]
-    input_axes: tuple[int, int]
     rest: RegisterLayout
     out_pos: np.ndarray
 
@@ -168,7 +169,8 @@ class ProtocolSpec:
         if len(leads) > 1 or any(len(lead) != 1 or lead == (0,) for lead in leads):
             raise SpecError(
                 f"matrices may share one nonempty leading family axis, got {sorted(leads)}")
-        lead, k = (leads.pop() if leads else ()), len(lay.dims)
+        lead, rest = (leads.pop() if leads else ()), lay.without(INPUT_NAMES)
+        names, dims, rest_names, k = lay.names, lay.dims, rest.names, len(rest.dims)
         held = held_factors(lay, ALICE, True)
         d_prep = lay.subset_dim(held)
         prepared = np.empty(lead + (2, d_prep), dtype=complex)
@@ -176,19 +178,19 @@ class ProtocolSpec:
             _check_unitary(prep, d_prep, f"alice_prep[{a}]")
             # every factor starts in |0>, so a preparation is its first column
             prepared[..., a, :] = as_cmat(prep)[..., 0]
-        prep_axes = tuple(lay.names.index(n) for n in held)
+        prep_axes = tuple(rest_names.index(n) for n in held)
         steps = []
         msg_with_alice = True
         for i, rnd in enumerate(self.rounds):
             held = held_factors(lay, rnd.actor, msg_with_alice)
-            op, axes = as_cmat(rnd.unitary), [lay.names.index(n) for n in held]
-            _check_unitary(op, lay.subset_dim(held), f"round {i} ({rnd.actor})")
-            if rnd.actor == BOB:
-                sel = tuple(lay.dims[j] for j in axes)
-                _check_input_controlled(op.reshape(op.shape[:-2] + sel + sel), held)
-            # the axes (prepared states, *factors) with the held ones moved first, and back
-            front = [j - k for j in axes] + [-k - 1] + [j - k for j in range(k) if j not in axes]
-            steps.append((op, front, [front.index(j) - k - 1 for j in range(-k - 1, 0)]))
+            op, sel = as_cmat(rnd.unitary), tuple(dims[names.index(n)] for n in held)
+            _check_unitary(op, math.prod(sel), f"round {i} ({rnd.actor})")
+            op = _input_blocks(op, held, sel) if rnd.actor == BOB else op[..., None, None, :, :]
+            axes = [rest_names.index(n) for n in held if n not in INPUT_NAMES]
+            # the axes (prepared states, x0, x1, *rest) with sector and held ones first, and back
+            front = ([-k - 2, -k - 1] + [j - k for j in axes] + [-k - 3]
+                     + [j - k for j in range(k) if j not in axes])
+            steps.append((op, front, [front.index(j) - k - 3 for j in range(-k - 3, 0)]))
             if rnd.send:
                 if not lay.owned_by(MESSAGE):
                     raise SpecError(f"round {i} sends but the layout has no Message factor")
@@ -204,9 +206,7 @@ class ProtocolSpec:
                 raise SpecError(f"alice_output[{a}] has shape {meas.pos.shape}, "
                                 f"Alice ends holding dim {d_out}")
             out_pos[..., a, :, :] = meas.pos
-        input_axes = tuple(lay.names.index(n) - k for n in INPUT_NAMES)
-        object.__setattr__(self, "_plan", _Plan(
-            prepared, prep_axes, tuple(steps), input_axes, lay.without(INPUT_NAMES), out_pos))
+        object.__setattr__(self, "_plan", _Plan(prepared, prep_axes, tuple(steps), rest, out_pos))
 
     @property
     def alice_end_factors(self) -> tuple[str, ...]:
@@ -264,53 +264,48 @@ class CompletenessReport:
     failures: tuple[str, ...]
 
 
-def _execute(spec: ProtocolSpec, input_amps: dict[str, np.ndarray],
-             prepared: np.ndarray | None = None) -> np.ndarray:
+def _execute(spec: ProtocolSpec, prepared: np.ndarray | None = None) -> np.ndarray:
     """The protocol run in one pass from a stack ``(F?, n, D_prep)`` of
-    states Alice prepares, by default her two honest ones: the final
-    amplitude tensors, of shape ``(F?, n, *layout.dims)``.  A round is one
-    ``matmul`` per member on the tensor with its held axes moved first."""
-    plan, dims = spec._plan, spec.layout.dims
-    k, prep_axes = len(dims), plan.prep_axes
+    states Alice prepares, by default her two honest ones, for each input
+    pair of Bob: the final amplitude tensors ``(F?, n, 2, 2, *rest.dims)``,
+    indexed ``[..., x0, x1]``.  A round is one ``matmul`` on the tensor with
+    its sector and held axes moved first; the sectors are one until Bob acts."""
+    plan = spec._plan
+    dims, k = plan.rest.dims, len(plan.rest.dims)
     prepared = plan.prepared if prepared is None else prepared
-    # every other factor starts in |0> except the input registers
-    rest = reduce(np.multiply.outer, [input_amps.get(f.name, np.eye(f.dim, 1).ravel())
-                                      for i, f in enumerate(spec.layout.factors)
-                                      if i not in prep_axes])
-    tensor = np.multiply.outer(
-        prepared.reshape(prepared.shape[:-1] + tuple(dims[i] for i in prep_axes)), rest)
-    tensor = np.moveaxis(tensor, range(-k, len(prep_axes) - k), [i - k for i in prep_axes])
+    # every other factor starts in |0>
+    tensor = np.zeros(prepared.shape[:-1] + (1, 1) + dims, dtype=complex)
+    tensor[(..., *(slice(None) if i in plan.prep_axes else 0 for i in range(k)))] = \
+        prepared.reshape(prepared.shape[:-1] + (1, 1) + tuple(dims[i] for i in plan.prep_axes))
     for op, front, back in plan.steps:
-        moved = tensor.transpose(*range(tensor.ndim - k - 1), *front)
+        moved = tensor.transpose(*range(tensor.ndim - k - 3), *front)
         out = np.matmul(op, moved.reshape(moved.shape[:-k - 1] + (op.shape[-1], -1)))
         out = out.reshape(out.shape[:-2] + moved.shape[-k - 1:])
-        tensor = out.transpose(*range(out.ndim - k - 1), *back)
-    return tensor
+        tensor = out.transpose(*range(out.ndim - k - 3), *back)
+    return np.broadcast_to(tensor, tensor.shape[:-k - 2] + (2, 2) + dims)
+
+
+def _on_layout(spec: ProtocolSpec, a: int, weights: np.ndarray) -> StateVector:
+    """The final state for choice bit ``a`` with the input registers put
+    back: sector (x0, x1) times ``weights[x0, x1]`` where they read ``|x0 x1>``."""
+    names, k = spec.layout.names, len(spec.layout.dims)
+    sectors = np.take(_execute(spec), a, -1 - k) * weights.reshape((2, 2) + (1,) * (k - 2))
+    return StateVector(spec.layout, np.moveaxis(
+        sectors, [-k, 1 - k], [names.index(n) - k for n in INPUT_NAMES]))
 
 
 def run_honest(spec: ProtocolSpec, a: int, x0: int, x1: int) -> StateVector:
-    """The final pure state of an honest run with the given input bits.
-
-    The analysis reads these states off the purified runs instead.  This
-    run executes the same compiled plan with basis inputs, so it checks
-    the reading of the sectors, not the plan; the tests check the plan
-    against dense full-layout operators.
-    """
+    """The final pure state of an honest run with the given input bits."""
     for bit in (a, x0, x1):
         if bit not in (0, 1):
             raise SpecError(f"input bits must be 0 or 1, got {bit}")
-    basis = np.eye(2, dtype=complex)
-    final = _execute(spec, {"X0": basis[x0], "X1": basis[x1]})
-    return StateVector(spec.layout, np.take(final, a, -1 - len(spec.layout.dims)))
-
-
-_PLUS = {name: np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0) for name in INPUT_NAMES}
+    return _on_layout(spec, a, np.eye(4)[2 * x0 + x1].reshape(2, 2))
 
 
 def run_purified(spec: ProtocolSpec, a: int) -> StateVector:
     """The final pure state when both input registers start in the uniform
     superposition (Bob running all his honest strategies coherently)."""
-    return StateVector(spec.layout, np.take(_execute(spec, _PLUS), a, -1 - len(spec.layout.dims)))
+    return _on_layout(spec, a, np.full((2, 2), 0.5))
 
 
 def reduce_alice(fs: FinalStates) -> ReducedFamily:
@@ -323,16 +318,30 @@ def reduce_alice(fs: FinalStates) -> ReducedFamily:
 
 def _support_bases(rf: ReducedFamily) -> np.ndarray:
     """Orthonormal bases of the spans of the supports of Alice's two states
-    with x_a = v, indexed ``[..., a, v, :, :]``, as columns, zero columns
-    where a basis is narrower than the widest one: the left singular
-    vectors of the two factors side by side, [F_0 F_1], with s² (the
-    eigenvalues of the sum of the two states) above ``TOL_SPECTRAL``."""
-    f = rf.states.factor
-    # [..., a, x0, x1] -> [..., a, v, other bit]
-    grouped = np.stack([f[..., 0, :, :, :, :], f[..., 1, :, :, :, :].swapaxes(-3, -4)], axis=-5)
-    q, s, _ = np.linalg.svd(np.concatenate([grouped[..., 0, :, :], grouped[..., 1, :, :]],
-                                           axis=-1), full_matrices=False)
+    with x_a = v, indexed ``[..., a, v, :, :]``, as columns, zeroed where a
+    basis is narrower than its array: from the narrower side of the d x k
+    factors, by SVD when 2k <= d (9 x 2 for cks), else by eigh (d x d)."""
+    d, k = rf.states.factor.shape[-2:]
+    return (_support_bases_svd if 2 * k <= d else _support_bases_eigh)(rf)
+
+
+def _by_learned_bit(x: np.ndarray) -> np.ndarray:
+    """``x[..., a, x0, x1, :, :]`` as ``[..., a, v, other bit, :, :]``, v = x_a."""
+    return np.stack([x[..., 0, :, :, :, :], x[..., 1, :, :, :, :].swapaxes(-3, -4)], axis=-5)
+
+
+def _support_bases_svd(rf: ReducedFamily) -> np.ndarray:
+    """The left singular vectors of [F_0 F_1] with s² above ``TOL_SPECTRAL``."""
+    f = _by_learned_bit(rf.states.factor).swapaxes(-3, -2)  # [..., a, v, :, other, :]
+    q, s, _ = np.linalg.svd(f.reshape(f.shape[:-2] + (-1,)), full_matrices=False)
     return q * (s * s > TOL_SPECTRAL)[..., None, :]
+
+
+def _support_bases_eigh(rf: ReducedFamily) -> np.ndarray:
+    """The eigenvectors of the sum of the two states with eigenvalue above
+    ``TOL_SPECTRAL``."""
+    w, v = np.linalg.eigh(_by_learned_bit(rf.states.mat).sum(axis=-3))
+    return v * (w > TOL_SPECTRAL)[..., None, :]
 
 
 def _completeness(spec: ProtocolSpec, rf: ReducedFamily) -> CompletenessReport:
@@ -371,36 +380,15 @@ class _Analysis:
     completeness: CompletenessReport
 
 
-def _final_sectors(spec: ProtocolSpec, prepared: np.ndarray | None = None) -> np.ndarray:
-    """The honest final states from each of ``prepared`` (by default Alice's
-    two preparations), ``(F?, n, 2, 2, D)`` indexed ``[..., x0, x1]`` on
-    the layout without the input registers, read off purified runs.
-
-    Bob's rounds are controlled on the input registers and Alice never
-    touches them, so sector (x0, x1) of a purified run is the honest final
-    state for (x0, x1) scaled by 1/2.  A sector of any other norm means the
-    final state is entangled with the input registers.
-    """
-    k = len(spec.layout.dims)
-    sectors = np.moveaxis(_execute(spec, _PLUS, prepared), spec._plan.input_axes, [-k, 1 - k])
-    sectors = sectors.reshape(sectors.shape[:2 - k] + (-1,))
-    norms = np.linalg.norm(sectors, axis=-1)
-    if np.abs(norms - 0.5).max() > TOL_SPECTRAL:
-        raise CompletenessError(
-            "final state is entangled with the input registers; not an honest run")
-    return sectors / norms[..., None]
-
-
 def all_final_states(spec: ProtocolSpec) -> FinalStates:
-    """All eight honest final states of a protocol, read off its purified
-    runs."""
-    return FinalStates(StateVector(spec._plan.rest, _final_sectors(spec)),
+    """All eight honest final states of a protocol: one execution's sectors."""
+    return FinalStates(StateVector(spec._plan.rest, _execute(spec)),
                        frozenset(spec.alice_end_factors))
 
 
 def _analyze(spec: ProtocolSpec) -> _Analysis:
-    """The one place a protocol is analysed: one pass runs both purified
-    runs."""
+    """The one place a protocol is analysed: one execution runs both
+    preparations for all four input pairs."""
     rf = reduce_alice(all_final_states(spec))
     return _Analysis(rf, _completeness(spec, rf))
 

@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 import wotsim
-from wotsim.catalog import build_cks
+from wotsim.catalog import (
+    _CKS_BLOCKS,
+    _CKS_FACTORS,
+    _CKS_PAIRS,
+    _CKS_POS,
+    _assemble,
+    _householder,
+    build_cks,
+)
 from wotsim.protocol import ProtocolSpec, Round
 from wotsim.qcore import (
     ALICE,
@@ -71,34 +79,8 @@ def build_cks_with_bob_register(dim: int = 2) -> ProtocolSpec:
     This exercises the nontrivial Uhlmann-block machinery.  With dim 16
     Alice's reduced states have 9 x 16 amplitude matrices, wider than tall.
     """
-    layout = RegisterLayout((
-        Factor("A", 3, ALICE),
-        Factor("M", 3, MESSAGE),
-        Factor("B", dim, BOB),
-        Factor("X0", 2, BOB_INPUT),
-        Factor("X1", 2, BOB_INPUT),
-    ))
-    base = build_cks()
-    # |m, b, x0, x1> -> phase(m, x0, x1) |m, b + x0 + x1 mod dim, x0, x1>
-    size = 12 * dim
-    u = np.zeros((size, size), dtype=complex)
-    phases = {0: lambda x0, x1: (-1.0) ** x0, 1: lambda x0, x1: (-1.0) ** x1,
-              2: lambda x0, x1: 1.0}
-    for m in range(3):
-        for b in range(dim):
-            for x0 in (0, 1):
-                for x1 in (0, 1):
-                    col = ((m * dim + b) * 2 + x0) * 2 + x1
-                    row = ((m * dim + (b + x0 + x1) % dim) * 2 + x0) * 2 + x1
-                    u[row, col] = phases[m](x0, x1)
-    return ProtocolSpec(
-        name="cks-with-bob-register" + ("" if dim == 2 else f"-{dim}"),
-        layout=layout,
-        alice_prep=base.alice_prep,
-        rounds=(Round(ALICE, np.eye(9, dtype=complex), send=True),
-                Round(BOB, u, send=True)),
-        alice_output=base.alice_output,
-    )
+    shifts = np.array([[np.roll(np.eye(dim), x0 + x1, axis=0) for x1 in (0, 1)] for x0 in (0, 1)])
+    return _cks_with_register("cks-with-bob-register" + ("" if dim == 2 else f"-{dim}"), shifts)
 
 
 def build_cks_with_complex_register(seed: int = 0) -> ProtocolSpec:
@@ -109,28 +91,19 @@ def build_cks_with_complex_register(seed: int = 0) -> ProtocolSpec:
     blocks of the purified attack have imaginary parts, so a conjugation
     slip in the realignment changes Bob's success.
     """
-    layout = RegisterLayout((
-        Factor("A", 3, ALICE),
-        Factor("M", 3, MESSAGE),
-        Factor("B", 2, BOB),
-        Factor("X0", 2, BOB_INPUT),
-        Factor("X1", 2, BOB_INPUT),
-    ))
-    base = build_cks()
     rots = haar_unitary(2, np.random.default_rng(seed), (2, 2))
     rots = rots / np.sqrt(np.linalg.det(rots))[..., None, None]
-    phases = np.diagonal(base.rounds[1].unitary).reshape(3, 2, 2)
-    eye2 = np.eye(2)
-    # Bob holds (M, B, X0, X1): the cks phases on M and V[x0, x1] on B
-    bob = np.einsum("mab,abef,mn,ac,bd->meabnfcd", phases, rots, np.eye(3), eye2, eye2)
-    return ProtocolSpec(
-        name=f"cks-with-complex-register-{seed}",
-        layout=layout,
-        alice_prep=base.alice_prep,
-        rounds=(Round(ALICE, np.eye(9, dtype=complex), send=True),
-                Round(BOB, bob.reshape(24, 24), send=True)),
-        alice_output=base.alice_output,
-    )
+    return _cks_with_register(f"cks-with-complex-register-{seed}", rots)
+
+
+def _cks_with_register(name: str, blocks: np.ndarray) -> ProtocolSpec:
+    """The qutrit protocol plus a Bob factor ``B`` on which Bob applies
+    ``blocks[x0, x1]`` beside the cks phases on the message."""
+    dim = blocks.shape[-1]
+    # Bob holds (M, B): the cks phases on M and blocks[x0, x1] on B
+    bob = _CKS_BLOCKS[..., :, None, :, None] * blocks[..., None, :, None, :]
+    return _assemble(name, _CKS_FACTORS + (Factor("B", dim, BOB),), _householder(_CKS_PAIRS),
+                     bob.reshape(2, 2, 3 * dim, 3 * dim), _CKS_POS)
 
 
 def family_of(specs, name: str = "family") -> ProtocolSpec:

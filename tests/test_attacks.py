@@ -298,8 +298,9 @@ def test_cheat_report_random_protocols_on_curve():
 
 def test_cheat_report_executes_the_protocol_in_one_batched_pass(monkeypatch):
     # one execution serves both preparations, which start as prepared
-    # states, and on a family spec every member, with one contraction per
-    # round; nothing runs per choice bit, per key or per member
+    # states, all four input pairs of Bob and, on a family spec, every
+    # member, with one contraction per round; nothing runs per choice bit,
+    # per key or per member
     specs = ((build_cks(), ()), (random_complete_protocol(np.arange(3)), (3,)))
     shapes, contractions = [], []
     execute, matmul = protocol._execute, np.matmul
@@ -321,7 +322,8 @@ def test_cheat_report_executes_the_protocol_in_one_batched_pass(monkeypatch):
         shapes.clear()
         contractions.clear()
         cheat_report(spec)
-        assert shapes == [lead + (2,) + spec.layout.dims]
+        # (choice bit, x0, x1) are batch axes of a tensor without the input registers
+        assert shapes == [lead + (2, 2, 2) + spec._plan.rest.dims]
         assert len(contractions) == len(spec.rounds)
 
 
@@ -329,11 +331,15 @@ def test_cheat_report_decomposes_the_reduced_states_once(monkeypatch):
     # Alice's eight reduced states keep their amplitude matrices as factors
     # and are never eigendecomposed, on one spec, on a family and on a
     # register wider than Alice's space (9 x 16 factors) alike.  The
-    # Helstrom quantity takes one eigvalsh of the four differences; the four
-    # SVDs are the support basis, the support overlap, the fidelity cross
-    # products and the Uhlmann blocks
-    specs = (build_cks(), random_complete_protocol(np.arange(3)),
-             build_cks_with_bob_register(16))
+    # Helstrom quantity takes one eigvalsh of the four differences; the
+    # other decompositions are the support bases, the support overlap, and
+    # one SVD of the four cross products that gives both the fidelities and
+    # the Uhlmann blocks.  The support bases come from the narrower side:
+    # the SVD of [F_0 F_1] (9 x 2 for cks), or on the wide register the
+    # eigh of the 9 x 9 sum of the two states
+    narrow = {"eigh": 0, "eigvalsh": 1, "svd": 3}
+    specs = ((build_cks(), narrow), (random_complete_protocol(np.arange(3)), narrow),
+             (build_cks_with_bob_register(16), {"eigh": 1, "eigvalsh": 1, "svd": 2}))
     members = random_density(3, np.random.default_rng(0), size=2)
     calls = {"eigh": 0, "eigvalsh": 0, "svd": 0}
     for name in calls:
@@ -341,10 +347,10 @@ def test_cheat_report_decomposes_the_reduced_states_once(monkeypatch):
             calls[_name] += 1
             return _orig(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
-    for spec in specs:
+    for spec, expected in specs:
         calls.update(eigh=0, eigvalsh=0, svd=0)
         cheat_report(spec)
-        assert calls == {"eigh": 0, "eigvalsh": 1, "svd": 4}, spec.name
+        assert calls == expected, spec.name
     calls.update(eigh=0, eigvalsh=0, svd=0)
     fidelity(members[0], members[1])
     assert calls == {"eigh": 0, "eigvalsh": 0, "svd": 1}
@@ -362,6 +368,20 @@ def test_cheat_report_forms_the_amplitude_matrices_once(monkeypatch):
         calls.clear()
         cheat_report(spec)
         assert len(calls) == 1, spec.name
+
+
+def test_cheat_report_f_and_delta_match_the_quantities_on_every_spec():
+    # cheat_report takes f from the one SVD, with singular vectors, that
+    # also gives the Uhlmann blocks; f_quantity takes the singular values
+    # alone through fidelity, and delta_quantity is the same call
+    specs = (build_cks(), build_trivial(), build_leaky(0.3), build_leaky(np.pi / 4),
+             build_mixture(0.25), build_mixture(np.array([0.0, 0.25, 1.0])),
+             random_complete_protocol(np.arange(10)), build_cks_with_bob_register(),
+             build_cks_with_complex_register(), build_cks_with_bob_register(16))
+    for spec in specs:
+        rep, rf = cheat_report(spec), protocol._analyze(spec).reduced
+        assert np.abs(rep.delta - delta_quantity(rf)).max() <= 1e-12, spec.name
+        assert np.abs(rep.f - f_quantity(rf)).max() <= 1e-12, spec.name
 
 
 def test_f_quantity_matches_the_square_roots_on_every_spec():
@@ -443,14 +463,19 @@ def test_random_complete_family_holds_the_per_seed_matrices():
 
 
 def test_cheat_report_rejects_inconsistent_simulation(monkeypatch):
-    # a simulated attack 1e-3 off the closed form is a typed error, exit 1
-    exact = attacks._purified_success
-    monkeypatch.setattr(attacks, "_purified_success", lambda an: exact(an) + 1e-3)
+    # fidelities 1e-3 off the ones whose Uhlmann blocks the simulated
+    # attack applies put the closed form off the simulation: a typed
+    # error, exit 1
+    exact = attacks._pair_kernel
+
+    def off_by(offset):
+        return lambda rf: (exact(rf)[0] + offset, exact(rf)[1])
+
+    monkeypatch.setattr(attacks, "_pair_kernel", off_by(1e-3))
     with pytest.raises(ConsistencyError):
         cheat_report(build_cks())
     assert cli.main(["analyze", "cks"]) == 1
     # on a family, one member off is enough
-    offset = np.array([[0.0, 0.0], [1e-3, 1e-3]])
-    monkeypatch.setattr(attacks, "_purified_success", lambda an: exact(an) + offset)
+    monkeypatch.setattr(attacks, "_pair_kernel", off_by(np.array([[0.0] * 4, [1e-3] * 4])))
     with pytest.raises(ConsistencyError):
         cheat_report(random_complete_protocol(np.arange(2)))

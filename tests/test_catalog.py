@@ -23,7 +23,7 @@ from wotsim.catalog import (
     random_complete_protocol,
 )
 from wotsim.errors import RangeError, SpecError
-from wotsim import protocol
+from wotsim import catalog, protocol
 from wotsim.protocol import run_honest, spec_from_dict, spec_to_dict, validate_completeness
 from wotsim.qcore import TOL_SPECTRAL, haar_unitary
 
@@ -286,3 +286,26 @@ def test_assembled_bob_round_and_wire_round_trip(name):
     assert np.array_equal(spec.rounds[1].unitary, reference)
     again = spec_from_dict(json.loads(json.dumps(spec_to_dict(spec))))
     assert dataclasses.astuple(cheat_report(again)) == dataclasses.astuple(cheat_report(spec))
+
+
+def test_plan_holds_the_blocks_the_assembler_was_given(monkeypatch):
+    # the dense round _assemble writes is what the spec keeps; the compiled
+    # plan reads Bob's blocks back off it bit for bit, on one protocol and
+    # on families whose blocks are shared or stacked
+    given = []
+
+    def recorded(name, factors, prep, blocks, pos, _assemble=catalog._assemble):
+        given.append(blocks)
+        return _assemble(name, factors, prep, blocks, pos)
+
+    monkeypatch.setattr(catalog, "_assemble", recorded)
+    for build in (build_cks, build_trivial, lambda: build_leaky(0.3),
+                  lambda: build_mixture(0.25), lambda: build_mixture(np.array([0.0, 0.5, 1.0])),
+                  lambda: random_complete_protocol(5),
+                  lambda: random_complete_protocol(np.arange(4))):
+        given.clear()
+        spec = build()
+        blocks = np.asarray(given[0], dtype=complex)
+        op, _, _ = spec._plan.steps[1]
+        assert op.shape == blocks.shape, spec.name
+        assert np.ascontiguousarray(op).tobytes() == blocks.tobytes(), spec.name

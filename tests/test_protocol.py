@@ -134,17 +134,16 @@ def test_validate_completeness_fails_without_information():
     assert report.failures
 
 
-def test_analysis_rejects_round_entangled_with_inputs(monkeypatch):
-    # a Bob round that rotates X0 fails spec validation, so build it past
-    # that check: the input-sector read must still refuse the final state
-    monkeypatch.setattr(protocol, "_check_input_controlled", lambda *args: None)
+def test_analysis_rejects_round_entangled_with_inputs():
+    # a Bob round that rotates X0 would entangle the final state with the
+    # input registers; the spec refuses it when it is built, so the
+    # analysis, which runs the inputs as sector indices, never sees one
     base = build_cks()
     hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     bob = np.kron(np.eye(3), np.kron(hadamard, np.eye(2))).astype(complex)
-    leaky = ProtocolSpec("leaky", base.layout, base.alice_prep,
-                         (base.rounds[0], Round(BOB, bob, send=True)), base.alice_output)
-    with pytest.raises(CompletenessError, match="entangled with the input registers"):
-        validate_completeness(leaky)
+    with pytest.raises(SpecError, match="not controlled on his input registers"):
+        ProtocolSpec("leaky", base.layout, base.alice_prep,
+                     (base.rounds[0], Round(BOB, bob, send=True)), base.alice_output)
 
 
 def test_deferred_measurement_consistency():
@@ -173,9 +172,9 @@ def _input_sector(lay, x0, x1) -> tuple:
 
 
 def test_purified_run_is_uniform_superposition_of_honest_runs():
-    # the analysis reads the honest states off the purified sectors, so
-    # pin both against single runs with basis inputs; those run the same
-    # compiled plan, which test_engine_matches_dense_reference checks
+    # the analysis reads the honest states as the sectors of one execution;
+    # single runs put the input registers back around the same sectors, so
+    # this pins that reading, and test_engine_matches_dense_reference the plan
     for build in ENGINE_SPECS:
         spec = build()
         lay = spec.layout
@@ -284,8 +283,27 @@ def test_support_svd_is_as_wide_as_the_largest_support(monkeypatch):
     assert widths == [(2, 2, 9, 2)]
 
 
+def test_support_kernels_give_one_completeness_report(monkeypatch):
+    # a Bob register of dim 16 gives 9 x 16 factors, so the analysis takes
+    # the eigh branch; the SVD of [F_0 F_1], 9 x 32, spans the same supports
+    spec = build_cks_with_bob_register(16)
+    rf = protocol._analyze(spec).reduced
+    bases, reports = [], []
+    for kernel in (protocol._support_bases_svd, protocol._support_bases_eigh):
+        basis = kernel(rf)
+        bases.append(basis @ basis.conj().swapaxes(-1, -2))
+        monkeypatch.setattr(protocol, "_support_bases", kernel)
+        reports.append(protocol._completeness(spec, rf))
+    by_svd, by_eigh = reports
+    assert np.abs(bases[0] - bases[1]).max() <= 1e-12
+    assert by_svd.passed and by_eigh.passed and by_svd.failures == by_eigh.failures == ()
+    for name in ("support_overlap", "one_probs", "min_output_prob"):
+        gap = np.abs(np.subtract(getattr(by_svd, name), getattr(by_eigh, name))).max()
+        assert gap <= 1e-12, name
+
+
 def test_all_final_states_runs_no_svd(monkeypatch):
-    # the final states are read off the purified runs; reducing them and
+    # the final states are the sectors of one execution; reducing them and
     # checking completeness is the analysis's work, not theirs
     monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: pytest.fail("svd"))
     for spec in (build_cks(), build_cks_with_bob_register(16)):
@@ -308,21 +326,22 @@ def test_engine_matches_dense_reference():
 
 def test_engine_runs_given_prepared_states_like_dense_preparations():
     # a stack of prepared states runs like preparation unitaries with those
-    # first columns, applied as dense full-layout operators
+    # first columns, applied as dense full-layout operators: sector (x0, x1)
+    # is the dense run with basis inputs, where X0 = x0 and X1 = x1
     gen = np.random.default_rng(21)
-    plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    inputs = [{"X0": np.eye(2)[x0], "X1": np.eye(2)[x1]} for x0 in (0, 1) for x1 in (0, 1)]
     for build in ENGINE_SPECS:
         spec = build()
         lay = spec.layout
         us = haar_unitary(lay.subset_dim(held_factors(lay, ALICE, True)), gen, size=3)
-        for amps in inputs + [{"X0": plus, "X1": plus}]:
-            got = protocol._execute(spec, amps, us[:, :, 0])
-            assert got.shape == (3,) + lay.dims
-            for u, run in zip(us, got):
-                haar = ProtocolSpec(spec.name, lay, (u, u), spec.rounds, spec.alice_output)
-                ref = _dense_run(haar, 0, amps)
-                assert np.abs(run.ravel() - ref).max() < 1e-12, spec.name
+        sectors = protocol._execute(spec, us[:, :, 0])
+        assert sectors.shape == (3, 2, 2) + spec._plan.rest.dims
+        for x0 in (0, 1):
+            for x1 in (0, 1):
+                amps = {"X0": np.eye(2)[x0], "X1": np.eye(2)[x1]}
+                for u, run in zip(us, sectors[:, x0, x1]):
+                    haar = ProtocolSpec(spec.name, lay, (u, u), spec.rounds, spec.alice_output)
+                    ref = _dense_run(haar, 0, amps).reshape(lay.dims)[_input_sector(lay, x0, x1)]
+                    assert np.abs(run - ref).max() < 1e-12, spec.name
 
 
 def test_reduce_alice_matches_partial_trace_of_pure_density():

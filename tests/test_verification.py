@@ -46,24 +46,33 @@ def _nan_success(rho, xi):
     return meas, success * np.nan
 
 
+def _nan_fidelities(rf, kernel=attacks._pair_kernel):
+    fidelities, realign = kernel(rf)
+    return fidelities * np.nan, realign
+
+
 # Each primitive patched to return NaN, and the checks that must then fail:
-# a worst-value fold with Python's max or min drops a NaN and passes.
+# a worst-value fold with Python's max or min drops a NaN and passes.  The
+# f case patches both routes to f: ``f_quantity``, which the inequality
+# chain calls on random families, and the pair kernel, from which
+# ``cheat_report`` takes f together with the Uhlmann blocks.
 _NAN_CASES = {
-    "fidelity": (verification, "fidelity", lambda rho, xi: fidelity(rho, xi) * np.nan, {
+    "fidelity": ([(verification, "fidelity", lambda rho, xi: fidelity(rho, xi) * np.nan)], {
         verification.suite_fuchs_van_de_graaf: {"lower_inequality", "upper_inequality"},
         verification.suite_purified_attack: {"simulation_matches_closed_form"},
     }),
-    "f_quantity": (attacks, "f_quantity", lambda rf, f=attacks.f_quantity: f(rf) * np.nan, {
+    "f_quantity": ([(attacks, "f_quantity", lambda rf, f=attacks.f_quantity: f(rf) * np.nan),
+                    (attacks, "_pair_kernel", _nan_fidelities)], {
         verification.suite_inequality_chain: {
             "f_plus_delta_at_least_4", "tradeoff_at_least_2", "random_protocols_on_curve",
             "local_rotations_preserve_quantities"},
     }),
-    "helstrom": (verification, "helstrom", _nan_success, {
+    "helstrom": ([(verification, "helstrom", _nan_success)], {
         verification.suite_helstrom: {"matches_guess_prob"},
     }),
-    "combined_bounds": (catalog, "combined_bounds",
-                        lambda wcf, cb=catalog.combined_bounds:
-                        dataclasses.replace(cb(wcf), combined=np.nan), {
+    "combined_bounds": ([(catalog, "combined_bounds",
+                          lambda wcf, cb=catalog.combined_bounds:
+                          dataclasses.replace(cb(wcf), combined=np.nan))], {
         verification.suite_catalog: {"combined_on_line"},
     }),
 }
@@ -71,8 +80,9 @@ _NAN_CASES = {
 
 @pytest.mark.parametrize("case", sorted(_NAN_CASES))
 def test_nan_fails_the_check(monkeypatch, case):
-    module, attr, patched, expected = _NAN_CASES[case]
-    monkeypatch.setattr(module, attr, patched)
+    patches, expected = _NAN_CASES[case]
+    for module, attr, patched in patches:
+        monkeypatch.setattr(module, attr, patched)
     for suite, names in expected.items():
         checks = {c.name: c for c in suite(7)}
         assert names <= checks.keys()
