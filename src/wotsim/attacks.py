@@ -36,7 +36,6 @@ from .qcore import (
     DensityOp,
     StateVector,
     bipartition_matrix,
-    dagger,
     fidelity,
     float_or_array,
     helstrom,
@@ -129,14 +128,14 @@ def _by_register(mats: np.ndarray) -> np.ndarray:
 
 
 def _pair_kernel(rf: ReducedFamily) -> tuple[np.ndarray, CMat]:
-    """From one SVD W diag(s) Vh per pair of F_rho† F_xi: the fidelities
-    ``[..., 4]``, sum(s), and Bob's realignment unitaries conj(W Vh),
+    """From one SVD per pair of F_rho† F_xi, by :func:`uhlmann_blocks`: the
+    fidelities ``[..., 4]``, and Bob's realignment unitaries
     ``[..., s, x_other]``, each taking the ``a = 1 - s`` honest state with
     ``X_s = 1`` toward the one with ``X_s = 0`` on his non-input factors."""
-    rho, xi = (rf.states.factor[(*index, slice(None), slice(None))] for index in _PAIRS)
-    w, s, vh = np.linalg.svd(dagger(rho) @ xi)
+    u, s = uhlmann_blocks(*(rf.states.factor[(*index, slice(None), slice(None))]
+                            for index in _PAIRS))
     # pairs 2 and 3 (a = 1) vary x0, Bob's register choice 0; pairs 0 and 1 vary x1
-    u = np.conj(w @ vh)[..., (2, 3, 0, 1), :, :]
+    u = u[..., (2, 3, 0, 1), :, :]
     return s.sum(axis=-1), u.reshape(u.shape[:-3] + (2, 2) + u.shape[-2:])
 
 

@@ -406,27 +406,27 @@ def uhlmann_blocks(phi_mat: CMat, psi_mat: CMat) -> tuple[CMat, np.ndarray]:
     equals the fidelity of the two reduced states on the kept subsystem,
     and is attained at U = conj(W Vh) where W diag(s) Vh is the SVD of the
     cross matrix M[j,k] = <phi|(I x |j><k|)|psi>.  Returns U and the
-    achieved overlap, which is sum(s), real and nonnegative; it is
-    evaluated through the states, as a self-check of the recipe.
+    singular values s, whose sum is that maximum: the fidelity, for the
+    factors of two density operators (``attacks`` reads both from this one
+    SVD).
     """
-    w, _, vh = np.linalg.svd(dagger(phi_mat) @ psi_mat)
-    u = np.conj(w @ vh)
-    flat = phi_mat.shape[:-2] + (-1,)
-    return u, np.real(inner(phi_mat.reshape(flat), (psi_mat @ u.swapaxes(-1, -2)).reshape(flat)))
+    w, s, vh = np.linalg.svd(dagger(phi_mat) @ psi_mat)
+    return np.conj(w @ vh), s
 
 
 def uhlmann_unitary(phi: StateVector, psi: StateVector,
                     b_factors: Iterable[str]) -> tuple[CMat, float]:
     """A unitary U on the ``b_factors`` subsystem (in layout order)
-    maximizing <phi|(I x U)|psi>, and that real overlap, by
-    :func:`uhlmann_blocks`."""
+    maximizing <phi|(I x U)|psi>, by :func:`uhlmann_blocks`, and that real
+    overlap, evaluated through the states as a check of the recipe."""
     if phi.layout != psi.layout:
         raise LayoutError("states must share a layout")
     b = phi.layout.select(b_factors)
     if not b or len(b) == len(phi.layout.factors):
         raise LayoutError("b_factors must be a nonempty strict subset of the factors")
-    u, overlap = uhlmann_blocks(bipartition_matrix(phi, b), bipartition_matrix(psi, b))
-    return u, float(overlap)
+    phi_mat, psi_mat = bipartition_matrix(phi, b), bipartition_matrix(psi, b)
+    u = uhlmann_blocks(phi_mat, psi_mat)[0]
+    return u, float(np.real(inner(phi_mat.reshape(-1), (psi_mat @ u.T).reshape(-1))))
 
 
 def haar_orthonormalize(normals: np.ndarray) -> CMat:

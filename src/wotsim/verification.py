@@ -3,6 +3,9 @@
 Each suite re-derives a family of invariants from scratch with a seeded RNG
 and reports one named check per assertion.  The suites avoid anything known
 to be unattainable; they are meant to be a fast, deterministic green wall.
+Every check can fail: none restates another check of its suite, and none
+restates the validation of a constructor (``StateVector``, ``DensityOp``)
+that raises before the check could read its value.
 
 Every check but completeness gets its verdict from ``_check``: it passes
 iff all its measured values lie in its bounds, and a NaN fails it.  A failing
@@ -80,7 +83,7 @@ def suite_fuchs_van_de_graaf(seed: int) -> list[Check]:
 
 def suite_trace_norm(seed: int) -> list[Check]:
     rng = _rng(seed, 2)
-    norms, triangle, unitary, hermitian = [], [], [], []
+    triangle, unitary, hermitian = [], [], []
     # two rounds of 34 instances per dimension, each matrices a and b and
     # unitaries u and v
     for dim in (2, 3, 4) * 2:
@@ -88,14 +91,12 @@ def suite_trace_norm(seed: int) -> list[Check]:
         a, b = z[0] + 1j * z[1]
         u, v = haar_unitary(dim, rng, size=(2, 34))
         tn_a = trace_norm(a)
-        norms.append(tn_a)
         triangle.append(trace_norm(a + b) - (tn_a + trace_norm(b)))
         unitary.append(np.abs(trace_norm(u @ a @ v) - tn_a))
         # the eigenvalue kernel against the SVD, on the Hermitian a + a†
         h = a + dagger(a)
         hermitian.append(np.abs(hermitian_trace_norm(h) - trace_norm(h)))
-    return [_check("nonnegative", norms, lo=0.0),
-            _check("triangle", triangle, hi=TOL_SPECTRAL),
+    return [_check("triangle", triangle, hi=TOL_SPECTRAL),
             _check("unitarily_invariant", unitary, hi=TOL_SPECTRAL),
             _check("hermitian_matches_svd", hermitian, hi=TOL_SPECTRAL)]
 
@@ -125,7 +126,9 @@ def suite_fidelity_and_uhlmann(seed: int) -> list[Check]:
     amps = normals[:, 0::2] + 1j * normals[:, 1::2]
     states = StateVector(lay, amps / np.linalg.norm(amps, axis=-1, keepdims=True))
     mats = bipartition_matrix(states, ["E"])
-    u, overlap = uhlmann_blocks(mats[:, 0], mats[:, 1])
+    u = uhlmann_blocks(mats[:, 0], mats[:, 1])[0]
+    # <phi|(I x U)|psi>, evaluated through the states
+    overlap = np.real(np.sum(mats[:, 0].conj() * (mats[:, 1] @ u.swapaxes(-1, -2)), axis=(-2, -1)))
     reduced = partial_trace(pure_density(states), lay, ["S"])
     return [
         _check("pure_fidelity_inner_product", [inner_gap], hi=TOL_SPECTRAL),
@@ -138,16 +141,18 @@ def suite_fidelity_and_uhlmann(seed: int) -> list[Check]:
 def suite_partial_trace(seed: int) -> list[Check]:
     rng = _rng(seed, 5)
     lay = RegisterLayout((Factor("L", 2, "Alice"), Factor("R", 3, "Bob")))
-    red = partial_trace(random_density(6, rng, size=100), lay, ["L"]).mat
+    rho = random_density(6, rng, size=100)
+    red = partial_trace(rho, lay, ["L"]).mat
+    # tr_R F F† = M M† for M[l, (r, k)] = F[(l, r), k]: a wrong traced factor
+    # or axis order fails it on these complex states, unlike on the real Bell state
+    m = rho.factor.reshape(100, 2, 18)
     bell = StateVector(
         RegisterLayout((Factor("a", 2, "Alice"), Factor("b", 2, "Bob"))),
         np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2),
     )
     bell_red = partial_trace(pure_density(bell), bell.layout, ["a"]).mat
     return [
-        _check("preserves_trace", [np.abs(np.trace(red, axis1=-2, axis2=-1) - 1.0)],
-               hi=TOL_SPECTRAL),
-        _check("preserves_psd", [np.linalg.eigvalsh(red)], lo=-TOL_SPECTRAL),
+        _check("matches_traced_factor", [np.abs(red - m @ dagger(m))], hi=1e-9),
         _check("bell_reduces_to_maximally_mixed", [np.abs(bell_red - np.eye(2) / 2)], hi=1e-9),
     ]
 
@@ -155,10 +160,6 @@ def suite_partial_trace(seed: int) -> list[Check]:
 def suite_protocol_honest(seed: int) -> list[Check]:
     checks = []
     for spec in (catalog.build_cks(), catalog.build_trivial()):
-        # the analysed states are normalised by construction; single runs are not
-        norms = [np.linalg.norm(protocol.run_honest(spec, *key).amps) - 1.0
-                 for key in protocol.RUN_KEYS]
-        checks.append(_check(f"{spec.name}_norms", [np.abs(norms)], hi=1e-9))
         an = protocol._analyze(spec)
         report = an.completeness
         checks.append(Check(f"{spec.name}_complete", report.passed, "; ".join(report.failures)))
@@ -173,27 +174,23 @@ def suite_protocol_honest(seed: int) -> list[Check]:
 
 def suite_inequality_chain(seed: int) -> list[Check]:
     rng = _rng(seed, 6)
-    fd, t1 = [], []
+    # Theorem 1 on the attacks is f + delta >= 4 through the two bound maps, which
+    # helstrom_attack_achieves_bound, mixture_on_line and cheat_report check
+    fd = []
     # six rounds of 28 families per dimension, each family eight densities
     # keyed (a, x0, x1): one call over all of them raises verify's peak memory
     for dim in (2, 3, 4) * 6:
         rf = protocol.ReducedFamily(random_density(dim, rng, size=(28, 2, 2, 2)))
-        f = attacks.f_quantity(rf)
-        d = attacks.delta_quantity(rf)
-        fd.append(f + d)
-        t1.append(2.0 * attacks._bob_bound_of(f) + attacks._alice_bound_of(d))
-    lhs, devs = [], []
+        fd.append(attacks.f_quantity(rf) + attacks.delta_quantity(rf))
+    devs = []
     base_seeds = rng.integers(0, 2**31 - 1, size=100)
     # ten family specs of ten: one family of 100 would raise verify's peak
     # memory by about 8 MB, ten of ten stay below suite_oracle's peak
     for seeds in np.split(base_seeds, 10):
         rep = attacks.cheat_report(catalog.random_complete_protocol(seeds))
-        lhs.append(rep.theorem1_lhs)
         devs += [np.abs(rep.delta), np.abs(rep.f - 4)]
     return [
         _check("f_plus_delta_at_least_4", fd, lo=4.0 - TOL_SPECTRAL),
-        _check("tradeoff_at_least_2", t1, lo=2.0 - TOL_SPECTRAL),
-        _check("random_protocols_on_curve", lhs, lo=2.0 - TOL_SPECTRAL),
         _check("local_rotations_preserve_quantities", devs, hi=TOL_SPECTRAL),
     ]
 

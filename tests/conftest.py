@@ -130,14 +130,8 @@ def family_of(specs, name: str = "family") -> ProtocolSpec:
 def build_incomplete_protocol() -> ProtocolSpec:
     """A structurally valid protocol that transfers no information: Bob's
     round is the identity for every input, so completeness fails."""
-    base = build_cks()
-    return ProtocolSpec(
-        name="no-information",
-        layout=base.layout,
-        alice_prep=base.alice_prep,
-        rounds=(base.rounds[0], Round(BOB, np.eye(12, dtype=complex), send=True)),
-        alice_output=base.alice_output,
-    )
+    return _assemble("no-information", _CKS_FACTORS, _householder(_CKS_PAIRS),
+                     np.broadcast_to(np.eye(3), (2, 2, 3, 3)), _CKS_POS)
 
 
 def build_cks_shuffled() -> ProtocolSpec:
@@ -166,35 +160,13 @@ def build_cks_shuffled() -> ProtocolSpec:
 
 def build_two_register_trivial() -> ProtocolSpec:
     """Bob copies x0 and x1 into two separate message qubits."""
-    layout = RegisterLayout((
-        Factor("A", 2, ALICE),
-        Factor("M0", 2, MESSAGE),
-        Factor("M1", 2, MESSAGE),
-        Factor("X0", 2, BOB_INPUT),
-        Factor("X1", 2, BOB_INPUT),
-    ))
-    # held order (M0, M1, X0, X1): |m0, m1, x0, x1> -> |m0+x0, m1+x1, x0, x1>
-    dim = 16
-    bob = np.zeros((dim, dim), dtype=complex)
-    for m0 in (0, 1):
-        for m1 in (0, 1):
-            for x0 in (0, 1):
-                for x1 in (0, 1):
-                    col = ((m0 * 2 + m1) * 2 + x0) * 2 + x1
-                    row = (((m0 ^ x0) * 2 + (m1 ^ x1)) * 2 + x0) * 2 + x1
-                    bob[row, col] = 1.0
-    one = np.diag([0.0, 1.0]).astype(complex)
-    eye2 = np.eye(2, dtype=complex)
-    outputs = []
-    for a in (0, 1):
-        # read M0 for a=0, M1 for a=1; measurement is on (A, M0, M1)
-        pos = np.kron(eye2, np.kron(one, eye2) if a == 0 else np.kron(eye2, one))
-        outputs.append(TwoOutcomeMeasurement(pos, np.eye(8) - pos))
-    return ProtocolSpec(
-        name="two-register-trivial",
-        layout=layout,
-        alice_prep=(np.eye(8, dtype=complex), np.eye(8, dtype=complex)),
-        rounds=(Round(ALICE, np.eye(8, dtype=complex), send=True),
-                Round(BOB, bob, send=True)),
-        alice_output=(outputs[0], outputs[1]),
-    )
+    # Bob holds (M0, M1): |m0, m1> -> |m0 + x0, m1 + x1>
+    flips = [np.roll(np.eye(2), x, axis=0) for x in (0, 1)]
+    blocks = np.array([[np.kron(flips[x0], flips[x1]) for x1 in (0, 1)] for x0 in (0, 1)])
+    # Alice's outcome 1 reads M0 for a = 0, M1 for a = 1, on (A, M0, M1)
+    one = np.diag([0.0, 1.0])
+    pos = np.array([np.kron(np.eye(2), np.kron(one, np.eye(2))),
+                    np.kron(np.eye(4), one)])
+    return _assemble("two-register-trivial",
+                     (Factor("A", 2, ALICE), Factor("M0", 2, MESSAGE), Factor("M1", 2, MESSAGE)),
+                     np.broadcast_to(np.eye(8), (2, 8, 8)), blocks, pos)

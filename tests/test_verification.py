@@ -64,8 +64,7 @@ _NAN_CASES = {
     "f_quantity": ([(attacks, "f_quantity", lambda rf, f=attacks.f_quantity: f(rf) * np.nan),
                     (attacks, "_pair_kernel", _nan_fidelities)], {
         verification.suite_inequality_chain: {
-            "f_plus_delta_at_least_4", "tradeoff_at_least_2", "random_protocols_on_curve",
-            "local_rotations_preserve_quantities"},
+            "f_plus_delta_at_least_4", "local_rotations_preserve_quantities"},
     }),
     "helstrom": ([(verification, "helstrom", _nan_success)], {
         verification.suite_helstrom: {"matches_guess_prob"},
@@ -91,6 +90,34 @@ def test_nan_fails_the_check(monkeypatch, case):
             assert "nan" in checks[name].detail, (name, checks[name].detail)
 
 
+# Each bound map patched off its closed form, and the FAIL lines verify must
+# then print.  Theorem 1 on the attacks is f + delta >= 4 through these two
+# maps, and these are the checks that read them: Alice's map through the
+# Helstrom simulation and the mixture's line, Bob's through cheat_report's
+# check against the purified simulation, which raises ConsistencyError.
+_BOUND_MAP_CASES = {
+    "_alice_bound_of": (lambda d: 0.5 + d / 16.0, {
+        "attacks.purified_attack: helstrom_attack_achieves_bound",
+        "catalog.protocols: mixture_on_line"}),
+    "_bob_bound_of": (lambda f: 0.5 + f / 32.0, set()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BOUND_MAP_CASES))
+def test_wrong_bound_map_fails_verify(monkeypatch, tmp_path, capsys, case):
+    wrong, failing = _BOUND_MAP_CASES[case]
+    monkeypatch.setattr(attacks, case, wrong)
+    out = tmp_path / "verify.txt"
+    assert main(["verify", "--seed", "7", "--out", str(out)]) == 1
+    if failing:
+        lines = out.read_text().splitlines()
+        assert {line.split(" (")[0].removeprefix("FAIL ") for line in lines
+                if line.startswith("FAIL ")} == failing
+        assert lines[-1] == "FAILED"
+    else:
+        assert "disagrees with bound" in capsys.readouterr().err
+
+
 def test_every_failing_check_is_named(monkeypatch):
     def failing(seed):
         return [verification.Check("first", False, "slack -1"),
@@ -104,7 +131,7 @@ def test_every_failing_check_is_named(monkeypatch):
     lines, ok = verification.run_all(7)
     assert not ok
     assert lines == [
-        "PASS qcore.partial_trace (3 checks)",
+        "PASS qcore.partial_trace (2 checks)",
         "FAIL stub.failing: first (slack -1)",
         "FAIL stub.failing: second",
         "FAILED",

@@ -18,8 +18,9 @@ The result goes to ``BENCH_<name>.json`` next to the change's
 ``BENCHMARK.json``: the full record of every run, and
 per end-to-end metric the two lists, their medians, the relative change of
 the median, the parent's interquartile range (``statistics.quantiles``,
-exclusive method), the number of pairs in which the change is better, and
-whether the change stays within the metric's bound.
+exclusive method; ``null`` with fewer than two pairs), the number of pairs
+in which the change is better, and whether the change stays within the
+metric's bound.
 """
 
 from __future__ import annotations
@@ -77,7 +78,8 @@ def run_once(side: str, workload: str, seed: int, seconds: float, env: dict) -> 
 def paired(parent: list[float], change: list[float], better: str, bound: float) -> dict:
     """The paired summary of one metric, in the layout of the BENCH files."""
     p_med, c_med = statistics.median(parent), statistics.median(change)
-    q = statistics.quantiles(parent, n=4)
+    # quantiles needs two values; one pair has no spread to report
+    q = statistics.quantiles(parent, n=4) if len(parent) > 1 else None
     rel = c_med / p_med - 1.0
     sign = 1.0 if better == "lower" else -1.0
     return {
@@ -86,7 +88,7 @@ def paired(parent: list[float], change: list[float], better: str, bound: float) 
         "parent_median": p_med,
         "change_median": c_med,
         "change_vs_parent": rel,
-        "parent_iqr": q[2] - q[0],
+        "parent_iqr": None if q is None else q[2] - q[0],
         # pairs in which the change is better, whichever direction that is
         "change_lower_pairs": sum(sign * (c - p) < 0 for p, c in zip(parent, change)),
         "bound": bound,
@@ -167,9 +169,10 @@ def main(argv=None) -> int:
                 json.dump(out, fh, indent=1)
     for workload, w in out["workloads"].items():
         for metric, s in w["paired"].items():
+            iqr = "none" if s["parent_iqr"] is None else f"{s['parent_iqr']:.4g}"
             print(f"# {workload} {metric}: {s['parent_median']:.4g} -> {s['change_median']:.4g} "
                   f"({100 * s['change_vs_parent']:+.1f}%, better in {s['change_lower_pairs']} "
-                  f"of {len(s['parent'])}, parent IQR {s['parent_iqr']:.4g})")
+                  f"of {len(s['parent'])}, parent IQR {iqr})")
     return 0
 
 

@@ -12,8 +12,7 @@ microseconds and their ratio, change over parent.
 The stages are the layers of one report: ``all_final_states`` (the
 execution), ``_completeness``, the pair kernel, ``_purified_success`` and the
 whole ``cheat_report``.  The pair kernel is ``attacks._pair_kernel``, the one
-SVD of the four cross products; in a checkout without it, it is the two SVDs
-it replaced, ``f_quantity`` and ``_realignment_blocks``.
+SVD of the four cross products.
 """
 
 from __future__ import annotations
@@ -64,16 +63,9 @@ def stages(w, spec) -> dict:
     """The calls to time on one spec, each with its inputs computed once."""
     att, proto = w["attacks"], w["protocol"]
     an = proto._analyze(spec)
-    if hasattr(att, "_pair_kernel"):
-        def pair_kernel():
-            att._pair_kernel(an.reduced)
-    else:
-        def pair_kernel():
-            att.f_quantity(an.reduced)
-            att._realignment_blocks(att._by_register(an.reduced.states.factor))
     return {"all_final_states": lambda: proto.all_final_states(spec),
             "_completeness": lambda: proto._completeness(spec, an.reduced),
-            "pair_kernel": pair_kernel,
+            "pair_kernel": lambda: att._pair_kernel(an.reduced),
             "_purified_success": lambda: att._purified_success(an),
             "cheat_report": lambda: att.cheat_report(spec)}
 
