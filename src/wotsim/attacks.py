@@ -10,9 +10,11 @@ Both bounds are functions of the eight honest reduced states: summing
 1 - F <= ||rho - xi||_1 / 2 over the four relevant state pairs shows the two
 bounds cannot both be small, which is the tradeoff this package reproduces.
 
-A report reads the four pairs once: delta from the ``eigvalsh`` of their
-differences, and f and the Uhlmann unitaries of Bob's attack from one SVD of
-the cross products F_rho† F_xi of their factors (:func:`_pair_kernel`).
+A report reads the four pairs once, as views of the one learned-bit-order
+gather of Alice's reduced states (``ReducedFamily.pairs``): delta from the
+``eigvalsh`` of their differences, and f and the Uhlmann unitaries of Bob's
+attack from one SVD of the cross products F_rho† F_xi of their factors
+(:func:`_pair_kernel`).
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .protocol import (
 from .qcore import (
     TOL_SPECTRAL,
     CMat,
-    DensityOp,
     StateVector,
     bipartition_matrix,
     fidelity,
@@ -65,29 +66,17 @@ class CheatReport:
     theorem1_lhs: float
 
 
-# The four reduced-state pairs that differ only in the bit Alice did not
-# choose: (a=0, vary x1) for each x0, then (a=1, vary x0) for each x1.  Each
-# index picks the first or the second members as (a, x0, x1) index arrays,
-# so both sides of all four pairs are read as stacks of shape (..., 4, d, d).
-_PAIRS = ((..., (0, 0, 1, 1), (0, 1, 0, 0), (0, 0, 0, 1)),
-          (..., (0, 0, 1, 1), (0, 1, 1, 1), (1, 1, 0, 1)))
-
-
-def _pairs(rf: ReducedFamily) -> tuple[DensityOp, DensityOp]:
-    return rf.states[_PAIRS[0]], rf.states[_PAIRS[1]]
-
-
 def delta_quantity(rf: ReducedFamily):
     """Half the summed trace distances over the four pairs, in [0, 4]; one
     value per family for a batched family."""
-    rho, xi = _pairs(rf)
+    rho, xi = rf.pairs
     return float_or_array(0.5 * hermitian_trace_norm(rho.mat - xi.mat).sum(axis=-1))
 
 
 def f_quantity(rf: ReducedFamily):
     """The summed fidelities over the four pairs, in [0, 4]; one value per
     family for a batched family."""
-    return float_or_array(fidelity(*_pairs(rf)).sum(axis=-1))
+    return float_or_array(fidelity(*rf.pairs).sum(axis=-1))
 
 
 def _alice_bound_of(delta: float) -> float:
@@ -116,7 +105,7 @@ def alice_helstrom_attack(rf: ReducedFamily):
     choice of which branch to run) reproduces :func:`alice_bound`.  One
     value per family for a batched family.
     """
-    return float_or_array(np.mean(helstrom(*_pairs(rf))[1], axis=-1))
+    return float_or_array(np.mean(helstrom(*rf.pairs)[1], axis=-1))
 
 
 # The purified attack reads amplitude matrices indexed [..., s, x_s, x_other]:
@@ -132,8 +121,7 @@ def _pair_kernel(rf: ReducedFamily) -> tuple[np.ndarray, CMat]:
     fidelities ``[..., 4]``, and Bob's realignment unitaries
     ``[..., s, x_other]``, each taking the ``a = 1 - s`` honest state with
     ``X_s = 1`` toward the one with ``X_s = 0`` on his non-input factors."""
-    u, s = uhlmann_blocks(*(rf.states.factor[(*index, slice(None), slice(None))]
-                            for index in _PAIRS))
+    u, s = uhlmann_blocks(*(side.factor for side in rf.pairs))
     # pairs 2 and 3 (a = 1) vary x0, Bob's register choice 0; pairs 0 and 1 vary x1
     u = u[..., (2, 3, 0, 1), :, :]
     return s.sum(axis=-1), u.reshape(u.shape[:-3] + (2, 2) + u.shape[-2:])

@@ -16,12 +16,15 @@ Conventions:
   enforces by construction.
 * ``alice_output[a]`` is a two-outcome measurement on Alice's end-of-protocol
   factors; outcome ``pos`` means "the learned bit is 1".
+
+The analysis (:func:`_analyze`) takes Alice's amplitude matrices straight off
+one execution, and gathers her reduced states once more in learned-bit order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -63,6 +66,10 @@ RUN_KEYS = tuple((a, x0, x1) for a in (0, 1) for x0 in (0, 1) for x1 in (0, 1))
 # LEARNED[a, x0, x1] is the bit Alice learns on that run: x0 for a = 0, x1
 # for a = 1.
 LEARNED = np.array([[[0, 0], [1, 1]], [[0, 1], [0, 1]]])
+
+# Index arrays (..., a, x0, x1) [p, o] of the runs in learned-bit order, p = 2a + v.
+_A, _V, _O = np.indices((2, 2, 2)).reshape(3, 4, 2)
+LEARNED_ORDER = (..., _A, np.where(_A, _O, _V), np.where(_A, _V, _O))
 
 
 def held_factors(layout: RegisterLayout, actor: str, message_with_alice: bool) -> tuple[str, ...]:
@@ -108,13 +115,15 @@ class _Plan(NamedTuple):
     """A protocol compiled once: Alice's prepared states ``(F?, 2, D)`` and
     the axes they fill of ``rest``, the layout without X0 and X1; the rounds
     as ``(op, front, back)``, ``op`` Bob's blocks ``(F?, 2, 2, n, n)`` or
-    Alice's unitary ``(F?, 1, 1, d, d)``; her output projectors."""
+    Alice's unitary ``(F?, 1, 1, d, d)``; her output projectors, ``(F?, 2, d,
+    d)``; the axes of ``rest`` with the factors she ends holding first."""
 
     prepared: np.ndarray
     prep_axes: tuple[int, ...]
     steps: tuple[tuple, ...]
     rest: RegisterLayout
     out_pos: np.ndarray
+    split: tuple[int, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,14 +208,17 @@ class ProtocolSpec:
                     raise SpecError(f"round {i}: {rnd.actor} sends a message it does not hold")
                 msg_with_alice = not msg_with_alice
         object.__setattr__(self, "_msg_with_alice_at_end", msg_with_alice)
-        d_out = lay.subset_dim(self.alice_end_factors)
+        split = [rest_names.index(n) for n in self.alice_end_factors]
+        d_out = math.prod(rest.factors[i].dim for i in split)
+        split += [i for i in range(k) if i not in split]
         out_pos = np.empty(lead + (2, d_out, d_out), dtype=complex)
         for a, meas in enumerate(self.alice_output):
             if meas.pos.shape[-2:] != (d_out, d_out):
                 raise SpecError(f"alice_output[{a}] has shape {meas.pos.shape}, "
                                 f"Alice ends holding dim {d_out}")
             out_pos[..., a, :, :] = meas.pos
-        object.__setattr__(self, "_plan", _Plan(prepared, prep_axes, tuple(steps), rest, out_pos))
+        object.__setattr__(self, "_plan", _Plan(prepared, prep_axes, tuple(steps), rest, out_pos,
+                                                tuple(split)))
 
     @property
     def alice_end_factors(self) -> tuple[str, ...]:
@@ -233,15 +245,19 @@ class FinalStates:
 @dataclass(frozen=True, eq=False)
 class ReducedFamily:
     """Alice's reduced final states as one validated density stack of shape
-    ``(..., 2, 2, 2, d, d)``, indexed ``[..., a, x0, x1]``.  Leading axes,
-    if any, batch independent families."""
+    ``(..., 2, 2, 2, d, d)``, indexed ``[..., a, x0, x1]``, and ``pairs``, the
+    two members of the four pairs, views ``(..., 4, d, d)`` of one gather in
+    learned-bit order.  Leading axes, if any, batch independent families."""
 
     states: DensityOp
+    pairs: tuple[DensityOp, DensityOp] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.states.mat.shape[-5:-2] != (2, 2, 2):
             raise ShapeError(
                 f"reduced family needs shape (..., 2, 2, 2, d, d), got {self.states.mat.shape}")
+        learned = self.states[LEARNED_ORDER]
+        object.__setattr__(self, "pairs", (learned[..., 0], learned[..., 1]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,73 +324,73 @@ def run_purified(spec: ProtocolSpec, a: int) -> StateVector:
     return _on_layout(spec, a, np.full((2, 2), 0.5))
 
 
-def reduce_alice(fs: FinalStates) -> ReducedFamily:
-    """Alice's reduced states of the eight honest runs as one stack: M M†
-    for the (Alice, rest) amplitude matrices M, which the states keep as
-    their factor, so none is decomposed."""
-    m = bipartition_matrix(fs.stack, fs.bob_factors)
+def _reduced_family(m: np.ndarray) -> ReducedFamily:
+    """Alice's reduced states M M† of the (Alice, rest) amplitude matrices M,
+    kept as their factor; their unit trace checks the states' norm."""
     return ReducedFamily(DensityOp._factored(hermitize(m @ dagger(m)), m))
+
+
+def reduce_alice(fs: FinalStates) -> ReducedFamily:
+    """Alice's reduced states of the eight honest runs as one stack."""
+    return _reduced_family(bipartition_matrix(fs.stack, fs.bob_factors))
 
 
 def _support_bases(rf: ReducedFamily) -> np.ndarray:
     """Orthonormal bases of the spans of the supports of Alice's two states
-    with x_a = v, indexed ``[..., a, v, :, :]``, as columns, zeroed where a
-    basis is narrower than its array: from the narrower side of the d x k
-    factors, by SVD when 2k <= d (9 x 2 for cks), else by eigh (d x d)."""
+    with x_a = v, indexed ``[..., a, v, :, :]``, as columns, as many as the
+    widest has and zeroed where a support is narrower: from the narrower side
+    of the d x k factors, by SVD when 2k <= d (9 x 2 for cks), else by eigh."""
     d, k = rf.states.factor.shape[-2:]
-    return (_support_bases_svd if 2 * k <= d else _support_bases_eigh)(rf)
-
-
-def _by_learned_bit(x: np.ndarray) -> np.ndarray:
-    """``x[..., a, x0, x1, :, :]`` as ``[..., a, v, other bit, :, :]``, v = x_a."""
-    return np.stack([x[..., 0, :, :, :, :], x[..., 1, :, :, :, :].swapaxes(-3, -4)], axis=-5)
+    basis = (_support_bases_svd if 2 * k <= d else _support_bases_eigh)(rf)
+    return basis[..., basis.any(axis=tuple(range(basis.ndim - 1)))]
 
 
 def _support_bases_svd(rf: ReducedFamily) -> np.ndarray:
     """The left singular vectors of [F_0 F_1] with s² above ``TOL_SPECTRAL``."""
-    f = _by_learned_bit(rf.states.factor).swapaxes(-3, -2)  # [..., a, v, :, other, :]
-    q, s, _ = np.linalg.svd(f.reshape(f.shape[:-2] + (-1,)), full_matrices=False)
+    f = np.concatenate([side.factor for side in rf.pairs], axis=-1)  # [..., 2a + v, :, :]
+    q, s, _ = np.linalg.svd(f.reshape(f.shape[:-3] + (2, 2) + f.shape[-2:]), full_matrices=False)
     return q * (s * s > TOL_SPECTRAL)[..., None, :]
 
 
 def _support_bases_eigh(rf: ReducedFamily) -> np.ndarray:
     """The eigenvectors of the sum of the two states with eigenvalue above
     ``TOL_SPECTRAL``."""
-    w, v = np.linalg.eigh(_by_learned_bit(rf.states.mat).sum(axis=-3))
+    mats = rf.pairs[0].mat + rf.pairs[1].mat
+    w, v = np.linalg.eigh(mats.reshape(mats.shape[:-3] + (2, 2) + mats.shape[-2:]))
     return v * (w > TOL_SPECTRAL)[..., None, :]
 
 
 def _completeness(spec: ProtocolSpec, rf: ReducedFamily) -> CompletenessReport:
     # ||P0 P1||_1 = ||B0† B1||_1 for orthonormal bases B: a product as wide
-    # as the bases (2 x 2 for cks), not one of d x d projectors
+    # as the widest support (1 x 1 for cks), not one of d x d projectors
     basis = _support_bases(rf)
     overlaps = trace_norm(dagger(basis[..., 0, :, :]) @ basis[..., 1, :, :])
-    one = np.real(np.trace(spec._plan.out_pos[..., None, None, :, :] @ rf.states.mat,
-                           axis1=-2, axis2=-1))
+    one = np.einsum("...aij,...axyji->...axy", spec._plan.out_pos, rf.states.mat).real
     correct = np.where(LEARNED == 1, one, 1.0 - one)
     bad_overlap, bad_output = overlaps > TOL_SPECTRAL, correct < 1.0 - TOL_SPECTRAL
-    # a member prefix on a family; nonzero keeps the (a, x0, x1) order
-    failures = [f"{''.join(f'member {m}: ' for m in lead)}a={a}: learned-bit supports "
-                f"overlap ({overlaps[(*lead, a)]:.3e})" for *lead, a in zip(*bad_overlap.nonzero())]
-    failures += [f"{''.join(f'member {m}: ' for m in lead)}output measurement misses "
-                 f"x_{a}={LEARNED[a, x0, x1]} at (a,x0,x1)=({a},{x0},{x1}): "
-                 f"p={correct[(*lead, a, x0, x1)]:.6f}"
-                 for *lead, a, x0, x1 in zip(*bad_output.nonzero())]
     passed = ~(bad_overlap.any(axis=-1) | bad_output.any(axis=(-3, -2, -1)))
+    # built when a check fails: a member prefix on a family; nonzero keeps the order
+    failures = () if passed.all() else tuple(
+        [f"{''.join(f'member {m}: ' for m in lead)}a={a}: learned-bit supports overlap "
+         f"({overlaps[(*lead, a)]:.3e})" for *lead, a in zip(*bad_overlap.nonzero())]
+        + [f"{''.join(f'member {m}: ' for m in lead)}output measurement misses "
+           f"x_{a}={LEARNED[a, x0, x1]} at (a,x0,x1)=({a},{x0},{x1}): "
+           f"p={correct[(*lead, a, x0, x1)]:.6f}"
+           for *lead, a, x0, x1 in zip(*bad_output.nonzero())])
     return CompletenessReport(
         passed=passed if passed.ndim else bool(passed),
         support_overlap=overlaps,
         one_probs=one,
         min_output_prob=float_or_array(np.minimum(1.0, correct.min(axis=(-3, -2, -1)))),
-        failures=tuple(failures),
+        failures=failures,
     )
 
 
 @dataclass(frozen=True, eq=False)
 class _Analysis:
     """One pass over a protocol: everything the bounds, both attacks and the
-    completeness check read, each computed once; the amplitude matrices of
-    the final states are the factor of the reduced states."""
+    completeness check read, each computed once; the reduced states hold both
+    stacks, in run and in learned-bit order, and the amplitude matrices."""
 
     reduced: ReducedFamily
     completeness: CompletenessReport
@@ -387,9 +403,12 @@ def all_final_states(spec: ProtocolSpec) -> FinalStates:
 
 
 def _analyze(spec: ProtocolSpec) -> _Analysis:
-    """The one place a protocol is analysed: one execution runs both
-    preparations for all four input pairs."""
-    rf = reduce_alice(all_final_states(spec))
+    """The one place a protocol is analysed: one execution of both preparations
+    for all four input pairs, transposed once into Alice's amplitude matrices."""
+    plan, amps = spec._plan, _execute(spec)
+    lead = amps.ndim - len(plan.split)
+    m = np.ascontiguousarray(amps.transpose(*range(lead), *(lead + i for i in plan.split)))
+    rf = _reduced_family(m.reshape(amps.shape[:lead] + (plan.out_pos.shape[-1], -1)))
     return _Analysis(rf, _completeness(spec, rf))
 
 

@@ -213,17 +213,18 @@ class DensityOp:
 
     @classmethod
     def _factored(cls, mat: CMat, factor: CMat) -> "DensityOp":
-        """The state ``mat``, which the caller formed as F F† (up to
-        roundoff, and Hermitian) from the stack of factors F it keeps: PSD
-        by construction, so only finiteness and the trace are checked, and
-        nothing is decomposed."""
-        mat = _frozen(mat, "density operator")
+        """The state ``mat``, which the caller formed as F F† (Hermitian up to
+        roundoff) from the stack of factors F it keeps, and hands over: PSD by
+        construction, so only finiteness and the trace are checked, nothing is
+        decomposed, and ``mat`` is frozen in place, not copied."""
+        if not np.isfinite(mat).all():
+            raise ShapeError("density operator has non-finite entries")
         _check_square(mat, "density operator")
         _check_unit_trace(mat)
         return object.__new__(cls)._set(mat, factor)
 
     def _set(self, mat: np.ndarray, factor: np.ndarray) -> "DensityOp":
-        factor.flags.writeable = False
+        mat.flags.writeable = factor.flags.writeable = False
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "factor", factor)
         return self

@@ -10,7 +10,7 @@ that raises before the check could read its value.
 Every check but completeness gets its verdict from ``_check``: it passes
 iff all its measured values lie in its bounds, and a NaN fails it.  A failing
 check prints as ``FAIL <suite>: <check> (range [min, max])``, the range of
-the values it measured.
+the values it measured; a suite that raises, ``FAIL <suite>: raised <type>: <message>``.
 """
 
 from __future__ import annotations
@@ -321,12 +321,15 @@ SUITES: tuple[tuple[str, Callable[[int], list[Check]]], ...] = (
 
 
 def run_all(seed: int) -> tuple[list[str], bool]:
-    """Run every suite; returns the report lines, one ``FAIL`` line per
-    failing check, and the overall verdict."""
+    """Run every suite, past any that raises; returns the report lines, one
+    ``FAIL`` line per failing check or raising suite, and the overall verdict."""
     lines = []
     all_ok = True
     for name, fn in SUITES:
-        checks = fn(seed)
+        try:
+            checks = fn(seed)
+        except Exception as exc:  # a suite that raises is a failing suite, not a crash
+            checks = [Check(f"raised {type(exc).__name__}: {' '.join(str(exc).split())}", False)]
         bad = [c for c in checks if not c.ok]
         all_ok &= not bad
         lines += [f"FAIL {name}: {c.name}" + (f" ({c.detail})" if c.detail else "") for c in bad]

@@ -42,6 +42,7 @@ from wotsim.qcore import (
     TOL_SPECTRAL,
     DensityOp,
     StateVector,
+    bipartition_matrix,
     embed_operator,
     fidelity,
     herm_sqrt,
@@ -357,17 +358,23 @@ def test_cheat_report_decomposes_the_reduced_states_once(monkeypatch):
 
 
 def test_cheat_report_forms_the_amplitude_matrices_once(monkeypatch):
-    # Alice's reduced states keep the (Alice, Bob) amplitude matrices as
-    # their factor, and the purified attack reads them there
+    # the analysis takes Alice's (Alice, Bob) amplitude matrices straight off
+    # the execution: no state vector and no bipartition_matrix on the report
+    # path, and the matrices, the factor of her reduced states, are bitwise
+    # those of the public route through all_final_states
+    specs = (build_cks(), random_complete_protocol(np.arange(3)),
+             build_cks_with_bob_register(16))
+    public = [bipartition_matrix(fs.stack, fs.bob_factors) for fs in map(all_final_states, specs)]
     calls = []
-    counted = lambda *args, _orig=protocol.bipartition_matrix: calls.append(1) or _orig(*args)
+    counted = lambda *args, _orig=protocol.bipartition_matrix: calls.append("split") or _orig(*args)
     monkeypatch.setattr(protocol, "bipartition_matrix", counted)
     monkeypatch.setattr(attacks, "bipartition_matrix", counted)
-    for spec in (build_cks(), random_complete_protocol(np.arange(3)),
-                 build_cks_with_bob_register(16)):
-        calls.clear()
+    monkeypatch.setattr(StateVector, "__post_init__", lambda self: calls.append("state"))
+    for spec, m in zip(specs, public):
         cheat_report(spec)
-        assert len(calls) == 1, spec.name
+        factor = protocol._analyze(spec).reduced.states.factor
+        assert calls == [], spec.name
+        assert factor.shape == m.shape and factor.tobytes() == np.ascontiguousarray(m).tobytes()
 
 
 def test_cheat_report_f_and_delta_match_the_quantities_on_every_spec():
@@ -392,7 +399,7 @@ def test_f_quantity_matches_the_square_roots_on_every_spec():
              build_cks_with_bob_register(), build_cks_with_bob_register(16))
     for spec in specs:
         rf = protocol._analyze(spec).reduced
-        rho, xi = attacks._pairs(rf)
+        rho, xi = rf.pairs
         reference = trace_norm(herm_sqrt(rho) @ herm_sqrt(xi)).sum(axis=-1)
         assert np.abs(f_quantity(rf) - reference).max() <= 1e-12, spec.name
 

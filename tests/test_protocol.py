@@ -6,12 +6,25 @@ import pytest
 from conftest import (
     build_cks_shuffled,
     build_cks_with_bob_register,
+    build_cks_with_complex_register,
     build_incomplete_protocol,
     build_two_register_trivial,
     family_of,
 )
 from wotsim.attacks import cheat_report
-from wotsim.catalog import build_cks, build_trivial
+from wotsim.catalog import (
+    _CKS_BLOCKS,
+    _CKS_FACTORS,
+    _CKS_PAIRS,
+    _CKS_POS,
+    _assemble,
+    _householder,
+    build_cks,
+    build_leaky,
+    build_mixture,
+    build_trivial,
+    random_complete_protocol,
+)
 from wotsim import protocol
 from wotsim.errors import CompletenessError, ShapeError, SpecError
 from wotsim.protocol import (
@@ -34,6 +47,7 @@ from wotsim.qcore import (
     BOB_INPUT,
     TOL_SPECTRAL,
     DensityOp,
+    Factor,
     StateVector,
     embed_operator,
     haar_unitary,
@@ -300,6 +314,69 @@ def test_support_kernels_give_one_completeness_report(monkeypatch):
     for name in ("support_overlap", "one_probs", "min_output_prob"):
         gap = np.abs(np.subtract(getattr(by_svd, name), getattr(by_eigh, name))).max()
         assert gap <= 1e-12, name
+
+
+def _cks_with_register_first(dim: int) -> ProtocolSpec:
+    """``build_cks_with_bob_register(dim)`` with the register ahead of Alice's
+    factors, so that the analysis must move her end factors first."""
+    shifts = np.array([[np.roll(np.eye(dim), x0 + x1, axis=0) for x1 in (0, 1)] for x0 in (0, 1)])
+    # Bob holds (B, M): the shift on B and the cks phases on M
+    bob = shifts[..., :, None, :, None] * _CKS_BLOCKS[..., None, :, None, :]
+    return _assemble(f"cks-with-register-first-{dim}", (Factor("B", dim, BOB),) + _CKS_FACTORS,
+                     _householder(_CKS_PAIRS), bob.reshape(2, 2, 3 * dim, 3 * dim), _CKS_POS)
+
+
+def test_analysis_states_are_bitwise_those_of_the_public_route():
+    # _analyze forms the amplitude matrices from the execution with no state
+    # vector; reduce_alice forms them from all_final_states; one helper forms
+    # the states from both, so nothing may drift between the two
+    specs = (build_cks(), build_trivial(), build_leaky(0.3), build_mixture(0.25),
+             random_complete_protocol(5), build_cks_with_bob_register(),
+             build_cks_with_complex_register(), build_cks_with_bob_register(16),
+             random_complete_protocol(np.arange(10)), _cks_with_register_first(4))
+    assert _cks_with_register_first(4)._plan.split == (1, 2, 0)
+    for spec in specs:
+        got, public = protocol._analyze(spec).reduced.states, reduce_alice(all_final_states(spec))
+        for name in ("mat", "factor"):
+            a, b = getattr(got, name), getattr(public.states, name)
+            assert a.shape == b.shape and a.tobytes() == np.ascontiguousarray(b).tobytes(), \
+                (spec.name, name)
+
+
+def test_analysis_checks_the_norm_through_the_unit_trace():
+    # tr(M M†) is the squared norm of the final state, so a Bob block scaled
+    # by 1 + 1e-6 (squared norm 1 + 2e-6) fails the analysis as it fails the
+    # state vectors of the public route
+    spec = build_cks_with_bob_register()
+    steps = list(spec._plan.steps)
+    op, front, back = steps[-1]
+    steps[-1] = (op * (1.0 + 1e-6), front, back)
+    object.__setattr__(spec, "_plan", spec._plan._replace(steps=tuple(steps)))
+    with pytest.raises(ShapeError, match="trace"):
+        protocol._analyze(spec)
+    with pytest.raises(ShapeError, match="norm"):
+        all_final_states(spec)
+
+
+def test_support_overlap_svd_is_as_wide_as_the_widest_support(monkeypatch):
+    # the support bases are trimmed to the widest kept support before the
+    # overlap, so on cks and on the dim-16 register (pure learned-bit states)
+    # the overlap is one 1 x 1 SVD per choice bit, not 2 x 2 or 9 x 9
+    shapes = []
+
+    def recorded(a, *args, _orig=np.linalg.svd, **kwargs):
+        shapes.append(np.shape(a))
+        return _orig(a, *args, **kwargs)
+
+    for spec, expected in ((build_cks(), [(2, 2, 9, 2), (2, 1, 1)]),
+                           (build_cks_with_bob_register(16), [(2, 1, 1)]),
+                           (build_mixture(0.25), [(2, 2, 35, 4), (2, 3, 3)])):
+        rf = protocol._analyze(spec).reduced
+        monkeypatch.setattr(np.linalg, "svd", recorded)
+        shapes.clear()
+        protocol._completeness(spec, rf)
+        monkeypatch.undo()
+        assert shapes == expected, spec.name
 
 
 def test_all_final_states_runs_no_svd(monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wotsim.attacks import _pairs, delta_quantity, f_quantity
+from wotsim.attacks import delta_quantity, f_quantity
 from wotsim.catalog import build_leaky
 from wotsim.errors import LayoutError, NotPSDError, ShapeError
 from wotsim.protocol import FinalStates, ReducedFamily, _analyze, reduce_alice
@@ -399,7 +399,7 @@ def test_hermitian_trace_norm_matches_the_svd():
         single = hermitian_trace_norm(h[0])
         assert isinstance(single, float) and abs(single - trace_norm(h[0])) <= 1e-12
     # the pair differences of a leaky protocol's reduced states
-    rho, xi = _pairs(_analyze(build_leaky(0.3)).reduced)
+    rho, xi = _analyze(build_leaky(0.3)).reduced.pairs
     diff = rho.mat - xi.mat
     assert np.max(np.abs(hermitian_trace_norm(diff) - trace_norm(diff))) <= 1e-12
     with pytest.raises(ShapeError):

@@ -18,8 +18,8 @@ def test_stage_times_runs_the_working_tree_against_itself():
     assert proc.returncode == 0, proc.stderr
     header, *rows = proc.stdout.splitlines()
     assert header.split() == ["stage", "spec", "parent_us", "change_us", "ratio"]
-    stages = ["all_final_states", "_completeness", "pair_kernel", "_purified_success",
-              "cheat_report"]
+    stages = ["_execute", "all_final_states", "_analyze", "_completeness", "pair_kernel",
+              "_purified_success", "cheat_report"]
     specs = ["cks", "trivial", "leaky-0.3", "mixture-0.25", "rotated-x10", "register-2",
              "register-16"]
     assert [row.split()[:2] for row in rows] == [[st, sp] for sp in specs for st in stages]

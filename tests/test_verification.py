@@ -90,32 +90,74 @@ def test_nan_fails_the_check(monkeypatch, case):
             assert "nan" in checks[name].detail, (name, checks[name].detail)
 
 
+def _failed_checks(lines: list[str]) -> set[str]:
+    """``<suite>: <check>`` of each FAIL line; for a suite that raised, the
+    check is ``raised <exception type>``."""
+    return {re.match(r"FAIL (\S+: (raised \w+|\w+))", line).group(1)
+            for line in lines if line.startswith("FAIL ")}
+
+
 # Each bound map patched off its closed form, and the FAIL lines verify must
 # then print.  Theorem 1 on the attacks is f + delta >= 4 through these two
 # maps, and these are the checks that read them: Alice's map through the
 # Helstrom simulation and the mixture's line, Bob's through cheat_report's
-# check against the purified simulation, which raises ConsistencyError.
+# check against the purified simulation, whose ConsistencyError fails the
+# two suites that call cheat_report.
 _BOUND_MAP_CASES = {
     "_alice_bound_of": (lambda d: 0.5 + d / 16.0, {
         "attacks.purified_attack: helstrom_attack_achieves_bound",
         "catalog.protocols: mixture_on_line"}),
-    "_bob_bound_of": (lambda f: 0.5 + f / 32.0, set()),
+    "_bob_bound_of": (lambda f: 0.5 + f / 32.0, {
+        "attacks.inequality_chain: raised ConsistencyError",
+        "catalog.protocols: raised ConsistencyError"}),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_BOUND_MAP_CASES))
-def test_wrong_bound_map_fails_verify(monkeypatch, tmp_path, capsys, case):
+def test_wrong_bound_map_fails_verify(monkeypatch, tmp_path, case):
     wrong, failing = _BOUND_MAP_CASES[case]
     monkeypatch.setattr(attacks, case, wrong)
     out = tmp_path / "verify.txt"
     assert main(["verify", "--seed", "7", "--out", str(out)]) == 1
-    if failing:
-        lines = out.read_text().splitlines()
-        assert {line.split(" (")[0].removeprefix("FAIL ") for line in lines
-                if line.startswith("FAIL ")} == failing
-        assert lines[-1] == "FAILED"
-    else:
-        assert "disagrees with bound" in capsys.readouterr().err
+    lines = out.read_text().splitlines()
+    assert _failed_checks(lines) == failing
+    assert all("disagrees with bound" in line for line in lines if "ConsistencyError" in line)
+    assert lines[-1] == "FAILED"
+
+
+def test_a_suite_that_raises_fails_by_name_and_the_rest_still_run(monkeypatch, tmp_path):
+    # partial_trace keeping the complement of the named factors: its own
+    # suite raises on mismatched shapes, the two suites that compare a
+    # reduced state's fidelity with an Uhlmann overlap fail on their values,
+    # and every suite still reports
+    def keep_complement(state, layout, keep, _orig=verification.partial_trace):
+        return _orig(state, layout, [n for n in layout.names if n not in set(keep)])
+
+    monkeypatch.setattr(verification, "partial_trace", keep_complement)
+    out = tmp_path / "verify.txt"
+    assert main(["verify", "--seed", "7", "--out", str(out)]) == 1
+    lines = out.read_text().splitlines()
+    assert _failed_checks(lines) == {"qcore.fidelity_uhlmann: uhlmann_attains_fidelity",
+                                     "qcore.partial_trace: raised ValueError",
+                                     "oracle.soundness: uhlmann_oracle_brackets"}
+    assert [line.split()[1].removesuffix(":") for line in lines[:-1]] == [
+        name for name, _ in verification.SUITES]
+    assert lines[-1] == "FAILED"
+
+
+def test_a_raising_suite_prints_one_line(monkeypatch):
+    # the exception's message, its whitespace and line breaks folded
+    def raises(seed):
+        raise ValueError("first line\n  second line ")
+
+    monkeypatch.setattr(verification, "SUITES", (("stub.raises", raises),
+                                                  ("qcore.partial_trace",
+                                                   verification.suite_partial_trace)))
+    assert verification.run_all(7) == ([
+        "FAIL stub.raises: raised ValueError: first line second line",
+        "PASS qcore.partial_trace (2 checks)",
+        "FAILED",
+    ], False)
 
 
 def test_every_failing_check_is_named(monkeypatch):

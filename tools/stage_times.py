@@ -9,10 +9,12 @@ stage and spec, one call of each side runs in turn, the side that goes first
 alternating, ``--count`` times; the script prints each side's median in
 microseconds and their ratio, change over parent.
 
-The stages are the layers of one report: ``all_final_states`` (the
-execution), ``_completeness``, the pair kernel, ``_purified_success`` and the
-whole ``cheat_report``.  The pair kernel is ``attacks._pair_kernel``, the one
-SVD of the four cross products.
+The stages are the layers of one report: ``_execute`` (one run of both
+preparations for all four input pairs), ``all_final_states`` (the execution
+as state vectors, the public route), ``_analyze`` (the execution, Alice's
+reduced states and the completeness check), ``_completeness``, the pair
+kernel, ``_purified_success`` and the whole ``cheat_report``.  The pair kernel
+is ``attacks._pair_kernel``, the one SVD of the four cross products.
 """
 
 from __future__ import annotations
@@ -63,7 +65,9 @@ def stages(w, spec) -> dict:
     """The calls to time on one spec, each with its inputs computed once."""
     att, proto = w["attacks"], w["protocol"]
     an = proto._analyze(spec)
-    return {"all_final_states": lambda: proto.all_final_states(spec),
+    return {"_execute": lambda: proto._execute(spec),
+            "all_final_states": lambda: proto.all_final_states(spec),
+            "_analyze": lambda: proto._analyze(spec),
             "_completeness": lambda: proto._completeness(spec, an.reduced),
             "pair_kernel": lambda: att._pair_kernel(an.reduced),
             "_purified_success": lambda: att._purified_success(an),
